@@ -1,9 +1,9 @@
-"""icui benchmark: wall time of `icui run-all` on three synthetic workloads.
+"""icui benchmark: wall time of `icui run-all` on two synthetic workloads.
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload pipeline-drop --seed 1 --seconds 25 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 25
+    python3 perfbench/run.py --workload pipeline-drop --seed 1 --seconds 50 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 50
 
 Each invocation, for one workload and one seed:
 
@@ -57,14 +57,19 @@ def _zero(*keys):
 
 
 # Each workload isolates a different layer mix of the same pipeline; the
-# counter expectations stop a resize from silently skipping a layer.
+# counter expectations stop a resize from silently skipping a layer.  There
+# are only two, so that each run can be long: on a shared 2-vCPU host the
+# speed of one `run-all` call drifts by 10-25 % over tens of seconds, and a
+# median over a long run is what keeps repeated runs within their bounds.
+# pipeline-drop runs TreeSHAP too (about 15 % of its time); 8 features with 2
+# signal still give pipeline-impute a min/max pair and 4 categorical columns.
 WORKLOADS = {
     "pipeline-drop": {
-        "synth": {"n_rows": 600, "missing_rate": 0.005},
+        "synth": {"n_rows": 400, "missing_rate": 0.005},
         "config": {
             "strategy": "drop",
-            "rf": {"n_trees": 8},
-            "boosted": {"n_rounds": 6},
+            "rf": {"n_trees": 12},
+            "boosted": {"n_rounds": 4},
         },
         "models": ("rf", "boosted"),
         "expect": {
@@ -79,12 +84,12 @@ WORKLOADS = {
         ),
     },
     "pipeline-impute": {
-        "synth": {"n_rows": 300, "n_features": 12, "n_signal": 4, "missing_rate": 0.1},
+        "synth": {"n_rows": 300, "n_features": 8, "n_signal": 2, "missing_rate": 0.1},
         "config": {
             "strategy": "impute",
             "k": 2,
-            "rf": {"n_trees": 10},
-            "boosted": {"n_rounds": 10},
+            "rf": {"n_trees": 5},
+            "boosted": {"n_rounds": 5},
             "impute": {
                 "algorithm": "select",
                 "boost": {"n_rounds": 1, "max_depth": 2, "eta": 0.5},
@@ -102,27 +107,7 @@ WORKLOADS = {
             lambda m: m["impute.fit_imputation_s"] >= 0.9 * m["trace.run_s"],
         ),
     },
-    "boosted-shap": {
-        "synth": {"n_rows": 600, "missing_rate": 0.0},
-        "config": {
-            "strategy": "drop",
-            "model": "boosted",
-            "boosted": {"n_rounds": 5, "max_depth": 6, "eta": 0.3, "col_subsample": 0.5},
-        },
-        "models": ("boosted",),
-        "expect": {
-            "attribution.rows > 0": _nonzero("attribution.rows"),
-            "forest.nodes == 0": _zero("forest.nodes"),
-            "impute.boosted_fits == 0": _zero("impute.boosted_fits"),
-        },
-        "mix": (
-            "attribution.total_s is the largest layer total",
-            lambda m: m["attribution.total_s"] == max(m[f"{x}.total_s"] for x in LEAF_LAYERS),
-        ),
-    },
 }
-# Layer totals that boosted-shap compares; evaluate and cli enclose every span.
-LEAF_LAYERS = ("data", "impute", "boost", "forest", "attribution")
 
 E2E = (("run_s", "s"), ("setup_s", "s"), ("cpu_s", "s"), ("peak_rss_mb", "MB"))
 
@@ -496,7 +481,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS) + ["all"])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=25)
+    parser.add_argument("--seconds", type=int, default=50)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     root = os.getcwd()
