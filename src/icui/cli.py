@@ -284,17 +284,10 @@ def _run_models(cfg: RunConfig, ds) -> tuple[dict[str, CvResult], object]:
     else:
         work = ds
         impute_cfg = cfg.impute
-    results: dict[str, CvResult] = {}
-    for model in cfg.models():
-        params = cfg.rf if model == "rf" else cfg.boosted
-        results[model] = run_cv(
-            work,
-            ModelSpec(model, params),
-            k=cfg.k,
-            seed=cfg.seed,
-            impute_cfg=impute_cfg,
-            clusters_k=cfg.clusters_k,
-        )
+    specs = [ModelSpec(model, cfg.rf if model == "rf" else cfg.boosted) for model in cfg.models()]
+    results = run_cv(
+        work, specs, k=cfg.k, seed=cfg.seed, impute_cfg=impute_cfg, clusters_k=cfg.clusters_k
+    )
     return results, work
 
 

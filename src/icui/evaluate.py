@@ -172,82 +172,54 @@ class CvResult:
     cluster_reports: list[ClusterReport | None]
 
 
-def run_cv(
-    ds: Dataset,
-    model_spec: ModelSpec,
-    k: int = 5,
-    seed: int = 0,
-    impute_cfg=None,
-    clusters_k: int = 20,
-    threads: int | None = None,
-) -> CvResult:
-    """k-fold CV: per fold, fit on the other folds, score the held-out fold.
-
-    When `impute_cfg` is given the imputer is fit on the training folds only
-    and applied to both sides; otherwise the dataset must be complete.  The
-    model-appropriate importance is computed per fold (impurity decrease for
-    rf, mean |Shapley| over the test fold for boosted) and clustered.
-    """
-    if ds.labels is None:
-        raise ValidationError("run_cv requires labels")
-    folds = split_folds(ds.n_rows, k, seed)
-    baseline = float(ds.labels.sum() / ds.n_rows)
-
-    fold_metrics: list[FoldMetrics] = []
-    importances: list[ImportanceProfile | None] = []
-    attributions: list[AttributionMatrix | None] = []
-    reports: list[ClusterReport | None] = []
-
-    for fold in range(k):
-        test_idx = folds.fold_indices(fold)
-        train_idx = np.flatnonzero(folds.fold_of_row != fold)
-        train_ds = take_rows(ds, train_idx)
-        test_ds = take_rows(ds, test_idx)
-        if impute_cfg is not None:
-            imodel = impute_mod.fit_imputation(train_ds, impute_cfg)
-            train_ds = impute_mod.impute(train_ds, imodel)
-            test_ds = impute_mod.impute(test_ds, imodel)
-        x_test, _, _ = design_matrix(test_ds)
-        metrics = FoldMetrics(fold=fold, n_test=len(test_idx), n_pos=int(test_ds.labels.sum()))
-        model_seed = stable_seed(seed, model_spec.kind, fold)
-        try:
-            if model_spec.kind == MODEL_RF:
-                model = fit_forest(train_ds, model_spec.params, seed=model_seed, threads=threads)
-                scores = predict_proba_forest(model, x_test)
-            else:
-                model = fit_boosted(train_ds, model_spec.params, seed=model_seed)
-                scores = predict_proba_boosted(model, x_test)
-        except ValidationError as exc:
-            metrics.error = f"model fit failed: {exc}"
-            fold_metrics.append(metrics)
-            importances.append(None)
-            attributions.append(None)
-            reports.append(None)
-            continue
-
-        try:
-            metrics.auroc, metrics.roc_points = auroc(scores, test_ds.labels)
-            metrics.auprc, metrics.pr_points = auprc(scores, test_ds.labels)
-        except MetricError as exc:
-            metrics.error = str(exc)
-        fold_metrics.append(metrics)
-
-        if model_spec.kind == MODEL_RF:
-            profile = forest_importance(model)
-            attributions.append(None)
+def _fit_one_fold(
+    spec: ModelSpec,
+    train_ds: Dataset,
+    test_ds: Dataset,
+    x_test: np.ndarray,
+    fold: int,
+    seed: int,
+    clusters_k: int,
+    threads: int | None,
+) -> tuple[FoldMetrics, ImportanceProfile | None, AttributionMatrix | None, ClusterReport | None]:
+    """One model on one fold: metrics, importance, attribution, cluster report."""
+    metrics = FoldMetrics(fold=fold, n_test=test_ds.n_rows, n_pos=int(test_ds.labels.sum()))
+    model_seed = stable_seed(seed, spec.kind, fold)
+    try:
+        if spec.kind == MODEL_RF:
+            model = fit_forest(train_ds, spec.params, seed=model_seed, threads=threads)
+            scores = predict_proba_forest(model, x_test)
         else:
-            attr = tree_shap(model, x_test)
-            profile = global_shap_importance(attr)
-            attributions.append(attr)
-        importances.append(profile)
-        try:
-            _, report = cluster_importance(
-                profile, k=clusters_k, seed=stable_seed(seed, "cluster", model_spec.kind, fold)
-            )
-        except ValidationError:
-            report = None
-        reports.append(report)
+            model = fit_boosted(train_ds, spec.params, seed=model_seed)
+            scores = predict_proba_boosted(model, x_test)
+    except ValidationError as exc:
+        metrics.error = f"model fit failed: {exc}"
+        return metrics, None, None, None
 
+    try:
+        metrics.auroc, metrics.roc_points = auroc(scores, test_ds.labels)
+        metrics.auprc, metrics.pr_points = auprc(scores, test_ds.labels)
+    except MetricError as exc:
+        metrics.error = str(exc)
+
+    if spec.kind == MODEL_RF:
+        profile = forest_importance(model)
+        attr = None
+    else:
+        attr = tree_shap(model, x_test)
+        profile = global_shap_importance(attr)
+    try:
+        _, report = cluster_importance(
+            profile, k=clusters_k, seed=stable_seed(seed, "cluster", spec.kind, fold)
+        )
+    except ValidationError:
+        report = None
+    return metrics, profile, attr, report
+
+
+def _summarize(
+    kind: str, k: int, seed: int, baseline: float, fold_metrics: list[FoldMetrics]
+) -> CvSummary:
     valid = [m for m in fold_metrics if m.error is None]
     if len(valid) >= 2:
         auroc_mean, auroc_std, auroc_fmt = aggregate([m.auroc for m in valid])
@@ -255,8 +227,8 @@ def run_cv(
     else:
         auroc_mean = auroc_std = auprc_mean = auprc_std = None
         auroc_fmt = auprc_fmt = None
-    summary = CvSummary(
-        model=model_spec.kind,
+    return CvSummary(
+        model=kind,
         k=k,
         seed=seed,
         baseline=baseline,
@@ -269,9 +241,62 @@ def run_cv(
         auprc_std=auprc_std,
         auprc_formatted=auprc_fmt,
     )
-    return CvResult(
-        summary=summary,
-        importances=importances,
-        attributions=attributions,
-        cluster_reports=reports,
-    )
+
+
+def run_cv(
+    ds: Dataset,
+    model_specs: list[ModelSpec],
+    k: int = 5,
+    seed: int = 0,
+    impute_cfg=None,
+    clusters_k: int = 20,
+    threads: int | None = None,
+) -> dict[str, CvResult]:
+    """k-fold CV: per fold, fit on the other folds, score the held-out fold.
+
+    Every model in `model_specs` (one per kind) sees the same folds, and each
+    fold's data is prepared once and shared by all of them.  When
+    `impute_cfg` is given the imputer is fit on the training folds only and
+    applied to both sides, or, with `impute_cfg.fit_on_all`, fit and applied
+    once on the whole table before the folds are cut; otherwise the dataset
+    must be complete.  The model-appropriate importance is computed per fold
+    (impurity decrease for rf, mean |Shapley| over the test fold for
+    boosted) and clustered.  Returns one CvResult per model kind.
+    """
+    if ds.labels is None:
+        raise ValidationError("run_cv requires labels")
+    kinds = [spec.kind for spec in model_specs]
+    if not kinds or len(set(kinds)) != len(kinds):
+        raise ValidationError(f"run_cv needs one spec per distinct model kind, got {kinds}")
+    if impute_cfg is not None and impute_cfg.fit_on_all:
+        ds = impute_mod.impute(ds, impute_mod.fit_imputation(ds, impute_cfg))
+        impute_cfg = None
+    folds = split_folds(ds.n_rows, k, seed)
+    baseline = float(ds.labels.sum() / ds.n_rows)
+
+    # per kind: fold metrics, importances, attributions, cluster reports
+    collected = {kind: ([], [], [], []) for kind in kinds}
+    for fold in range(k):
+        test_idx = folds.fold_indices(fold)
+        train_idx = np.flatnonzero(folds.fold_of_row != fold)
+        train_ds = take_rows(ds, train_idx)
+        test_ds = take_rows(ds, test_idx)
+        if impute_cfg is not None:
+            imodel = impute_mod.fit_imputation(train_ds, impute_cfg)
+            train_ds = impute_mod.impute(train_ds, imodel)
+            test_ds = impute_mod.impute(test_ds, imodel)
+        x_test, _, _ = design_matrix(test_ds)
+        for spec in model_specs:
+            outcome = _fit_one_fold(spec, train_ds, test_ds, x_test, fold, seed, clusters_k, threads)
+            for bucket, value in zip(collected[spec.kind], outcome):
+                bucket.append(value)
+
+    return {
+        kind: CvResult(
+            summary=_summarize(kind, k, seed, baseline, fold_metrics),
+            importances=importances,
+            attributions=attributions,
+            cluster_reports=reports,
+        )
+        for kind, (fold_metrics, importances, attributions, reports) in collected.items()
+    }

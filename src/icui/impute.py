@@ -15,7 +15,9 @@ predictor columns are filled with their a0 statistic, at fit and apply time
 alike.  `select_imputer` scores all four per column with nested CV (outer and
 inner splits over the target-observed rows; mean squared error for numeric
 targets, accuracy for categorical) and picks the best, ties toward the lower
-algorithm id.
+algorithm id.  Each cell fits every distinct model once: a3 is assembled
+from the cell's a1 and a2 models, and a2 is a1's model when the target has
+no sibling (its predictors are then exactly a1's).
 """
 
 from __future__ import annotations
@@ -257,10 +259,8 @@ def fit_algorithm2(
         return _fallback_entry(
             ds, target, "a2", note=f"a2 -> a0: {n_obs} complete cases < min_rows={min_rows}"
         )
-    my_group = groups.get(target, target)
-    features = [
-        c.name for c in ds.columns if c.name != target and groups.get(c.name, c.name) != my_group
-    ]
+    siblings = _siblings(ds, target, groups)
+    features = [c.name for c in ds.columns if c.name != target and c.name not in siblings]
     if not features:
         return _fallback_entry(ds, target, "a2", note="a2 -> a0: no out-of-group predictors")
     predictor = _fit_predictor(ds, target, features, boost or _DEFAULT_IMPUTER_BOOST, seed)
@@ -270,25 +270,48 @@ def fit_algorithm2(
         algorithm="a2",
         fallback=_a0_stat(ds, target),
         predictor_grouped=predictor,
-        siblings=[
-            c.name
-            for c in ds.columns
-            if c.name != target and groups.get(c.name, c.name) == my_group
-        ],
+        siblings=siblings,
     )
 
 
-def _fit_algorithm3(
+def _siblings(ds: Dataset, target: str, groups: dict[str, str]) -> list[str]:
+    my_group = groups.get(target, target)
+    return [
+        c.name for c in ds.columns if c.name != target and groups.get(c.name, c.name) == my_group
+    ]
+
+
+def _fit_a1_a2(
     ds: Dataset,
     target: str,
-    groups: dict[str, str] | None = None,
-    boost: BoostParams | None = None,
-    min_rows: int = 50,
-    seed: int = 0,
-) -> ColumnImputer:
-    """Both predictors plus sibling list, routed per row at apply time."""
-    a1 = fit_algorithm1(ds, target, boost, min_rows, seed)
-    a2 = fit_algorithm2(ds, target, groups, boost, min_rows, seed)
+    groups: dict[str, str],
+    boost: BoostParams | None,
+    min_rows: int,
+    seed_a1: int,
+    seed_a2: int,
+) -> tuple[ColumnImputer, ColumnImputer]:
+    """The a1 and a2 entries for one column, fitting each distinct model once.
+
+    Without a same-group sibling, a2's predictors are exactly a1's, so a2
+    takes a1's fitted model; when no subsampling is configured the seed is
+    unused and that model is the one a separate fit would return.
+    """
+    a1 = fit_algorithm1(ds, target, boost, min_rows, seed_a1)
+    if a1.predictor is not None and not _siblings(ds, target, groups):
+        a2 = ColumnImputer(
+            column=target,
+            kind=a1.kind,
+            algorithm="a2",
+            fallback=a1.fallback,
+            predictor_grouped=a1.predictor,
+        )
+    else:
+        a2 = fit_algorithm2(ds, target, groups, boost, min_rows, seed_a2)
+    return a1, a2
+
+
+def _algorithm3_from(ds: Dataset, target: str, a1: ColumnImputer, a2: ColumnImputer) -> ColumnImputer:
+    """a3 assembled from fitted a1 and a2 entries of the same column."""
     if a1.algorithm == "a0" and a2.algorithm == "a0":
         return _fallback_entry(ds, target, "a3", note=a1.note)
     return ColumnImputer(
@@ -301,6 +324,20 @@ def _fit_algorithm3(
         siblings=a2.siblings,
         note=a1.note or a2.note,
     )
+
+
+def _fit_algorithm3(
+    ds: Dataset,
+    target: str,
+    groups: dict[str, str] | None = None,
+    boost: BoostParams | None = None,
+    min_rows: int = 50,
+    seed: int = 0,
+) -> ColumnImputer:
+    """Both predictors plus sibling list, routed per row at apply time."""
+    groups = groups or derive_groups(ds.feature_names())
+    a1, a2 = _fit_a1_a2(ds, target, groups, boost, min_rows, seed, seed)
+    return _algorithm3_from(ds, target, a1, a2)
 
 
 def apply_algorithm3(ds: Dataset, rows: np.ndarray, entry: ColumnImputer) -> np.ndarray:
@@ -332,6 +369,31 @@ def _fit_by_id(ds, target, algorithm, groups, boost, min_rows, seed) -> ColumnIm
     if algorithm == "a2":
         return fit_algorithm2(ds, target, groups, boost, min_rows, seed)
     return _fit_algorithm3(ds, target, groups, boost, min_rows, seed)
+
+
+def _fit_cell(
+    fit_ds: Dataset, target: str, groups: dict[str, str], params: ImputeParams, o: int, i: int
+) -> dict[str, ColumnImputer]:
+    """All four candidates of one nested-CV cell, each distinct model fitted once.
+
+    a2 shares a1's model when the column has no sibling; a3 routes between
+    the cell's a1 and a2 models instead of refitting them.
+    """
+    a1, a2 = _fit_a1_a2(
+        fit_ds,
+        target,
+        groups,
+        params.boost,
+        params.min_rows,
+        stable_seed(params.seed, "select", target, "a1", o, i),
+        stable_seed(params.seed, "select", target, "a2", o, i),
+    )
+    return {
+        "a0": _fallback_entry(fit_ds, target, "a0"),
+        "a1": a1,
+        "a2": a2,
+        "a3": _algorithm3_from(fit_ds, target, a1, a2),
+    }
 
 
 def select_imputer(
@@ -371,18 +433,9 @@ def select_imputer(
             val_rows = train_obs[inner.fold_of_row == i]
             if fit_rows.size == 0 or val_rows.size == 0:
                 continue
-            fit_ds = take_rows(ds, fit_rows)
+            entries = _fit_cell(take_rows(ds, fit_rows), target, groups, params, o, i)
             truth = ds.values[target][val_rows].astype(np.float64)
-            for alg in ALGORITHMS:
-                entry = _fit_by_id(
-                    fit_ds,
-                    target,
-                    alg,
-                    groups,
-                    params.boost,
-                    params.min_rows,
-                    stable_seed(params.seed, "select", target, alg, o, i),
-                )
+            for alg, entry in entries.items():
                 pred = entry.predict(ds, val_rows)
                 if metric == "mse":
                     cells[alg].append(float(np.mean((pred - truth) ** 2)))

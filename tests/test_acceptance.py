@@ -258,7 +258,7 @@ def test_criterion_6_synthetic_qualitative_reproduction():
             ("rf", ForestParams(**RF_PARAMS)),
             ("boosted", BoostParams(**BOOST_PARAMS)),
         ):
-            result = run_cv(ds, ModelSpec(kind, params), k=5, seed=7, clusters_k=20)
+            result = run_cv(ds, [ModelSpec(kind, params)], k=5, seed=7, clusters_k=20)[kind]
             s = result.summary
             assert s.n_valid_folds == 5
             assert all(m.auroc > 0.85 for m in s.folds), f"{kind} fold AUROC below 0.85"
@@ -329,6 +329,6 @@ def test_criterion_8_restricted_extract_reproduction():
             ("rf", ForestParams(**RF_PARAMS), 0.839),
             ("boosted", BoostParams(**BOOST_PARAMS), 0.834),
         ):
-            result = run_cv(work, ModelSpec(kind, params), k=5, seed=0, clusters_k=20)
+            result = run_cv(work, [ModelSpec(kind, params)], k=5, seed=0, clusters_k=20)[kind]
             assert result.summary.auroc_mean is not None
             assert abs(result.summary.auroc_mean - target) <= 0.03

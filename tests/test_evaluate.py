@@ -200,7 +200,7 @@ def _cv_dataset(n=100, seed=2):
 def test_run_cv_rf_end_to_end():
     ds = _cv_dataset()
     spec = ModelSpec(MODEL_RF, ForestParams(n_trees=10, max_depth=4, min_samples_leaf=2))
-    res = run_cv(ds, spec, k=5, seed=0, clusters_k=2)
+    res = run_cv(ds, [spec], k=5, seed=0, clusters_k=2)[spec.kind]
     s = res.summary
     assert s.k == 5 and s.model == MODEL_RF
     assert s.n_valid_folds == 5
@@ -220,7 +220,7 @@ def test_run_cv_rf_end_to_end():
 def test_run_cv_boosted_attributions_on_test_rows():
     ds = _cv_dataset(n=60)
     spec = ModelSpec(MODEL_BOOSTED, BoostParams(n_rounds=8, max_depth=2, eta=0.3))
-    res = run_cv(ds, spec, k=3, seed=1, clusters_k=2)
+    res = run_cv(ds, [spec], k=3, seed=1, clusters_k=2)[spec.kind]
     assert res.summary.n_valid_folds == 3
     for fold, attr in enumerate(res.attributions):
         assert attr is not None
@@ -232,8 +232,8 @@ def test_run_cv_boosted_attributions_on_test_rows():
 def test_run_cv_deterministic_and_thread_invariant():
     ds = _cv_dataset(n=80)
     spec = ModelSpec(MODEL_RF, ForestParams(n_trees=6, max_depth=3))
-    a = run_cv(ds, spec, k=4, seed=7, clusters_k=2, threads=1)
-    b = run_cv(ds, spec, k=4, seed=7, clusters_k=2, threads=3)
+    a = run_cv(ds, [spec], k=4, seed=7, clusters_k=2, threads=1)[spec.kind]
+    b = run_cv(ds, [spec], k=4, seed=7, clusters_k=2, threads=3)[spec.kind]
     assert [m.auroc for m in a.summary.folds] == [m.auroc for m in b.summary.folds]
     assert [m.auprc for m in a.summary.folds] == [m.auprc for m in b.summary.folds]
     assert a.summary.auroc_formatted == b.summary.auroc_formatted
@@ -244,8 +244,8 @@ def test_run_cv_deterministic_and_thread_invariant():
 def test_run_cv_seed_changes_folds():
     ds = _cv_dataset(n=80)
     spec = ModelSpec(MODEL_RF, ForestParams(n_trees=4, max_depth=3))
-    a = run_cv(ds, spec, k=4, seed=1, clusters_k=2)
-    b = run_cv(ds, spec, k=4, seed=2, clusters_k=2)
+    a = run_cv(ds, [spec], k=4, seed=1, clusters_k=2)[spec.kind]
+    b = run_cv(ds, [spec], k=4, seed=2, clusters_k=2)[spec.kind]
     assert [m.auroc for m in a.summary.folds] != [m.auroc for m in b.summary.folds]
 
 
@@ -255,7 +255,7 @@ def test_run_cv_flags_single_class_test_folds():
     labels[0] = 1
     ds = build_dataset(numeric={"a": np.arange(15.0)}, labels=labels)
     spec = ModelSpec(MODEL_RF, ForestParams(n_trees=3, max_depth=2))
-    res = run_cv(ds, spec, k=5, seed=0, clusters_k=2)
+    res = run_cv(ds, [spec], k=5, seed=0, clusters_k=2)[spec.kind]
     flagged = [m for m in res.summary.folds if m.error is not None]
     assert len(flagged) == 4  # only the fold holding the lone positive scores
     assert res.summary.n_valid_folds == 1
@@ -268,7 +268,7 @@ def test_run_cv_boosted_flags_degenerate_training():
     labels[0] = 1
     ds = build_dataset(numeric={"a": np.arange(15.0)}, labels=labels)
     spec = ModelSpec(MODEL_BOOSTED, BoostParams(n_rounds=2, max_depth=1))
-    res = run_cv(ds, spec, k=5, seed=0, clusters_k=2)
+    res = run_cv(ds, [spec], k=5, seed=0, clusters_k=2)[spec.kind]
     fit_failures = [m for m in res.summary.folds if m.error and "fit failed" in m.error]
     assert len(fit_failures) == 1  # the fold whose training set lost the lone positive
     assert res.summary.n_valid_folds == 0
@@ -282,7 +282,9 @@ def test_run_cv_with_imputation():
     ds.values["x2"][mask] = np.nan
     ds.missing["x2"] = mask
     spec = ModelSpec(MODEL_RF, ForestParams(n_trees=4, max_depth=3))
-    res = run_cv(ds, spec, k=3, seed=0, impute_cfg=ImputeParams(algorithm="a0"), clusters_k=2)
+    res = run_cv(
+        ds, [spec], k=3, seed=0, impute_cfg=ImputeParams(algorithm="a0"), clusters_k=2
+    )[spec.kind]
     assert res.summary.n_valid_folds == 3
     assert res.summary.auroc_mean is not None
 
@@ -290,4 +292,4 @@ def test_run_cv_with_imputation():
 def test_run_cv_requires_labels():
     ds = build_dataset(numeric={"a": [1.0, 2.0]})
     with pytest.raises(ValidationError):
-        run_cv(ds, ModelSpec(MODEL_RF), k=2)
+        run_cv(ds, [ModelSpec(MODEL_RF)], k=2)

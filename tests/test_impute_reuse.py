@@ -1,0 +1,143 @@
+"""Each imputer model is fitted once: per selection cell and per CV fold."""
+
+from __future__ import annotations
+
+import importlib
+import json
+
+import numpy as np
+import pytest
+
+from conftest import build_dataset
+from impute_oracle import select_imputer_reference
+from icui.boost import BoostParams
+from icui.cli import cli_main
+from icui.errors import ValidationError
+from icui.evaluate import MODEL_RF, ModelSpec, run_cv
+from icui.forest import ForestParams
+from icui.impute import ImputeParams, select_imputer
+
+# `icui.impute` as an attribute of the package is the function; the tests
+# patch names of the module.
+impute_mod = importlib.import_module("icui.impute")
+
+FAST_BOOST = BoostParams(n_rounds=4, max_depth=2, eta=0.3)
+
+
+def _grouped_dataset(n=80, seed=1, gap_rate=0.2):
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal(n)
+    return build_dataset(
+        numeric={
+            "hr_min": base + 0.1 * rng.standard_normal(n),
+            "hr_max": base + 1.0 + 0.1 * rng.standard_normal(n),
+            "spo2": rng.standard_normal(n),
+            "age": rng.uniform(20, 90, n),
+        },
+        missing={"hr_min": rng.random(n) < gap_rate, "spo2": rng.random(n) < gap_rate},
+    )
+
+
+def _categorical_dataset(n=90, seed=21):
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, 3, n)
+    noisy = np.where(rng.random(n) < 0.3, rng.integers(0, 3, n), codes)
+    mask = np.zeros(n, dtype=bool)
+    mask[rng.choice(n, 12, replace=False)] = True
+    return build_dataset(
+        numeric={"z_min": codes + rng.standard_normal(n), "z_max": rng.standard_normal(n)},
+        categorical={"base": (noisy, ["a", "b", "c"]), "z": (codes, ["a", "b", "c"])},
+        missing={"z": mask},
+    )
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    fn = getattr(impute_mod, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(impute_mod, name, counted)
+    return calls
+
+
+# ------------------------------------------------------------ oracle agreement
+
+
+@pytest.mark.parametrize("target", ["hr_min", "hr_max", "spo2", "age"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_select_matches_independent_fits_numeric(target, seed):
+    ds = _grouped_dataset()
+    params = ImputeParams(algorithm="select", seed=seed, min_rows=10, boost=FAST_BOOST)
+    assert select_imputer(ds, target, params=params) == select_imputer_reference(ds, target, params=params)
+
+
+@pytest.mark.parametrize("target", ["z", "base"])
+def test_select_matches_independent_fits_categorical(target):
+    ds = _categorical_dataset()
+    params = ImputeParams(algorithm="select", seed=1, min_rows=10, boost=FAST_BOOST)
+    chosen, rows = select_imputer(ds, target, params=params)
+    assert rows and all(r.metric == "accuracy" for r in rows)
+    assert (chosen, rows) == select_imputer_reference(ds, target, params=params)
+
+
+def test_select_matches_independent_fits_below_min_rows():
+    ds = _grouped_dataset(n=40)
+    params = ImputeParams(algorithm="select", min_rows=30, boost=FAST_BOOST)
+    assert select_imputer(ds, "hr_min", params=params) == select_imputer_reference(
+        ds, "hr_min", params=params
+    )
+
+
+# ------------------------------------------------------------------ fit counts
+
+
+@pytest.mark.parametrize("target, fits_per_cell", [("spo2", 1), ("hr_min", 2)])
+def test_select_fits_each_distinct_model_once_per_cell(monkeypatch, target, fits_per_cell):
+    calls = _counting(monkeypatch, "fit_boosted_matrix")
+    params = ImputeParams(algorithm="select", min_rows=10, boost=FAST_BOOST)
+    select_imputer(_grouped_dataset(), target, params=params)
+    assert len(calls) == params.outer_k * params.inner_k * fits_per_cell
+
+
+def test_final_a3_fit_shares_a1_model_without_siblings(monkeypatch):
+    calls = _counting(monkeypatch, "fit_boosted_matrix")
+    ds = _grouped_dataset()
+    model = impute_mod.fit_imputation(ds, ImputeParams(algorithm="a3", min_rows=10, boost=FAST_BOOST))
+    assert model.columns["spo2"].predictor is model.columns["spo2"].predictor_grouped
+    assert model.columns["hr_min"].predictor is not model.columns["hr_min"].predictor_grouped
+    assert len(calls) == 3  # spo2: one shared model; hr_min: a1 and a2
+
+
+def test_run_cv_rejects_repeated_model_kind():
+    ds = _grouped_dataset(n=30)
+    ds.labels = (ds.values["age"] > 55).astype(np.uint8)
+    spec = ModelSpec(MODEL_RF, ForestParams(n_trees=3, max_depth=2))
+    with pytest.raises(ValidationError, match="one spec per distinct model kind"):
+        run_cv(ds, [spec, spec], k=3)
+
+
+@pytest.mark.parametrize("fit_on_all, expected", [(False, 3), (True, 1)])
+def test_run_all_imputes_once_per_fold_for_both_models(tmp_path, monkeypatch, fit_on_all, expected):
+    data_dir = tmp_path / "data"
+    assert cli_main([
+        "synth", "--rows", "90", "--features", "6", "--signal", "2",
+        "--missing-rate", "0.1", "--seed", "4", "--out", str(data_dir),
+    ]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "k": 3, "clusters_k": 2,
+        "rf": {"n_trees": 3, "max_depth": 2},
+        "boosted": {"n_rounds": 2, "max_depth": 2},
+        "impute": {"algorithm": "a0", "fit_on_all": fit_on_all},
+    }))
+    calls = _counting(monkeypatch, "fit_imputation")
+    assert cli_main([
+        "run-all", "--config", str(cfg), "--model", "both", "--strategy", "impute",
+        "--input", str(data_dir / "synth.csv"), "--out", str(tmp_path / "out"),
+    ]) == 0
+    assert len(calls) == expected
+    if fit_on_all:
+        assert calls[0][0].n_rows == 90  # the whole table, before the folds are cut

@@ -191,9 +191,9 @@ def test_five_fold_run_produces_five_polylines():
     ds, _ = generate(SynthSpec(n_rows=150, n_features=8, n_signal=3, seed=1))
     result = run_cv(
         ds,
-        ModelSpec("rf", ForestParams(n_trees=10, max_depth=5, min_samples_leaf=5)),
+        [ModelSpec("rf", ForestParams(n_trees=10, max_depth=5, min_samples_leaf=5))],
         k=5, seed=0, clusters_k=3,
-    )
+    )["rf"]
     svg = roc_svg(result.summary)
     assert len(_elements(svg, "polyline")) == 5
     assert len(_elements(pr_svg(result.summary), "polyline")) == 5
