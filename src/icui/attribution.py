@@ -34,7 +34,7 @@ import numpy as np
 from .boost import BoostedModel, predict_margin
 from .errors import ValidationError
 from .forest import ForestModel, ImportanceProfile, predict_proba_forest
-from .trees import LEAF, Tree
+from .trees import LEAF, Tree, _check_matrix
 
 OUTPUT_PROBABILITY = "probability"
 OUTPUT_MARGIN = "margin"
@@ -68,15 +68,6 @@ def model_output(model, x) -> np.ndarray:
     if isinstance(model, BoostedModel):
         return predict_margin(model, x)
     raise ValidationError(f"unsupported model type {type(model).__name__}")
-
-
-def _check_rows(x, n_features: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != n_features:
-        raise ValidationError(f"expected a 2D matrix with {n_features} columns")
-    if not np.isfinite(x).all():
-        raise ValidationError("matrix contains non-finite values")
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +296,7 @@ def tree_shap(model, x) -> AttributionMatrix:
     """
     views, offset, space, names = _ensemble_views(model)
     n_features = len(names)
-    x = _check_rows(x, n_features)
+    x = _check_matrix(x, n_features)
     n = x.shape[0]
     phi = np.zeros((n, n_features), dtype=np.float64)
     base = offset

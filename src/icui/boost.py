@@ -19,13 +19,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
-from .data import CATEGORICAL, Dataset, design_matrix
+from . import split
+from .data import Dataset, design_matrix
 from .errors import ValidationError
 from .rng import make_rng
-from .trees import Tree, TreeBuilder, predict_value, tree_from_dict, tree_to_dict
+from .trees import Tree, TreeBuilder, _check_matrix, predict_value, tree_from_dict, tree_to_dict
 
 MODEL_FORMAT = "icui-model"
 MODEL_VERSION = 1
@@ -44,6 +46,17 @@ class BoostParams:
     min_child_weight: float = 1.0
     row_subsample: float = 1.0
     col_subsample: float = 1.0
+
+    def __post_init__(self):
+        for name, ok, rule in (
+            ("max_depth", self.max_depth >= 0, ">= 0"),
+            ("eta", self.eta > 0, "> 0"),
+            ("reg_lambda", self.reg_lambda >= 0, ">= 0"),
+            ("gamma", self.gamma >= 0, ">= 0"),
+            ("min_child_weight", self.min_child_weight >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ValidationError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -97,64 +110,45 @@ def split_gain(
     return 0.5 * (s_l + s_r - s_p) - gamma
 
 
-def _scan_numeric(v, g, h, lam, gamma, mcw, s_parent):
-    order = np.argsort(v, kind="stable")
-    vs = v[order]
-    cg = np.cumsum(g[order])
-    ch = np.cumsum(h[order])
-    b = np.flatnonzero(vs[:-1] != vs[1:])
-    if b.size == 0:
-        return None
-    g_l = cg[b]
-    h_l = ch[b]
-    g_r = cg[-1] - g_l
-    h_r = ch[-1] - h_l
-    valid = (h_l >= mcw) & (h_r >= mcw)
-    if not valid.any():
-        return None
-    gains = 0.5 * (g_l * g_l / (h_l + lam) + g_r * g_r / (h_r + lam) - s_parent) - gamma
-    gains[~valid] = -np.inf
-    best = int(np.argmax(gains))
-    if not gains[best] > 0.0:
-        return None
-    thr = (vs[b[best]] + vs[b[best] + 1]) / 2.0
-    return float(gains[best]), float(thr)
+def _newton_gains(g_l, h_l, g_t, h_t, *, lam, gamma, mcw, s_parent):
+    """split_gain of splits whose left child sums to (g_l, h_l) in a node summing to (g_t, h_t).
+
+    The operands are (rows x features) blocks, so split_gain's arithmetic runs
+    in place, in the same order: every temporary would add to a fit's peak
+    memory.
+    """
+    g_r = g_t - g_l
+    h_r = h_t - h_l
+    invalid = (h_l < mcw) | (h_r < mcw)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = g_l * g_l
+        gains /= h_l + lam
+        g_r *= g_r
+        h_r += lam
+        g_r /= h_r
+        gains += g_r
+        gains -= s_parent
+        gains *= 0.5
+        gains -= gamma
+    gains[invalid] = -np.inf
+    return gains
 
 
-def _scan_categorical(v, g, h, lam, gamma, mcw, s_parent):
-    codes = v.astype(np.int64)
-    cg = np.bincount(codes, weights=g)
-    ch = np.bincount(codes, weights=h)
-    cnt = np.bincount(codes)
-    present = np.flatnonzero(cnt > 0)
-    if present.size < 2:
-        return None
-    g_l = cg[present]
-    h_l = ch[present]
-    g_r = cg.sum() - g_l
-    h_r = ch.sum() - h_l
-    valid = (h_l >= mcw) & (h_r >= mcw)
-    if not valid.any():
-        return None
-    gains = 0.5 * (g_l * g_l / (h_l + lam) + g_r * g_r / (h_r + lam) - s_parent) - gamma
-    gains[~valid] = -np.inf
-    best = int(np.argmax(gains))
-    if not gains[best] > 0.0:
-        return None
-    return float(gains[best]), float(present[best])
-
-
-def _fit_round_tree(x, g, h, kinds, params: BoostParams, rows0, features):
+def _fit_round_tree(x, g, h, is_cat, params: BoostParams, rows0, features):
     """One regression tree on (g, h); returns the tree and per-row leaf ids."""
     lam = params.reg_lambda
+    gamma = params.gamma
+    mcw = params.min_child_weight
     builder = TreeBuilder(track_class_counts=False)
     leaf_of_row = np.zeros(x.shape[0], dtype=np.int64)
 
     stack = [(rows0, 0, -1, "left")]
     while stack:
         rows, depth, parent, side = stack.pop()
-        gs = float(g[rows].sum())
-        hs = float(h[rows].sum())
+        gn = g[rows]
+        hn = h[rows]
+        gs = float(gn.sum())
+        hs = float(hn.sum())
         node = builder.add_node(len(rows), leaf_weight(gs, hs, lam))
         if parent >= 0:
             if side == "left":
@@ -166,15 +160,8 @@ def _fit_round_tree(x, g, h, kinds, params: BoostParams, rows0, features):
             leaf_of_row[rows] = node
             continue
         s_parent = gs * gs / (hs + lam)
-        best = None
-        for f in features:
-            col = x[rows, f]
-            cat = kinds[f] == CATEGORICAL
-            hit = (_scan_categorical if cat else _scan_numeric)(
-                col, g[rows], h[rows], lam, params.gamma, params.min_child_weight, s_parent
-            )
-            if hit is not None and (best is None or hit[0] > best[0]):
-                best = (hit[0], int(f), hit[1], cat)
+        score = partial(_newton_gains, lam=lam, gamma=gamma, mcw=mcw, s_parent=s_parent)
+        best = split.best_split(x, rows, features, is_cat, gn, hn, score)
         if best is None:
             leaf_of_row[rows] = node
             continue
@@ -218,6 +205,7 @@ def fit_boosted_matrix(
         raise ValidationError(f"unknown objective {objective!r}")
 
     n_features = x.shape[1]
+    is_cat = split.categorical_mask(kinds)
     margins = np.full(n, base, dtype=np.float64)
     trees: list[Tree] = []
     subsampling = params.row_subsample < 1.0 or params.col_subsample < 1.0
@@ -239,7 +227,7 @@ def fit_boosted_matrix(
             if params.col_subsample < 1.0:
                 m = max(1, int(round(params.col_subsample * n_features)))
                 features = np.sort(rng.choice(n_features, size=m, replace=False))
-        tree, leaf_of_row = _fit_round_tree(x, g, h, kinds, params, rows, features)
+        tree, leaf_of_row = _fit_round_tree(x, g, h, is_cat, params, rows, features)
         trees.append(tree)
         if rows.size == n:
             margins += params.eta * tree.value[leaf_of_row]
@@ -263,15 +251,6 @@ def fit_boosted(ds: Dataset, params: BoostParams | None = None, seed: int = 0) -
         raise ValidationError("fit_boosted requires labels")
     x, kinds, names = design_matrix(ds)
     return fit_boosted_matrix(x, ds.labels, kinds, names, params, seed, OBJECTIVE_LOGISTIC)
-
-
-def _check_matrix(x, n_features: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != n_features:
-        raise ValidationError(f"expected a 2D matrix with {n_features} columns")
-    if not np.isfinite(x).all():
-        raise ValidationError("matrix contains non-finite values")
-    return x
 
 
 def predict_margin(model: BoostedModel, x) -> np.ndarray:

@@ -85,7 +85,10 @@ def _from_dict(cls, data: dict, where: str):
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ValidationError(f"{where}: unknown keys {unknown}")
-    return cls(**data)
+    try:
+        return cls(**data)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def load_run_config(config_path: str | None, overrides: dict | None = None) -> RunConfig:

@@ -20,14 +20,16 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
-from .data import CATEGORICAL, Dataset, design_matrix
+from . import split
+from .data import Dataset, design_matrix
 from .errors import ValidationError
 from .rng import make_rng
-from .trees import LEAF, Tree, TreeBuilder, predict_value, tree_from_dict, tree_to_dict
+from .trees import LEAF, Tree, TreeBuilder, _check_matrix, predict_value, tree_from_dict, tree_to_dict
 
 MODEL_FORMAT = "icui-model"
 MODEL_VERSION = 1
@@ -55,6 +57,15 @@ class ForestParams:
     min_samples_leaf: int = 5
     mtry: int | None = None  # None -> ceil(sqrt(n_features))
     bootstrap: bool = True
+
+    def __post_init__(self):
+        for name, ok, rule in (
+            ("min_samples_leaf", self.min_samples_leaf >= 1, ">= 1"),
+            ("mtry", self.mtry is None or self.mtry >= 1, ">= 1"),
+            ("max_depth", self.max_depth is None or self.max_depth >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ValidationError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -114,22 +125,14 @@ def impurity_decrease(parent, left, right) -> float:
     return gini(p) - (n_l / n * gini(lo) + n_r / n * gini(hi))
 
 
-def _scan_numeric(v, w, wy, n, pos, i_parent, msl):
-    """Best boundary for one numeric feature; returns (gain, threshold) or None."""
-    order = np.argsort(v, kind="stable")
-    vs = v[order]
-    cw = np.cumsum(w[order])
-    cw1 = np.cumsum(wy[order])
-    b = np.flatnonzero(vs[:-1] != vs[1:])
-    if b.size == 0:
-        return None
-    n_l = cw[b]
-    p_l = cw1[b]
+def _gini_gains(n_l, p_l, n, pos, *, i_parent, msl):
+    """Gini decrease of splits whose left child holds weight n_l, p_l of it positive.
+
+    n and pos are the node's totals; bootstrap weights are integers, so every
+    way of summing them gives the same totals.
+    """
     n_r = n - n_l
     p_r = pos - p_l
-    valid = (n_l >= msl) & (n_r >= msl)
-    if not valid.any():
-        return None
     p1l = p_l / n_l
     p0l = (n_l - p_l) / n_l
     i_l = 1.0 - (p0l * p0l + p1l * p1l)
@@ -137,45 +140,12 @@ def _scan_numeric(v, w, wy, n, pos, i_parent, msl):
     p0r = (n_r - p_r) / n_r
     i_r = 1.0 - (p0r * p0r + p1r * p1r)
     gains = i_parent - (n_l / n * i_l + n_r / n * i_r)
-    gains[~valid] = -np.inf
-    best = int(np.argmax(gains))
-    if not gains[best] > 0.0:
-        return None
-    thr = (vs[b[best]] + vs[b[best] + 1]) / 2.0
-    return float(gains[best]), float(thr)
+    gains[(n_l < msl) | (n_r < msl)] = -np.inf
+    return gains
 
 
-def _scan_categorical(v, w, wy, n, pos, i_parent, msl):
-    """Best one-vs-rest code for one categorical feature."""
-    codes = v.astype(np.int64)
-    cnt = np.bincount(codes, weights=w)
-    cnt1 = np.bincount(codes, weights=wy)
-    present = np.flatnonzero(cnt > 0)
-    if present.size < 2:
-        return None
-    n_l = cnt[present]
-    p_l = cnt1[present]
-    n_r = n - n_l
-    p_r = pos - p_l
-    valid = (n_l >= msl) & (n_r >= msl)
-    if not valid.any():
-        return None
-    p1l = p_l / n_l
-    p0l = (n_l - p_l) / n_l
-    i_l = 1.0 - (p0l * p0l + p1l * p1l)
-    p1r = p_r / n_r
-    p0r = (n_r - p_r) / n_r
-    i_r = 1.0 - (p0r * p0r + p1r * p1r)
-    gains = i_parent - (n_l / n * i_l + n_r / n * i_r)
-    gains[~valid] = -np.inf
-    best = int(np.argmax(gains))
-    if not gains[best] > 0.0:
-        return None
-    return float(gains[best]), float(present[best])
-
-
-def _best_split_matrix(x, y, w, kinds, features, msl):
-    """Best split over candidate `features` for the weighted rows (x, y, w)."""
+def _best_split_matrix(x, rows, y, w, is_cat, features, msl):
+    """Best split over candidate `features` for the weighted rows (x[rows], y, w)."""
     wy = w * y
     pos = float(wy.sum())
     n = float(w.sum())
@@ -183,27 +153,23 @@ def _best_split_matrix(x, y, w, kinds, features, msl):
     if counts[0] <= 0 or counts[1] <= 0:
         return None
     i_parent = gini(counts)
-    best = None
-    for f in features:
-        col = x[:, f]
-        cat = kinds[f] == CATEGORICAL
-        hit = (_scan_categorical if cat else _scan_numeric)(col, w, wy, n, pos, i_parent, msl)
-        if hit is None:
-            continue
-        gain, thr = hit
-        if best is None or gain > best.gain:
-            left = (col == thr) if cat else (col <= thr)
-            p_l = float(wy[left].sum())
-            n_l = float(w[left].sum())
-            best = SplitCandidate(
-                feature=int(f),
-                threshold=thr,
-                categorical=cat,
-                gain=gain,
-                left_counts=(n_l - p_l, p_l),
-                right_counts=(counts[0] - (n_l - p_l), counts[1] - p_l),
-            )
-    return best
+    score = partial(_gini_gains, i_parent=i_parent, msl=msl)
+    hit = split.best_split(x, rows, features, is_cat, w, wy, score)
+    if hit is None:
+        return None
+    gain, f, thr, cat = hit
+    col = x[rows, f]
+    left = (col == thr) if cat else (col <= thr)
+    p_l = float(wy[left].sum())
+    n_l = float(w[left].sum())
+    return SplitCandidate(
+        feature=f,
+        threshold=thr,
+        categorical=cat,
+        gain=gain,
+        left_counts=(n_l - p_l, p_l),
+        right_counts=(counts[0] - (n_l - p_l), counts[1] - p_l),
+    )
 
 
 def best_split(rows, ds: Dataset, features, min_samples_leaf: int = 1) -> SplitCandidate | None:
@@ -217,10 +183,11 @@ def best_split(rows, ds: Dataset, features, min_samples_leaf: int = 1) -> SplitC
     if counts.sum() < 2 * msl:
         return None
     return _best_split_matrix(
-        x[uniq],
+        x,
+        uniq,
         ds.labels[uniq].astype(np.float64),
         counts.astype(np.float64),
-        kinds,
+        split.categorical_mask(kinds),
         sorted(int(f) for f in features),
         msl,
     )
@@ -231,6 +198,7 @@ def _fit_tree_matrix(x, y, kinds, params: ForestParams, rng, weights) -> Tree:
     mtry = params.mtry if params.mtry is not None else math.ceil(math.sqrt(n_features))
     mtry = max(1, min(mtry, n_features))
     msl = float(params.min_samples_leaf)
+    is_cat = split.categorical_mask(kinds)
     builder = TreeBuilder(track_class_counts=True)
 
     rows0 = np.flatnonzero(weights > 0)
@@ -255,7 +223,7 @@ def _fit_tree_matrix(x, y, kinds, params: ForestParams, rng, weights) -> Tree:
             feats = np.sort(rng.choice(n_features, size=mtry, replace=False))
         else:
             feats = np.arange(n_features)
-        cand = _best_split_matrix(x[rows], yk, w, kinds, feats, msl)
+        cand = _best_split_matrix(x, rows, yk, w, is_cat, feats, msl)
         if cand is None:
             continue
         # Recompute the stored gain through the canonical formula; the scanner
@@ -333,15 +301,6 @@ def fit_forest(
         bootstrap_n=n,
         seed=seed,
     )
-
-
-def _check_matrix(x, n_features: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != n_features:
-        raise ValidationError(f"expected a 2D matrix with {n_features} columns")
-    if not np.isfinite(x).all():
-        raise ValidationError("matrix contains non-finite values")
-    return x
 
 
 def predict_proba_forest(model: ForestModel, x) -> np.ndarray:

@@ -94,6 +94,16 @@ class TreeBuilder:
         )
 
 
+def _check_matrix(x, n_features: int) -> np.ndarray:
+    """`x` as float64, checked to be 2-D with `n_features` finite columns."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != n_features:
+        raise ValidationError(f"expected a 2D matrix with {n_features} columns")
+    if not np.isfinite(x).all():
+        raise ValidationError("matrix contains non-finite values")
+    return x
+
+
 def route_left(tree: Tree, node: int, x: np.ndarray) -> np.ndarray:
     """Boolean mask over rows of `x` (2D) that go left at `node`."""
     vals = x[:, tree.feature[node]]

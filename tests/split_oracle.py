@@ -1,0 +1,66 @@
+"""Test-only reference: the per-feature numeric split scanners.
+
+These are the scanners the forest and boosting used before `icui.split`
+scanned every numeric feature of a node in one 2-D pass; their bodies are
+kept unchanged.  Each scores one feature column `v` of a node and returns
+(gain, threshold) or None.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def forest_scan_numeric(v, w, wy, n, pos, i_parent, msl):
+    """Best boundary for one numeric feature; returns (gain, threshold) or None."""
+    order = np.argsort(v, kind="stable")
+    vs = v[order]
+    cw = np.cumsum(w[order])
+    cw1 = np.cumsum(wy[order])
+    b = np.flatnonzero(vs[:-1] != vs[1:])
+    if b.size == 0:
+        return None
+    n_l = cw[b]
+    p_l = cw1[b]
+    n_r = n - n_l
+    p_r = pos - p_l
+    valid = (n_l >= msl) & (n_r >= msl)
+    if not valid.any():
+        return None
+    p1l = p_l / n_l
+    p0l = (n_l - p_l) / n_l
+    i_l = 1.0 - (p0l * p0l + p1l * p1l)
+    p1r = p_r / n_r
+    p0r = (n_r - p_r) / n_r
+    i_r = 1.0 - (p0r * p0r + p1r * p1r)
+    gains = i_parent - (n_l / n * i_l + n_r / n * i_r)
+    gains[~valid] = -np.inf
+    best = int(np.argmax(gains))
+    if not gains[best] > 0.0:
+        return None
+    thr = (vs[b[best]] + vs[b[best] + 1]) / 2.0
+    return float(gains[best]), float(thr)
+
+
+def boost_scan_numeric(v, g, h, lam, gamma, mcw, s_parent):
+    order = np.argsort(v, kind="stable")
+    vs = v[order]
+    cg = np.cumsum(g[order])
+    ch = np.cumsum(h[order])
+    b = np.flatnonzero(vs[:-1] != vs[1:])
+    if b.size == 0:
+        return None
+    g_l = cg[b]
+    h_l = ch[b]
+    g_r = cg[-1] - g_l
+    h_r = ch[-1] - h_l
+    valid = (h_l >= mcw) & (h_r >= mcw)
+    if not valid.any():
+        return None
+    gains = 0.5 * (g_l * g_l / (h_l + lam) + g_r * g_r / (h_r + lam) - s_parent) - gamma
+    gains[~valid] = -np.inf
+    best = int(np.argmax(gains))
+    if not gains[best] > 0.0:
+        return None
+    thr = (vs[b[best]] + vs[b[best] + 1]) / 2.0
+    return float(gains[best]), float(thr)

@@ -363,3 +363,24 @@ def test_boosted_from_dict_rejects_foreign_payloads():
         boosted_from_dict(dict(payload, kind="forest"))
     with pytest.raises(ValidationError):
         boosted_from_dict(dict(payload, version=0))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_depth", -1),
+        ("eta", 0.0),
+        ("eta", -1.0),
+        ("reg_lambda", -0.5),
+        ("gamma", -1.0),
+        ("min_child_weight", -1.0),
+        ("reg_lambda", float("nan")),
+    ],
+)
+def test_boost_params_reject_out_of_range_values(field, value):
+    with pytest.raises(ValidationError, match=field):
+        BoostParams(**{field: value})
+
+
+def test_boost_params_accept_boundary_values():
+    BoostParams(max_depth=0, eta=1e-9, reg_lambda=0.0, gamma=0.0, min_child_weight=0.0)

@@ -243,3 +243,29 @@ def test_preset_and_plan_conflict(tmp_path, capsys, complete_csv):
     ])
     assert rc == 1
     assert "not both" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        ("rf", "min_samples_leaf", -3),
+        ("rf", "mtry", 0),
+        ("boosted", "reg_lambda", -0.5),
+        ("boosted", "eta", -1),
+        ("boosted", "min_child_weight", -1),
+        ("boosted", "gamma", -1),
+    ],
+)
+def test_out_of_range_tree_params_rejected_from_config(tmp_path, section, field, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({section: {field: value}}))
+    with pytest.raises(ValidationError, match=f"config.{section}: {field}"):
+        load_run_config(str(path), None)
+
+
+def test_out_of_range_imputer_boost_param_rejected_from_config(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"impute": {"boost": {"max_depth": -2}}}))
+    rc = cli_main(["run-all", "--config", str(path), "--input", "x.csv", "--out", "y"])
+    assert rc == 1
+    assert "config.impute.boost: max_depth must be >= 0" in capsys.readouterr().err

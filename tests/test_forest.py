@@ -516,3 +516,17 @@ def test_resolve_threads(monkeypatch):
         resolve_threads()
     with pytest.raises(ValidationError):
         resolve_threads(-1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("min_samples_leaf", 0), ("min_samples_leaf", -3), ("mtry", 0), ("max_depth", -1)],
+)
+def test_forest_params_reject_out_of_range_values(field, value):
+    with pytest.raises(ValidationError, match=field):
+        ForestParams(**{field: value})
+
+
+def test_forest_params_accept_boundary_values():
+    ForestParams(min_samples_leaf=1, mtry=1, max_depth=0)
+    ForestParams(mtry=None, max_depth=None)
