@@ -19,8 +19,10 @@ with value v, path features P, per-feature pass probabilities r_j (product of
 child fractions over the path's splits on j) and per-row indicators d_j (does
 x satisfy all of the path's conditions on j), the leaf's game is
 v * prod_j (d_j if j in S else r_j), whose Shapley values have a closed form
-in elementary symmetric polynomials of the r_j.  Both routes agree to float
-precision.
+in elementary symmetric polynomials of the r_j.  Rows share a leaf's
+closed form when they share its d-pattern, so the form is evaluated once per
+distinct (leaf, pattern) pair, all pairs of one path length in one vectorized
+pass.  Both routes agree to float precision.
 """
 
 from __future__ import annotations
@@ -245,15 +247,6 @@ def _eval_cond(cond, col: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sym_poly(values: np.ndarray) -> np.ndarray:
-    """Elementary symmetric polynomials e_0..e_q of the given values."""
-    e = np.zeros(values.size + 1, dtype=np.float64)
-    e[0] = 1.0
-    for k, v in enumerate(values, start=1):
-        e[1 : k + 1] = e[1 : k + 1] + v * e[0:k]
-    return e
-
-
 _WEIGHT_ROWS: dict[int, np.ndarray] = {}
 
 
@@ -267,24 +260,43 @@ def _weight_row(m: int) -> np.ndarray:
     return row
 
 
-def _leaf_pattern_phi(leaf: _PathLeaf, pattern: np.ndarray) -> np.ndarray:
-    """phi contribution of one leaf for one d-pattern, per path feature."""
-    m = leaf.feats.size
-    out = np.empty(m, dtype=np.float64)
+def _pattern_phi(d: np.ndarray, r: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """phi of every (leaf, pattern) row of one path length m, per path feature.
+
+    Row p is a leaf with value v[p] and pass probabilities r[p] seen under the
+    d-pattern d[p].  For player i, the other features with d_j set contribute
+    the elementary symmetric polynomials e of their r_j, the rest the product
+    r0 of their r_j, and phi_i = v (d_i - r_i) r0 sum_s c[s] e[q - s], where q
+    counts the others with d_j set.  Each row's scalars take the same IEEE
+    operations in the same order as solving that row alone: masked-out terms
+    are skipped rather than added as zeros, and the polynomial positions above
+    a row's own degree stay exact zeros.
+    """
+    n_rows, m = d.shape
     c = _weight_row(m)
+    rows = np.arange(n_rows)
+    n_set = d.sum(axis=1)
+    out = np.empty((n_rows, m), dtype=np.float64)
     for i in range(m):
-        others = np.arange(m) != i
-        d_others = pattern[others]
-        r_others = leaf.r[others]
-        r1 = r_others[d_others]
-        r0_prod = float(np.prod(r_others[~d_others])) if (~d_others).any() else 1.0
-        e = _sym_poly(r1)
-        q = r1.size
-        w = 0.0
-        for s in range(q + 1):
-            w += c[s] * e[q - s]
-        d_i = 1.0 if pattern[i] else 0.0
-        out[i] = leaf.value * (d_i - leaf.r[i]) * r0_prod * w
+        e = np.zeros((n_rows, m), dtype=np.float64)
+        e[:, 0] = 1.0
+        r0 = np.ones(n_rows, dtype=np.float64)
+        width = 1  # e[:, width:] is zero in every row
+        for j in range(m):
+            if j == i:
+                continue
+            dj = d[:, j]
+            rj = r[:, j]
+            grown = e[:, 1 : width + 1] + rj[:, None] * e[:, :width]
+            e[:, 1 : width + 1] = np.where(dj[:, None], grown, e[:, 1 : width + 1])
+            r0 = np.where(dj, r0, r0 * rj)
+            width += 1
+        q = n_set - d[:, i]
+        w = np.zeros(n_rows, dtype=np.float64)
+        for s in range(m):
+            term = c[s] * e[rows, np.maximum(q - s, 0)]
+            w = np.where(s <= q, w + term, w)
+        out[:, i] = v * (d[:, i] - r[:, i]) * r0 * w
     return out
 
 
@@ -293,6 +305,8 @@ def tree_shap(model, x) -> AttributionMatrix:
 
     Exactly matches `shapley_bruteforce` (up to float error): each leaf's
     product game is solved in closed form and games add over leaves and trees.
+    The closed form is evaluated once per path length m, for every distinct
+    (leaf, d-pattern) pair of that length across all trees at once.
     """
     views, offset, space, names = _ensemble_views(model)
     n_features = len(names)
@@ -301,6 +315,10 @@ def tree_shap(model, x) -> AttributionMatrix:
     phi = np.zeros((n, n_features), dtype=np.float64)
     base = offset
 
+    # per leaf: its distinct d-patterns, grouped by path length m
+    groups: dict[int, list[tuple[np.ndarray, _PathLeaf]]] = {}
+    sizes: dict[int, int] = {}
+    scatter: list[tuple[np.ndarray, int, int, np.ndarray]] = []  # feats, m, first row, inverse
     for tree, scale in views:
         for leaf in _tree_leaves(tree, scale):
             base += leaf.value * leaf.frac
@@ -316,11 +334,24 @@ def tree_shap(model, x) -> AttributionMatrix:
                 patterns = ((uniq[:, None] >> np.arange(m)) & 1).astype(bool)
             else:
                 patterns, inverse = np.unique(d, axis=0, return_inverse=True)
-            contrib = np.empty((patterns.shape[0], m), dtype=np.float64)
-            for pi in range(patterns.shape[0]):
-                contrib[pi] = _leaf_pattern_phi(leaf, patterns[pi])
-            for j in range(m):
-                phi[:, leaf.feats[j]] += contrib[inverse, j]
+            first = sizes.get(m, 0)
+            scatter.append((leaf.feats, m, first, inverse))
+            sizes[m] = first + patterns.shape[0]
+            groups.setdefault(m, []).append((patterns, leaf))
+
+    # per path length: every (leaf, pattern) pair of all trees in one pass
+    contrib = {}
+    for m, pairs in groups.items():
+        counts = [patterns.shape[0] for patterns, _ in pairs]
+        contrib[m] = _pattern_phi(
+            np.concatenate([patterns for patterns, _ in pairs]),
+            np.repeat(np.stack([leaf.r for _, leaf in pairs]), counts, axis=0),
+            np.repeat(np.array([leaf.value for _, leaf in pairs]), counts),
+        )
+
+    # per leaf, in tree and leaf order: add each row's pair onto its features
+    for feats, m, first, inverse in scatter:
+        phi[:, feats] += contrib[m][first + inverse]
     return AttributionMatrix(phi=phi, base_value=float(base), output_space=space, feature_names=names)
 
 

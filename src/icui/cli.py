@@ -156,13 +156,19 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_meta(cfg: RunConfig, command: str) -> None:
+def _write_meta(cfg: RunConfig, command: str, results: dict[str, CvResult]) -> None:
     meta = {
         "command": command,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
         "threads": resolve_threads(None),
         "config": dataclasses.asdict(cfg),
+        # per model and fold, the k the importance clustering ran with: at most
+        # clusters_k, fewer when a fold's profile has fewer distinct scores
+        "cluster_k": {
+            model: [None if r is None else r.k for r in result.cluster_reports]
+            for model, result in results.items()
+        },
     }
     _write_json(os.path.join(cfg.out, "run_meta.json"), meta)
 
@@ -358,7 +364,7 @@ def _run_pipeline(args, *, command: str) -> int:
     _write_json(os.path.join(cfg.out, "summary.json"), _summary_payload(cfg, work, results))
     for model, result in results.items():
         _emit_model_artifacts(cfg, model, result)
-    _write_meta(cfg, command)
+    _write_meta(cfg, command, results)
     for model, result in results.items():
         s = result.summary
         print(f"{model}: AUROC {s.auroc_formatted} AUPRC {s.auprc_formatted} "

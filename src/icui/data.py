@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -186,7 +187,7 @@ def _parse_label_cell(cell: str, row: int, name: str) -> int:
 
 def _is_finite_float(cell: str) -> bool:
     try:
-        return np.isfinite(float(cell))
+        return math.isfinite(float(cell))
     except ValueError:
         return False
 
@@ -269,7 +270,7 @@ def load_csv(
                     val = float(c)
                 except ValueError:
                     raise ParseError(f"{path}: row {i + 1}: column {name!r}: {c!r} is not numeric") from None
-                if not np.isfinite(val):
+                if not math.isfinite(val):
                     raise ParseError(f"{path}: row {i + 1}: column {name!r}: non-finite value {c!r}")
                 col[i] = val
         else:

@@ -102,12 +102,9 @@ def gini(counts) -> float:
         raise ValidationError("gini expects a length-2 count vector")
     if (c < 0).any():
         raise ValidationError("gini counts must be nonnegative")
-    total = c[0] + c[1]
-    if total <= 0:
+    if c[0] + c[1] <= 0:
         raise ValidationError("gini of an empty node is undefined")
-    p0 = c[0] / total
-    p1 = c[1] / total
-    return 1.0 - (p0 * p0 + p1 * p1)
+    return _gini2(c[0], c[1])
 
 
 def impurity_decrease(parent, left, right) -> float:
@@ -123,6 +120,24 @@ def impurity_decrease(parent, left, right) -> float:
     if n_l <= 0 or n_r <= 0:
         raise ValidationError("split children must be non-empty")
     return gini(p) - (n_l / n * gini(lo) + n_r / n * gini(hi))
+
+
+def _gini2(c0: float, c1: float) -> float:
+    """`gini` of the counts (c0, c1), unchecked."""
+    total = c0 + c1
+    p0 = c0 / total
+    p1 = c1 / total
+    return 1.0 - (p0 * p0 + p1 * p1)
+
+
+def _split_gain(l0: float, l1: float, r0: float, r1: float) -> float:
+    """`impurity_decrease` of the children (l0, l1) and (r0, r1), unchecked."""
+    p0 = l0 + r0
+    p1 = l1 + r1
+    n = p0 + p1
+    n_l = l0 + l1
+    n_r = r0 + r1
+    return _gini2(p0, p1) - (n_l / n * _gini2(l0, l1) + n_r / n * _gini2(r0, r1))
 
 
 def _gini_gains(n_l, p_l, n, pos, *, i_parent, msl):
@@ -149,10 +164,9 @@ def _best_split_matrix(x, rows, y, w, is_cat, features, msl):
     wy = w * y
     pos = float(wy.sum())
     n = float(w.sum())
-    counts = np.array([n - pos, pos])
-    if counts[0] <= 0 or counts[1] <= 0:
+    if n - pos <= 0 or pos <= 0:
         return None
-    i_parent = gini(counts)
+    i_parent = _gini2(n - pos, pos)
     score = partial(_gini_gains, i_parent=i_parent, msl=msl)
     hit = split.best_split(x, rows, features, is_cat, w, wy, score)
     if hit is None:
@@ -168,7 +182,7 @@ def _best_split_matrix(x, rows, y, w, is_cat, features, msl):
         categorical=cat,
         gain=gain,
         left_counts=(n_l - p_l, p_l),
-        right_counts=(counts[0] - (n_l - p_l), counts[1] - p_l),
+        right_counts=((n - pos) - (n_l - p_l), pos - p_l),
     )
 
 
@@ -226,13 +240,9 @@ def _fit_tree_matrix(x, y, kinds, params: ForestParams, rng, weights) -> Tree:
         cand = _best_split_matrix(x, rows, yk, w, is_cat, feats, msl)
         if cand is None:
             continue
-        # Recompute the stored gain through the canonical formula; the scanner
-        # mirrors its arithmetic so the two agree bit-for-bit on integer counts.
-        gain = impurity_decrease(
-            (cand.left_counts[0] + cand.right_counts[0], cand.left_counts[1] + cand.right_counts[1]),
-            cand.left_counts,
-            cand.right_counts,
-        )
+        # Recompute the stored gain in `impurity_decrease`'s arithmetic; the
+        # scanner mirrors it, so the two agree bit-for-bit on integer counts.
+        gain = _split_gain(*cand.left_counts, *cand.right_counts)
         if not gain > 0.0:
             continue
         builder.set_split(node, cand.feature, cand.threshold, cand.categorical, gain)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -100,6 +101,23 @@ def test_run_all_layout(tmp_path, synth_csv):
     meta = json.loads((out / "run_meta.json").read_text())
     assert meta["command"] == "run-all"
     assert "timestamp" in meta and meta["config"]["seed"] == 0
+
+
+def test_run_meta_records_reduced_cluster_k(tmp_path, complete_csv):
+    # 8 features cannot fill 50 clusters: each fold's k falls to its count of
+    # distinct importance scores, and run_meta.json records the k actually used
+    cfg = _write_cfg(tmp_path, strategy="drop", clusters_k=50)
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="reducing k"):
+        assert cli_main(["run-all", "--config", cfg, "--input", complete_csv, "--out", str(out)]) == 0
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert set(meta["cluster_k"]) == {"rf", "boosted"}
+    for model, ks in meta["cluster_k"].items():
+        with open(out / model / f"importance_{model}.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(ks) == 5
+        for fold, k in enumerate(ks):
+            assert k == len({float(row[1 + fold]) for row in rows}) < 50
 
 
 def test_every_output_table_reparses(tmp_path, synth_csv):

@@ -11,6 +11,8 @@ from icui.errors import ValidationError
 from icui.forest import (
     ForestModel,
     ForestParams,
+    _gini2,
+    _split_gain,
     best_split,
     fit_forest,
     fit_tree,
@@ -109,6 +111,19 @@ def test_impurity_decrease_validation():
         impurity_decrease([3, 1], [2, 0], [2, 1])
     with pytest.raises(ValidationError, match="non-empty"):
         impurity_decrease([4, 0], [4, 0], [0, 0])
+
+
+def test_split_gain_helper_equals_impurity_decrease():
+    # the forest's unchecked scalar path stores the same float as the public formula
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        l0, l1, r0, r1 = (float(v) for v in rng.integers(0, 60, size=4))
+        if l0 + l1 == 0 or r0 + r1 == 0:
+            continue
+        parent = (l0 + r0, l1 + r1)
+        expect = impurity_decrease(parent, (l0, l1), (r0, r1))
+        assert _split_gain(l0, l1, r0, r1) == expect
+        assert _gini2(*parent) == gini(parent)
 
 
 # ------------------------------------------------------- split search (oracle)

@@ -1,0 +1,137 @@
+"""`tree_shap` against the per-pattern oracle: the same bits, not approximately."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from icui.attribution import _COND_CAT, _COND_NUM, _ensemble_views, _tree_leaves, tree_shap
+from icui.boost import BoostParams, fit_boosted
+from icui.data import CATEGORICAL, NUMERIC, design_matrix
+from icui.forest import ForestModel, ForestParams, fit_forest
+from icui.synth import SynthSpec, generate
+from icui.trees import TreeBuilder
+from shap_oracle import tree_shap_oracle
+
+
+@pytest.fixture(scope="module")
+def table():
+    """A complete synthetic table with numeric and categorical columns, and its matrix."""
+    ds, _ = generate(SynthSpec(n_rows=600, n_features=30, n_signal=4, seed=5))
+    x, kinds, _ = design_matrix(ds)
+    assert CATEGORICAL in kinds
+    return ds, x
+
+
+@pytest.fixture(scope="module")
+def deep_forest(table):
+    """Default-depth trees grown to single rows: path lengths 1 to 14."""
+    ds, _ = table
+    return fit_forest(ds, ForestParams(n_trees=6, min_samples_leaf=1), seed=3)
+
+
+def _assert_matches_oracle(model, rows):
+    got = tree_shap(model, rows)
+    want = tree_shap_oracle(model, rows)
+    assert np.array_equal(got.phi, want.phi)
+    assert got.base_value == want.base_value
+    assert got.output_space == want.output_space
+    assert got.feature_names == want.feature_names
+    return got
+
+
+def _leaves(model):
+    views, _, _, _ = _ensemble_views(model)
+    return [leaf for tree, scale in views for leaf in _tree_leaves(tree, scale)]
+
+
+def _split_twice(cond) -> bool:
+    """Does a leaf's condition on one feature come from two or more splits?"""
+    if cond[0] == _COND_CAT:
+        return len(cond[2]) + (cond[1] is not None) >= 2
+    return np.isfinite(cond[1]) and np.isfinite(cond[2])
+
+
+def test_deep_forest(table, deep_forest):
+    _, x = table
+    lengths = {leaf.feats.size for leaf in _leaves(deep_forest)}
+    assert set(range(1, 11)) <= lengths
+    _assert_matches_oracle(deep_forest, x[:60])
+
+
+@pytest.mark.parametrize("mtry", [1, 2])
+def test_forest_small_mtry(table, mtry):
+    # with few candidate features per node, paths often split a feature twice
+    ds, x = table
+    model = fit_forest(ds, ForestParams(n_trees=4, min_samples_leaf=1, mtry=mtry), seed=3)
+    conds = [cond for leaf in _leaves(model) for cond in leaf.conds]
+    assert any(c[0] == _COND_CAT and _split_twice(c) for c in conds)
+    assert any(c[0] == _COND_NUM and _split_twice(c) for c in conds)
+    _assert_matches_oracle(model, x[:60])
+
+
+def test_subsampled_boosted_model(table):
+    ds, x = table
+    params = BoostParams(n_rounds=25, max_depth=4, row_subsample=0.7, col_subsample=0.5)
+    model = fit_boosted(ds, params, seed=4)
+    _assert_matches_oracle(model, x[:80])
+
+
+def _hand_model():
+    """One tree over a categorical f0 and a numeric f1, each split twice on a path.
+
+    root: f0 == 1 ? A : (f0 == 2 ? B : (f1 <= 0 ? C : (f1 <= 3 ? D : E)))
+    """
+    bld = TreeBuilder(track_class_counts=True)
+    sizes = {"root": 40.0, "A": 6.0, "r1": 34.0, "B": 9.0, "r2": 25.0,
+             "C": 7.0, "r3": 18.0, "D": 11.0, "E": 7.0}
+    values = {"A": 0.9, "B": -0.4, "C": 0.3, "D": -1.2, "E": 2.5}
+    node = {name: bld.add_node(n, values.get(name, 0.0), (0.0, 0.0)) for name, n in sizes.items()}
+    for parent, feature, thr, cat, lo, hi in (
+        ("root", 0, 1.0, True, "A", "r1"),
+        ("r1", 0, 2.0, True, "B", "r2"),
+        ("r2", 1, 0.0, False, "C", "r3"),
+        ("r3", 1, 3.0, False, "D", "E"),
+    ):
+        bld.set_split(node[parent], feature, thr, cat, 1.0)
+        bld.link(node[parent], node[lo], node[hi])
+    return ForestModel(
+        trees=[bld.build()],
+        params=ForestParams(n_trees=1),
+        feature_names=["f0", "f1", "f2"],
+        feature_kinds=[CATEGORICAL, NUMERIC, NUMERIC],
+        bootstrap_n=40,
+        seed=0,
+    )
+
+
+def test_hand_tree_with_repeated_categorical_and_numeric_splits():
+    model = _hand_model()
+    conds = [cond for leaf in _leaves(model) for cond in leaf.conds]
+    assert any(c[0] == _COND_CAT and c[1] is None and len(c[2]) == 2 for c in conds)
+    assert any(c[0] == _COND_NUM and _split_twice(c) for c in conds)
+    grid = np.array([[f0, f1, 0.0] for f0 in (0.0, 1.0, 2.0, 3.0) for f1 in (-1.0, 0.0, 2.0, 3.0, 5.0)])
+    _assert_matches_oracle(model, grid)
+
+
+def test_single_leaf_tree():
+    bld = TreeBuilder(track_class_counts=True)
+    bld.add_node(5.0, 0.7, (0.0, 0.0))
+    model = ForestModel(
+        trees=[bld.build(), _hand_model().trees[0]],
+        params=ForestParams(n_trees=2),
+        feature_names=["f0", "f1", "f2"],
+        feature_kinds=[CATEGORICAL, NUMERIC, NUMERIC],
+        bootstrap_n=40,
+        seed=0,
+    )
+    _assert_matches_oracle(model, np.array([[2.0, 1.0, 0.0], [0.0, 4.0, 1.0]]))
+
+
+def test_one_row_and_rows_sharing_patterns(table):
+    ds, x = table
+    model = fit_forest(ds, ForestParams(n_trees=3, max_depth=10, min_samples_leaf=2), seed=6)
+    one = _assert_matches_oracle(model, x[7:8])
+    shared = _assert_matches_oracle(model, np.repeat(x[5:10], 30, axis=0))
+    assert np.array_equal(shared.phi[60], one.phi[0])
+    assert np.array_equal(shared.phi[::30], _assert_matches_oracle(model, x[5:10]).phi)
