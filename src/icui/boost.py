@@ -27,7 +27,7 @@ from . import split
 from .data import Dataset, design_matrix
 from .errors import ValidationError
 from .rng import make_rng
-from .trees import Tree, TreeBuilder, _check_matrix, predict_value, tree_from_dict, tree_to_dict
+from .trees import LEAF, Tree, _check_matrix, predict_value, tree_from_dict, tree_to_dict
 
 MODEL_FORMAT = "icui-model"
 MODEL_VERSION = 1
@@ -110,12 +110,12 @@ def split_gain(
     return 0.5 * (s_l + s_r - s_p) - gamma
 
 
-def _newton_gains(g_l, h_l, g_t, h_t, *, lam, gamma, mcw, s_parent):
+def _newton_gains(g_l, h_l, g_t, h_t, s_parent, *, lam, gamma, mcw):
     """split_gain of splits whose left child sums to (g_l, h_l) in a node summing to (g_t, h_t).
 
-    The operands are (rows x features) blocks, so split_gain's arithmetic runs
-    in place, in the same order: every temporary would add to a fit's peak
-    memory.
+    s_parent is the node's G^2/(H+lambda).  The operands are flat candidate
+    arrays, so split_gain's arithmetic runs in place, in the same order: every
+    temporary would add to a fit's peak memory.
     """
     g_r = g_t - g_l
     h_r = h_t - h_l
@@ -134,44 +134,289 @@ def _newton_gains(g_l, h_l, g_t, h_t, *, lam, gamma, mcw, s_parent):
     return gains
 
 
-def _fit_round_tree(x, g, h, is_cat, params: BoostParams, rows0, features):
-    """One regression tree on (g, h); returns the tree and per-row leaf ids."""
+def _check_x(x, is_cat, names, where):
+    """x as a float64 matrix of finite values with integer codes in its categorical columns."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValidationError(f"{where}x must be a 2-D matrix, got {x.ndim} dimension(s)")
+    if x.shape[1] != len(names):
+        raise ValidationError(f"{where}x has {x.shape[1]} columns for {len(names)} feature names and kinds")
+    if x.shape[0] == 0:
+        raise ValidationError(f"{where}fit requires rows")
+    if x.shape[1] == 0:
+        raise ValidationError(f"{where}fit requires at least one feature column")
+    bad = ~np.isfinite(x).all(axis=0)
+    if bad.any():
+        raise ValidationError(f"{where}column {names[int(np.argmax(bad))]!r} holds non-finite values")
+    codes = x[:, is_cat]
+    bad = ~((codes >= 0) & (codes == np.floor(codes))).all(axis=0)
+    if bad.any():
+        name = names[int(np.flatnonzero(is_cat)[np.argmax(bad)])]
+        raise ValidationError(f"{where}categorical column {name!r} holds values that are not codes")
+    return x
+
+
+def _check_y(y, n, objective, where):
+    """y as a float64 vector of n targets, and the starting margin it implies."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (n,):
+        raise ValidationError(f"{where}y has shape {y.shape}; expected ({n},) to match the rows of x")
+    if objective == OBJECTIVE_LOGISTIC:
+        if not ((y == 0.0) | (y == 1.0)).all():
+            raise ValidationError(f"{where}logistic labels must be 0 or 1")
+        prevalence = float(y.mean())
+        if prevalence <= 0.0 or prevalence >= 1.0:
+            raise ValidationError(f"{where}labels contain a single class; log-odds undefined")
+        return y, math.log(prevalence / (1.0 - prevalence))
+    if not np.isfinite(y).all():
+        raise ValidationError(f"{where}squared-loss target holds non-finite values")
+    return y, float(y.mean())
+
+
+def _grow_round(x, g, h, is_cat, params: BoostParams, block, starts, allowed):
+    """One regression tree per job on (g, h), all grown together one depth at a time.
+
+    Segment j of the root `block` holds job j's rows.  Every depth scores
+    the nodes of all jobs in one `split.scan`; children inherit each sorted
+    line of the block by an order-preserving partition.  Returns the trees,
+    with node ids in preorder, and per row id the value of the leaf its row
+    reaches (rows outside the block get an arbitrary value).
+    """
     lam = params.reg_lambda
-    gamma = params.gamma
-    mcw = params.min_child_weight
-    builder = TreeBuilder(track_class_counts=False)
-    leaf_of_row = np.zeros(x.shape[0], dtype=np.int64)
+    score = partial(_newton_gains, lam=lam, gamma=params.gamma, mcw=params.min_child_weight)
+    num = np.flatnonzero(~is_cat)
+    cat = np.flatnonzero(is_cat)
+    n_jobs = starts.size
+    seg_job = np.arange(n_jobs)
+    seg_parent = np.full(n_jobs, LEAF)
+    seg_left = np.zeros(n_jobs, dtype=bool)
+    leaf = np.zeros(g.size, dtype=np.int64)
+    levels = []
+    n_nodes = 0
+    for depth in range(params.max_depth + 1):
+        rows = block[0]
+        n_seg = starts.size
+        ends = np.append(starts[1:], rows.size)
+        seg = np.repeat(np.arange(n_seg), ends - starts)
+        gr = g[rows]
+        hr = h[rows]
+        bounds = list(zip(starts.tolist(), ends.tolist()))
+        gs = np.array([gr[a:b].sum() for a, b in bounds])
+        hs = np.array([hr[a:b].sum() for a, b in bounds])
+        denom = hs + lam
+        if not (denom > 0).all():
+            raise ValidationError("hessian sum plus lambda must be positive")
+        ids = n_nodes + np.arange(n_seg)
+        n_nodes += n_seg
+        feature = np.full(n_seg, LEAF)
+        threshold = np.zeros(n_seg)
+        gain = np.zeros(n_seg)
+        splits = np.zeros(n_seg, dtype=bool)
+        if depth < params.max_depth:
+            gains, thresholds = split.scan(x, block, starts, num, cat, g, h, gs * gs / denom, score)
+            if allowed is not None:
+                gains[~allowed[:, seg_job]] = -np.inf
+            f, best = split.winners(gains)
+            splits = best > 0.0
+            feature[splits] = f[splits]
+            threshold[splits] = thresholds[f, np.arange(n_seg)][splits]
+            gain[splits] = best[splits]
+        levels.append({
+            "job": seg_job, "parent": seg_parent, "left": seg_left, "n": (ends - starts).astype(np.float64),
+            "value": -gs / denom, "feature": feature, "threshold": threshold, "gain": gain,
+            "categorical": splits & is_cat[feature],
+        })
+        go = splits[seg]
+        leaf[rows[~go]] = ids[seg[~go]]
+        if not splits.any():
+            break
+        sf = feature[seg]
+        vals = x[rows, np.maximum(sf, 0)]
+        left = np.where(is_cat[sf], vals == threshold[seg], vals <= threshold[seg])
+        side = np.zeros(g.size, dtype=np.int8)
+        side[rows] = np.where(go, np.where(left, 1, 2), 0)
+        lines = side[block]
+        block = np.concatenate(
+            [block[lines == 1].reshape(block.shape[0], -1), block[lines == 2].reshape(block.shape[0], -1)],
+            axis=1,
+        )
+        sp = np.flatnonzero(splits)
+        n_left = np.add.reduceat((go & left).astype(np.int64), starts)[sp]
+        sizes = np.concatenate([n_left, (ends - starts)[sp] - n_left])
+        starts = np.cumsum(sizes) - sizes
+        seg_job = np.concatenate([seg_job[sp], seg_job[sp]])
+        seg_parent = np.concatenate([ids[sp], ids[sp]])
+        seg_left = np.repeat([True, False], sp.size)
+    nodes = {k: np.concatenate([lv[k] for lv in levels]) for k in levels[0]}
+    trees = _preorder_trees(nodes, [lv["job"].size for lv in levels], n_jobs)
+    return trees, nodes["value"][leaf]
 
-    stack = [(rows0, 0, -1, "left")]
-    while stack:
-        rows, depth, parent, side = stack.pop()
-        gn = g[rows]
-        hn = h[rows]
-        gs = float(gn.sum())
-        hs = float(hn.sum())
-        node = builder.add_node(len(rows), leaf_weight(gs, hs, lam))
-        if parent >= 0:
-            if side == "left":
-                builder.left[parent] = node
-            else:
-                builder.right[parent] = node
 
-        if depth >= params.max_depth or rows.size < 2:
-            leaf_of_row[rows] = node
-            continue
-        s_parent = gs * gs / (hs + lam)
-        score = partial(_newton_gains, lam=lam, gamma=gamma, mcw=mcw, s_parent=s_parent)
-        best = split.best_split(x, rows, features, is_cat, gn, hn, score)
-        if best is None:
-            leaf_of_row[rows] = node
-            continue
-        gain, f, thr, cat = best
-        builder.set_split(node, f, thr, cat, gain)
-        col = x[rows, f]
-        go_left = (col == thr) if cat else (col <= thr)
-        stack.append((rows[~go_left], depth + 1, node, "right"))
-        stack.append((rows[go_left], depth + 1, node, "left"))
-    return builder.build(), leaf_of_row
+def _preorder_trees(nodes, level_sizes, n_jobs):
+    """Split the level-ordered nodes of all jobs into one preorder Tree per job."""
+    parent = nodes["parent"]
+    is_left = nodes["left"]
+    total = parent.size
+    child = np.flatnonzero(parent >= 0)
+    left = np.full(total, LEAF)
+    right = np.full(total, LEAF)
+    left[parent[child[is_left[child]]]] = child[is_left[child]]
+    right[parent[child[~is_left[child]]]] = child[~is_left[child]]
+    bounds = np.cumsum([0] + level_sizes)
+    size = np.ones(total, dtype=np.int64)  # subtree sizes, deepest level first
+    for a, b in reversed(list(zip(bounds[:-1], bounds[1:]))):
+        inner = a + np.flatnonzero(left[a:b] >= 0)
+        size[inner] += size[left[inner]] + size[right[inner]]
+    pos = np.zeros(total, dtype=np.int64)  # preorder index within the job's tree
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        inner = a + np.flatnonzero(left[a:b] >= 0)
+        pos[left[inner]] = pos[inner] + 1
+        pos[right[inner]] = pos[inner] + 1 + size[left[inner]]
+    roots = np.arange(n_jobs)
+    offset = np.cumsum(size[roots]) - size[roots]
+    slot = np.empty(total, dtype=np.int64)
+    slot[offset[nodes["job"]] + pos] = np.arange(total)
+    pre = np.append(pos, LEAF)  # pre[LEAF] is LEAF
+    fields = {
+        "feature": nodes["feature"],
+        "threshold": nodes["threshold"],
+        "categorical": nodes["categorical"],
+        "left": pre[left],
+        "right": pre[right],
+        "n_samples": nodes["n"],
+        "value": nodes["value"],
+        "gain": nodes["gain"],
+    }
+    fields = {k: v[slot] for k, v in fields.items()}
+    return [
+        Tree(**{k: v[o : o + size[j]] for k, v in fields.items()})
+        for j, o in enumerate(offset.tolist())
+    ]
+
+
+# Numeric cells (rows x numeric columns) a batch of jobs may hold.  Jobs are
+# fitted in consecutive batches up to this size, so a call's per-depth arrays
+# stay a few MB however many jobs it gets; tiny fits still share one batch.
+_BATCH_CELLS = 1 << 16
+
+
+def fit_boosted_many(
+    jobs,
+    kinds,
+    names,
+    params: BoostParams | None = None,
+    objective: str = OBJECTIVE_LOGISTIC,
+) -> list[BoostedModel]:
+    """One boosted model per job (x, y, seed); all jobs share kinds, names, params and objective.
+
+    Each distinct x is sorted once, stably, per numeric column.  Every round
+    grows the trees of a batch of jobs together, one depth at a time, and each
+    model equals the one a fit of its job alone would return: a job's floats
+    are added in the same order whatever else is in the batch.  Boosting draws
+    no random numbers inside a tree, so growing it level-wise changes nothing.
+    """
+    params = params or BoostParams()
+    if objective not in (OBJECTIVE_LOGISTIC, OBJECTIVE_SQUARED):
+        raise ValidationError(f"unknown objective {objective!r}")
+    if params.n_rounds < 1:
+        raise ValidationError("n_rounds must be >= 1")
+    if not 0.0 < params.row_subsample <= 1.0 or not 0.0 < params.col_subsample <= 1.0:
+        raise ValidationError("subsample fractions must be in (0, 1]")
+    if len(kinds) != len(names):
+        raise ValidationError(f"{len(kinds)} feature kinds for {len(names)} feature names")
+    jobs = list(jobs)
+    is_cat = split.categorical_mask(kinds)
+    checked, seen = [], {}
+    for j, (x, y, seed) in enumerate(jobs):
+        where = f"job {j}: " if len(jobs) > 1 else ""
+        if id(x) not in seen:  # one-vs-rest jobs share one x
+            seen[id(x)] = _check_x(x, is_cat, names, where)
+        xa = seen[id(x)]
+        checked.append((xa, *_check_y(y, xa.shape[0], objective, where), seed))
+
+    trees: list[list[Tree]] = []
+    width = max(1, int((~is_cat).sum()))
+    start = 0
+    while start < len(checked):
+        stop, cells = start + 1, checked[start][1].size * width
+        while stop < len(checked) and cells + checked[stop][1].size * width <= _BATCH_CELLS:
+            cells += checked[stop][1].size * width
+            stop += 1
+        trees += _fit_batch(checked[start:stop], is_cat, params, objective)
+        start = stop
+    return [
+        BoostedModel(
+            trees=job_trees,
+            base_score=base,
+            params=params,
+            feature_names=list(names),
+            feature_kinds=list(kinds),
+            objective=objective,
+            seed=seed,
+        )
+        for job_trees, (_, _, base, seed) in zip(trees, checked)
+    ]
+
+
+def _fit_batch(batch, is_cat, params: BoostParams, objective: str) -> list[list[Tree]]:
+    """The trees of every job (x, y, base, seed) of one batch, all rounds grown together.
+
+    The jobs' rows are stacked; row ids index the stack.  Each distinct x is
+    sorted once, so one-vs-rest jobs sharing an x share its sort.
+    """
+    num = np.flatnonzero(~is_cat)
+    orders = {}
+    for xa, _, _, _ in batch:
+        if id(xa) not in orders:
+            order = np.argsort(xa[:, num], axis=0, kind="stable").T
+            orders[id(xa)] = np.concatenate((np.arange(xa.shape[0])[None], order))
+    n = np.array([y.size for _, y, _, _ in batch])
+    offsets = np.cumsum(n) - n
+    x = np.concatenate([xa for xa, _, _, _ in batch])
+    block0 = np.concatenate([orders[id(xa)] + o for (xa, _, _, _), o in zip(batch, offsets)], axis=1)
+    y = np.concatenate([y for _, y, _, _ in batch])
+    margins = np.repeat(np.array([base for _, _, base, _ in batch]), n)
+    trees: list[list[Tree]] = [[] for _ in batch]
+    n_features = is_cat.size
+    for r in range(params.n_rounds):
+        if objective == OBJECTIVE_LOGISTIC:
+            p = sigmoid(margins)
+            g = p - y
+            h = p * (1.0 - p)
+        else:
+            g = margins - y
+            h = np.ones(y.size, dtype=np.float64)
+        block, starts, allowed = block0, offsets, None
+        subsampled = []
+        if params.row_subsample < 1.0 or params.col_subsample < 1.0:
+            keep = np.ones(y.size, dtype=bool)
+            allowed = np.ones((n_features, len(batch)), dtype=bool)
+            for j, (_, _, _, seed) in enumerate(batch):
+                rng = make_rng(seed, "round", r)
+                nj = int(n[j])
+                if params.row_subsample < 1.0:
+                    m = max(1, int(round(params.row_subsample * nj)))
+                    rows = np.sort(rng.choice(nj, size=m, replace=False))
+                    if m < nj:
+                        subsampled.append(j)
+                        keep[offsets[j] : offsets[j] + nj] = False
+                        keep[offsets[j] + rows] = True
+                if params.col_subsample < 1.0:
+                    m = max(1, int(round(params.col_subsample * n_features)))
+                    allowed[:, j] = False
+                    allowed[rng.choice(n_features, size=m, replace=False), j] = True
+            if subsampled:
+                block = block0[keep[block0]].reshape(block0.shape[0], -1)
+                kept = np.add.reduceat(keep, offsets)
+                starts = np.cumsum(kept) - kept
+        round_trees, step = _grow_round(x, g, h, is_cat, params, block, starts, allowed)
+        for j in subsampled:
+            # a subsampled round's tree still updates every row of its job
+            step[offsets[j] : offsets[j] + n[j]] = predict_value(round_trees[j], batch[j][0])
+        margins += params.eta * step
+        for job_trees, tree in zip(trees, round_trees):
+            job_trees.append(tree)
+    return trees
 
 
 def fit_boosted_matrix(
@@ -183,66 +428,8 @@ def fit_boosted_matrix(
     seed: int = 0,
     objective: str = OBJECTIVE_LOGISTIC,
 ) -> BoostedModel:
-    params = params or BoostParams()
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = x.shape[0]
-    if n == 0:
-        raise ValidationError("fit requires rows")
-    if params.n_rounds < 1:
-        raise ValidationError("n_rounds must be >= 1")
-    if not 0.0 < params.row_subsample <= 1.0 or not 0.0 < params.col_subsample <= 1.0:
-        raise ValidationError("subsample fractions must be in (0, 1]")
-
-    if objective == OBJECTIVE_LOGISTIC:
-        prevalence = float(y.mean())
-        if prevalence <= 0.0 or prevalence >= 1.0:
-            raise ValidationError("labels contain a single class; log-odds undefined")
-        base = math.log(prevalence / (1.0 - prevalence))
-    elif objective == OBJECTIVE_SQUARED:
-        base = float(y.mean())
-    else:
-        raise ValidationError(f"unknown objective {objective!r}")
-
-    n_features = x.shape[1]
-    is_cat = split.categorical_mask(kinds)
-    margins = np.full(n, base, dtype=np.float64)
-    trees: list[Tree] = []
-    subsampling = params.row_subsample < 1.0 or params.col_subsample < 1.0
-    for r in range(params.n_rounds):
-        if objective == OBJECTIVE_LOGISTIC:
-            p = sigmoid(margins)
-            g = p - y
-            h = p * (1.0 - p)
-        else:
-            g = margins - y
-            h = np.ones(n, dtype=np.float64)
-        rows = np.arange(n)
-        features = np.arange(n_features)
-        if subsampling:
-            rng = make_rng(seed, "round", r)
-            if params.row_subsample < 1.0:
-                m = max(1, int(round(params.row_subsample * n)))
-                rows = np.sort(rng.choice(n, size=m, replace=False))
-            if params.col_subsample < 1.0:
-                m = max(1, int(round(params.col_subsample * n_features)))
-                features = np.sort(rng.choice(n_features, size=m, replace=False))
-        tree, leaf_of_row = _fit_round_tree(x, g, h, is_cat, params, rows, features)
-        trees.append(tree)
-        if rows.size == n:
-            margins += params.eta * tree.value[leaf_of_row]
-        else:
-            # subsampled fit: the round's tree still updates every row
-            margins += params.eta * predict_value(tree, x)
-    return BoostedModel(
-        trees=trees,
-        base_score=base,
-        params=params,
-        feature_names=list(names),
-        feature_kinds=list(kinds),
-        objective=objective,
-        seed=seed,
-    )
+    """One boosted model on (x, y): `fit_boosted_many` with a single job."""
+    return fit_boosted_many([(x, y, seed)], kinds, names, params, objective)[0]
 
 
 def fit_boosted(ds: Dataset, params: BoostParams | None = None, seed: int = 0) -> BoostedModel:

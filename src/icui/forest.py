@@ -140,35 +140,40 @@ def _split_gain(l0: float, l1: float, r0: float, r1: float) -> float:
     return _gini2(p0, p1) - (n_l / n * _gini2(l0, l1) + n_r / n * _gini2(r0, r1))
 
 
-def _gini_gains(n_l, p_l, n, pos, *, i_parent, msl):
+def _gini_gains(n_l, p_l, n, pos, i_parent, *, msl):
     """Gini decrease of splits whose left child holds weight n_l, p_l of it positive.
 
-    n and pos are the node's totals; bootstrap weights are integers, so every
-    way of summing them gives the same totals.
+    n and pos are the node's totals and i_parent its impurity; bootstrap
+    weights are integers, so every way of summing them gives the same totals.
+    A node's last sorted row leaves n_r = 0; the scanner drops that candidate.
     """
     n_r = n - n_l
     p_r = pos - p_l
-    p1l = p_l / n_l
-    p0l = (n_l - p_l) / n_l
-    i_l = 1.0 - (p0l * p0l + p1l * p1l)
-    p1r = p_r / n_r
-    p0r = (n_r - p_r) / n_r
-    i_r = 1.0 - (p0r * p0r + p1r * p1r)
-    gains = i_parent - (n_l / n * i_l + n_r / n * i_r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p1l = p_l / n_l
+        p0l = (n_l - p_l) / n_l
+        i_l = 1.0 - (p0l * p0l + p1l * p1l)
+        p1r = p_r / n_r
+        p0r = (n_r - p_r) / n_r
+        i_r = 1.0 - (p0r * p0r + p1r * p1r)
+        gains = i_parent - (n_l / n * i_l + n_r / n * i_r)
     gains[(n_l < msl) | (n_r < msl)] = -np.inf
     return gains
 
 
-def _best_split_matrix(x, rows, y, w, is_cat, features, msl):
-    """Best split over candidate `features` for the weighted rows (x[rows], y, w)."""
-    wy = w * y
+def _best_split_matrix(x, rows, weights, wy_all, is_cat, features, msl):
+    """Best split over candidate `features` for the ascending `rows`.
+
+    weights and wy_all = weights * y are indexed by row.
+    """
+    w = weights[rows]
+    wy = wy_all[rows]
     pos = float(wy.sum())
     n = float(w.sum())
     if n - pos <= 0 or pos <= 0:
         return None
     i_parent = _gini2(n - pos, pos)
-    score = partial(_gini_gains, i_parent=i_parent, msl=msl)
-    hit = split.best_split(x, rows, features, is_cat, w, wy, score)
+    hit = split.best_split(x, rows, features, is_cat, weights, wy_all, i_parent, partial(_gini_gains, msl=msl))
     if hit is None:
         return None
     gain, f, thr, cat = hit
@@ -196,11 +201,13 @@ def best_split(rows, ds: Dataset, features, min_samples_leaf: int = 1) -> SplitC
     msl = float(min_samples_leaf)
     if counts.sum() < 2 * msl:
         return None
+    weights = np.zeros(ds.n_rows)
+    weights[uniq] = counts
     return _best_split_matrix(
         x,
         uniq,
-        ds.labels[uniq].astype(np.float64),
-        counts.astype(np.float64),
+        weights,
+        weights * ds.labels,
         split.categorical_mask(kinds),
         sorted(int(f) for f in features),
         msl,
@@ -215,6 +222,7 @@ def _fit_tree_matrix(x, y, kinds, params: ForestParams, rng, weights) -> Tree:
     is_cat = split.categorical_mask(kinds)
     builder = TreeBuilder(track_class_counts=True)
 
+    wy_all = weights * y
     rows0 = np.flatnonzero(weights > 0)
     stack = [(rows0, 0, -1, "left")]
     while stack:
@@ -237,7 +245,7 @@ def _fit_tree_matrix(x, y, kinds, params: ForestParams, rng, weights) -> Tree:
             feats = np.sort(rng.choice(n_features, size=mtry, replace=False))
         else:
             feats = np.arange(n_features)
-        cand = _best_split_matrix(x, rows, yk, w, is_cat, feats, msl)
+        cand = _best_split_matrix(x, rows, weights, wy_all, is_cat, feats, msl)
         if cand is None:
             continue
         # Recompute the stored gain in `impurity_decrease`'s arithmetic; the

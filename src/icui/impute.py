@@ -17,7 +17,9 @@ inner splits over the target-observed rows; mean squared error for numeric
 targets, accuracy for categorical) and picks the best, ties toward the lower
 algorithm id.  Each cell fits every distinct model once: a3 is assembled
 from the cell's a1 and a2 models, and a2 is a1's model when the target has
-no sibling (its predictors are then exactly a1's).
+no sibling (its predictors are then exactly a1's).  The models of all cells
+of one column are fitted in one batch per predictor list, and each cell
+predicts its held-out rows once per distinct model.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .boost import (
     OBJECTIVE_SQUARED,
     BoostedModel,
     BoostParams,
+    fit_boosted_many,
     fit_boosted_matrix,
     predict_margin,
 )
@@ -106,14 +109,20 @@ class ColumnImputer:
     siblings: list[str] = field(default_factory=list)
     note: str | None = None
 
-    def predict(self, ds: Dataset, rows: np.ndarray) -> np.ndarray:
+    def predict(self, ds: Dataset, rows: np.ndarray, shared: dict | None = None) -> np.ndarray:
+        """Imputed values of `rows`.
+
+        `shared` maps id(predictor) to that predictor's values over the same
+        `rows`; entries predicting the same rows with one dict run each
+        predictor once.
+        """
         if self.algorithm == "a0":
             return np.full(rows.size, self.fallback, dtype=np.float64)
         if self.algorithm == "a1":
-            return self.predictor.predict(ds, rows)
+            return _predicted(self.predictor, ds, rows, shared)
         if self.algorithm == "a2":
-            return self.predictor_grouped.predict(ds, rows)
-        return apply_algorithm3(ds, rows, self)
+            return _predicted(self.predictor_grouped, ds, rows, shared)
+        return apply_algorithm3(ds, rows, self, shared)
 
 
 @dataclass
@@ -160,13 +169,14 @@ def fit_algorithm0(ds: Dataset) -> ImputationModel:
     return ImputationModel(columns=columns, groups=groups)
 
 
-def _fit_predictor(
-    ds: Dataset,
-    target: str,
-    feature_names: list[str],
-    boost: BoostParams,
-    seed: int,
-) -> _Predictor:
+def _predictor_jobs(
+    ds: Dataset, target: str, feature_names: list[str], seed: int
+) -> tuple[_Predictor, list, list[str], str]:
+    """A predictor of `target` without its models, and the fits that supply them.
+
+    Returns (predictor, jobs, kinds, objective); each job is (x, y, seed) for
+    `fit_boosted_many`, and `_attach` puts the fitted models in place.
+    """
     spec = ds.column(target)
     observed_rows = np.flatnonzero(~ds.missing[target])
     fallbacks = {name: _a0_stat(ds, name) for name in feature_names}
@@ -181,13 +191,12 @@ def _fit_predictor(
     y = ds.values[target][observed_rows].astype(np.float64)
 
     if spec.kind == NUMERIC:
-        model = fit_boosted_matrix(
-            x, y, kinds, feature_names, boost, seed=seed, objective=OBJECTIVE_SQUARED
-        )
-        return _Predictor(feature_names=feature_names, fallbacks=fallbacks, target_kind=NUMERIC, regressor=model)
+        predictor = _Predictor(feature_names=feature_names, fallbacks=fallbacks, target_kind=NUMERIC)
+        return predictor, [(x, y, seed)], kinds, OBJECTIVE_SQUARED
 
     codes = np.unique(y.astype(np.int64))
-    classifiers: list[tuple[int, BoostedModel | float]] = []
+    classifiers: list[tuple[int, BoostedModel | float | None]] = []
+    jobs = []
     n = y.size
     for code in codes:
         indicator = (y == code).astype(np.float64)
@@ -198,19 +207,37 @@ def _fit_predictor(
             p = (indicator.sum() + 1.0) / (n + 2.0)
             classifiers.append((int(code), float(np.log(p / (1.0 - p)))))
             continue
-        model = fit_boosted_matrix(
-            x,
-            indicator,
-            kinds,
-            feature_names,
-            boost,
-            seed=stable_seed(seed, "ovr", int(code)),
-            objective=OBJECTIVE_LOGISTIC,
-        )
-        classifiers.append((int(code), model))
-    return _Predictor(
+        classifiers.append((int(code), None))
+        jobs.append((x, indicator, stable_seed(seed, "ovr", int(code))))
+    predictor = _Predictor(
         feature_names=feature_names, fallbacks=fallbacks, target_kind=CATEGORICAL, classifiers=classifiers
     )
+    return predictor, jobs, kinds, OBJECTIVE_LOGISTIC
+
+
+def _attach(predictor: _Predictor, models: list[BoostedModel]) -> _Predictor:
+    """Put the fitted models of `_predictor_jobs`' jobs, in job order, into `predictor`."""
+    if predictor.target_kind == NUMERIC:
+        (predictor.regressor,) = models
+        return predictor
+    fitted = iter(models)
+    predictor.classifiers = [(c, next(fitted) if m is None else m) for c, m in predictor.classifiers]
+    return predictor
+
+
+def _fit_predictor(
+    ds: Dataset,
+    target: str,
+    feature_names: list[str],
+    boost: BoostParams,
+    seed: int,
+) -> _Predictor:
+    predictor, jobs, kinds, objective = _predictor_jobs(ds, target, feature_names, seed)
+    models = [
+        fit_boosted_matrix(x, y, kinds, feature_names, boost, seed=s, objective=objective)
+        for x, y, s in jobs
+    ]
+    return _attach(predictor, models)
 
 
 def _fallback_entry(ds: Dataset, target: str, algorithm: str, note: str | None = None) -> ColumnImputer:
@@ -218,6 +245,50 @@ def _fallback_entry(ds: Dataset, target: str, algorithm: str, note: str | None =
     return ColumnImputer(
         column=target, kind=spec.kind, algorithm="a0", fallback=_a0_stat(ds, target), note=note
     )
+
+
+def _algorithm1(ds: Dataset, target: str, min_rows: int, predictor_for) -> ColumnImputer:
+    """a1's entry for `target`; predictor_for(feature_names) supplies its predictor."""
+    spec = ds.column(target)
+    n_obs = int((~ds.missing[target]).sum())
+    if n_obs < min_rows:
+        return _fallback_entry(
+            ds, target, "a1", note=f"a1 -> a0: {n_obs} complete cases < min_rows={min_rows}"
+        )
+    features = [c.name for c in ds.columns if c.name != target]
+    if not features:
+        return _fallback_entry(ds, target, "a1", note="a1 -> a0: no predictor columns")
+    return ColumnImputer(
+        column=target, kind=spec.kind, algorithm="a1", fallback=_a0_stat(ds, target),
+        predictor=predictor_for(features),
+    )
+
+
+def _algorithm2(ds: Dataset, target: str, groups: dict[str, str], min_rows: int, predictor_for) -> ColumnImputer:
+    """a2's entry for `target`; predictor_for(feature_names) supplies its predictor."""
+    spec = ds.column(target)
+    n_obs = int((~ds.missing[target]).sum())
+    if n_obs < min_rows:
+        return _fallback_entry(
+            ds, target, "a2", note=f"a2 -> a0: {n_obs} complete cases < min_rows={min_rows}"
+        )
+    siblings = _siblings(ds, target, groups)
+    features = [c.name for c in ds.columns if c.name != target and c.name not in siblings]
+    if not features:
+        return _fallback_entry(ds, target, "a2", note="a2 -> a0: no out-of-group predictors")
+    return ColumnImputer(
+        column=target,
+        kind=spec.kind,
+        algorithm="a2",
+        fallback=_a0_stat(ds, target),
+        predictor_grouped=predictor_for(features),
+        siblings=siblings,
+    )
+
+
+def _fitted(ds: Dataset, target: str, boost: BoostParams | None, seed: int):
+    """A predictor_for that fits each predictor at once."""
+    return lambda features: _fit_predictor(ds, target, features, boost or _DEFAULT_IMPUTER_BOOST, seed)
 
 
 def fit_algorithm1(
@@ -228,19 +299,7 @@ def fit_algorithm1(
     seed: int = 0,
 ) -> ColumnImputer:
     """Boosted predictor of `target` from every other feature column."""
-    spec = ds.column(target)
-    n_obs = int((~ds.missing[target]).sum())
-    if n_obs < min_rows:
-        return _fallback_entry(
-            ds, target, "a1", note=f"a1 -> a0: {n_obs} complete cases < min_rows={min_rows}"
-        )
-    features = [c.name for c in ds.columns if c.name != target]
-    if not features:
-        return _fallback_entry(ds, target, "a1", note="a1 -> a0: no predictor columns")
-    predictor = _fit_predictor(ds, target, features, boost or _DEFAULT_IMPUTER_BOOST, seed)
-    return ColumnImputer(
-        column=target, kind=spec.kind, algorithm="a1", fallback=_a0_stat(ds, target), predictor=predictor
-    )
+    return _algorithm1(ds, target, min_rows, _fitted(ds, target, boost, seed))
 
 
 def fit_algorithm2(
@@ -252,26 +311,8 @@ def fit_algorithm2(
     seed: int = 0,
 ) -> ColumnImputer:
     """Like a1, but predictors exclude the target's same-group siblings."""
-    spec = ds.column(target)
     groups = groups or derive_groups(ds.feature_names())
-    n_obs = int((~ds.missing[target]).sum())
-    if n_obs < min_rows:
-        return _fallback_entry(
-            ds, target, "a2", note=f"a2 -> a0: {n_obs} complete cases < min_rows={min_rows}"
-        )
-    siblings = _siblings(ds, target, groups)
-    features = [c.name for c in ds.columns if c.name != target and c.name not in siblings]
-    if not features:
-        return _fallback_entry(ds, target, "a2", note="a2 -> a0: no out-of-group predictors")
-    predictor = _fit_predictor(ds, target, features, boost or _DEFAULT_IMPUTER_BOOST, seed)
-    return ColumnImputer(
-        column=target,
-        kind=spec.kind,
-        algorithm="a2",
-        fallback=_a0_stat(ds, target),
-        predictor_grouped=predictor,
-        siblings=siblings,
-    )
+    return _algorithm2(ds, target, groups, min_rows, _fitted(ds, target, boost, seed))
 
 
 def _siblings(ds: Dataset, target: str, groups: dict[str, str]) -> list[str]:
@@ -282,21 +323,15 @@ def _siblings(ds: Dataset, target: str, groups: dict[str, str]) -> list[str]:
 
 
 def _fit_a1_a2(
-    ds: Dataset,
-    target: str,
-    groups: dict[str, str],
-    boost: BoostParams | None,
-    min_rows: int,
-    seed_a1: int,
-    seed_a2: int,
+    ds: Dataset, target: str, groups: dict[str, str], min_rows: int, a1_for, a2_for
 ) -> tuple[ColumnImputer, ColumnImputer]:
-    """The a1 and a2 entries for one column, fitting each distinct model once.
+    """The a1 and a2 entries for one column, each distinct predictor made once.
 
     Without a same-group sibling, a2's predictors are exactly a1's, so a2
-    takes a1's fitted model; when no subsampling is configured the seed is
+    takes a1's predictor; when no subsampling is configured the seed is
     unused and that model is the one a separate fit would return.
     """
-    a1 = fit_algorithm1(ds, target, boost, min_rows, seed_a1)
+    a1 = _algorithm1(ds, target, min_rows, a1_for)
     if a1.predictor is not None and not _siblings(ds, target, groups):
         a2 = ColumnImputer(
             column=target,
@@ -306,7 +341,7 @@ def _fit_a1_a2(
             predictor_grouped=a1.predictor,
         )
     else:
-        a2 = fit_algorithm2(ds, target, groups, boost, min_rows, seed_a2)
+        a2 = _algorithm2(ds, target, groups, min_rows, a2_for)
     return a1, a2
 
 
@@ -336,12 +371,29 @@ def _fit_algorithm3(
 ) -> ColumnImputer:
     """Both predictors plus sibling list, routed per row at apply time."""
     groups = groups or derive_groups(ds.feature_names())
-    a1, a2 = _fit_a1_a2(ds, target, groups, boost, min_rows, seed, seed)
+    fitted = _fitted(ds, target, boost, seed)
+    a1, a2 = _fit_a1_a2(ds, target, groups, min_rows, fitted, fitted)
     return _algorithm3_from(ds, target, a1, a2)
 
 
-def apply_algorithm3(ds: Dataset, rows: np.ndarray, entry: ColumnImputer) -> np.ndarray:
-    """Route rows missing a same-group sibling to a2, the rest to a1."""
+def _predicted(predictor: _Predictor, ds: Dataset, rows: np.ndarray, shared: dict | None) -> np.ndarray:
+    """predictor.predict(ds, rows), run once per `shared` dict."""
+    if shared is None:
+        return predictor.predict(ds, rows)
+    key = id(predictor)
+    if key not in shared:
+        shared[key] = predictor.predict(ds, rows)
+    return shared[key]
+
+
+def apply_algorithm3(
+    ds: Dataset, rows: np.ndarray, entry: ColumnImputer, shared: dict | None = None
+) -> np.ndarray:
+    """Route rows missing a same-group sibling to a2, the rest to a1.
+
+    With `shared` (see `ColumnImputer.predict`), each predictor's values
+    over all `rows` come from it, and the routed rows are picked out.
+    """
     rows = np.asarray(rows, dtype=np.int64)
     sibling_gap = np.zeros(rows.size, dtype=bool)
     for sib in entry.siblings:
@@ -353,8 +405,10 @@ def apply_algorithm3(ds: Dataset, rows: np.ndarray, entry: ColumnImputer) -> np.
             return
         if predictor is None:
             out[mask] = entry.fallback
-        else:
+        elif shared is None:
             out[mask] = predictor.predict(ds, rows[mask])
+        else:
+            out[mask] = _predicted(predictor, ds, rows, shared)[mask]
 
     route(sibling_gap, entry.predictor_grouped)
     route(~sibling_gap, entry.predictor)
@@ -371,29 +425,16 @@ def _fit_by_id(ds, target, algorithm, groups, boost, min_rows, seed) -> ColumnIm
     return _fit_algorithm3(ds, target, groups, boost, min_rows, seed)
 
 
-def _fit_cell(
-    fit_ds: Dataset, target: str, groups: dict[str, str], params: ImputeParams, o: int, i: int
-) -> dict[str, ColumnImputer]:
-    """All four candidates of one nested-CV cell, each distinct model fitted once.
-
-    a2 shares a1's model when the column has no sibling; a3 routes between
-    the cell's a1 and a2 models instead of refitting them.
-    """
-    a1, a2 = _fit_a1_a2(
-        fit_ds,
-        target,
-        groups,
-        params.boost,
-        params.min_rows,
-        stable_seed(params.seed, "select", target, "a1", o, i),
-        stable_seed(params.seed, "select", target, "a2", o, i),
-    )
-    return {
-        "a0": _fallback_entry(fit_ds, target, "a0"),
-        "a1": a1,
-        "a2": a2,
-        "a3": _algorithm3_from(fit_ds, target, a1, a2),
-    }
+def _fit_pending(pending: dict, boost: BoostParams | None) -> None:
+    """Fit the models of every pending predictor: one `fit_boosted_many` call per feature list."""
+    for features, items in pending.items():
+        _, _, kinds, objective = items[0]
+        jobs = [job for _, predictor_jobs, _, _ in items for job in predictor_jobs]
+        models = fit_boosted_many(jobs, kinds, list(features), boost or _DEFAULT_IMPUTER_BOOST, objective)
+        k = 0
+        for predictor, predictor_jobs, _, _ in items:
+            _attach(predictor, models[k : k + len(predictor_jobs)])
+            k += len(predictor_jobs)
 
 
 def select_imputer(
@@ -408,6 +449,10 @@ def select_imputer(
     contributes inner_k fit/validate cells on its training portion; the score
     is the mean over all cells.  Lower MSE wins for numeric targets, higher
     accuracy for categorical; ties break toward the lower algorithm id.
+
+    Every cell's a1 and a2 entries are built first with their predictors'
+    inputs; the models of all cells are then fitted in one batch per feature
+    list, and each cell predicts its held-out rows once per distinct model.
     """
     params = params or ImputeParams()
     spec = ds.column(target)
@@ -417,7 +462,17 @@ def select_imputer(
     if observed.size < params.outer_k * params.inner_k:
         return "a0", []
 
-    cells: dict[str, list[float]] = {a: [] for a in ALGORITHMS}
+    pending: dict[tuple[str, ...], list] = {}
+
+    def batched(fit_ds: Dataset, seed: int):
+        def predictor_for(features: list[str]) -> _Predictor:
+            item = _predictor_jobs(fit_ds, target, features, seed)
+            pending.setdefault(tuple(features), []).append(item)
+            return item[0]
+
+        return predictor_for
+
+    cells = []
     outer = split_folds(
         observed.size, params.outer_k, stable_seed(params.seed, "select", target, "outer")
     )
@@ -433,16 +488,36 @@ def select_imputer(
             val_rows = train_obs[inner.fold_of_row == i]
             if fit_rows.size == 0 or val_rows.size == 0:
                 continue
-            entries = _fit_cell(take_rows(ds, fit_rows), target, groups, params, o, i)
-            truth = ds.values[target][val_rows].astype(np.float64)
-            for alg, entry in entries.items():
-                pred = entry.predict(ds, val_rows)
-                if metric == "mse":
-                    cells[alg].append(float(np.mean((pred - truth) ** 2)))
-                else:
-                    cells[alg].append(float(np.mean(pred == truth)))
+            fit_ds = take_rows(ds, fit_rows)
+            a1, a2 = _fit_a1_a2(
+                fit_ds,
+                target,
+                groups,
+                params.min_rows,
+                batched(fit_ds, stable_seed(params.seed, "select", target, "a1", o, i)),
+                batched(fit_ds, stable_seed(params.seed, "select", target, "a2", o, i)),
+            )
+            entries = {
+                "a0": _fallback_entry(fit_ds, target, "a0"),
+                "a1": a1,
+                "a2": a2,
+                "a3": _algorithm3_from(fit_ds, target, a1, a2),
+            }
+            cells.append((entries, val_rows))
+    _fit_pending(pending, params.boost)
 
-    means = {a: float(np.mean(cells[a])) for a in ALGORITHMS if cells[a]}
+    scores: dict[str, list[float]] = {a: [] for a in ALGORITHMS}
+    for entries, val_rows in cells:
+        truth = ds.values[target][val_rows].astype(np.float64)
+        shared: dict = {}
+        for alg, entry in entries.items():
+            pred = entry.predict(ds, val_rows, shared)
+            if metric == "mse":
+                scores[alg].append(float(np.mean((pred - truth) ** 2)))
+            else:
+                scores[alg].append(float(np.mean(pred == truth)))
+
+    means = {a: float(np.mean(scores[a])) for a in ALGORITHMS if scores[a]}
     if not means:
         return "a0", []
     chosen = "a0"

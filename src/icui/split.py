@@ -1,22 +1,33 @@
 """Exact greedy split search shared by the forest and boosting.
 
-A node's candidate features are scored together.  The numeric ones are
-gathered into one (rows x features) block, stably sorted per column, and two
-per-row statistics are accumulated down every column at once: (w, w*y) for
-the forest's Gini decrease, (g, h) for boosting's Newton gain.  Every
-boundary between consecutive distinct sorted values is a candidate, with its
-threshold at the midpoint.  This is the exact greedy algorithm of XGBoost
-(Chen & Guestrin, KDD 2016) run over all features of a node in one pass.
-Categorical features are split one-vs-rest on a single code.
+The search scores a *block*: the nodes of one tree depth, or a single node,
+laid side by side as segments of an int array of row ids, never padded.
+Line 0 of the block holds each segment's rows in ascending order; line
+1 + j holds the same rows stably sorted by numeric feature `num[j]`.  Two
+per-row statistics, indexed by row id, are accumulated down every sorted
+line of every segment: (w, w*y) for the forest's Gini decrease, (g, h) for
+boosting's Newton gain.  Every boundary between consecutive distinct sorted
+values is a candidate, with its threshold at the midpoint.  This is the exact
+greedy algorithm of XGBoost (Chen & Guestrin, KDD 2016) over presorted
+column blocks.  Categorical features are split one-vs-rest on a single code.
 
-A model supplies one score function, score(l1, l2, t1, t2): the gains of
-splits whose left child sums the statistics to (l1, l2) in a node whose
-totals are (t1, t2), set to -inf where a child fails the model's size test.
+A model supplies one score function, score(l1, l2, t1, t2, parent): the gains
+of splits whose left child sums the statistics to (l1, l2) in a node whose
+totals are (t1, t2) and whose own term is `parent`, set to -inf where a child
+fails the model's size test.  All candidates of a block, numeric boundaries
+and categorical codes alike, go through one score call.
 
-Node rows arrive in ascending order, so the stable per-column sort orders
-tied values as a sort of that one column would, and each column's running
-sums are added in the same order: gains and thresholds do not depend on
-which other features are scanned alongside.
+Every float a node's search adds keeps the order a search of that node alone
+would use, so the gains do not depend on which other nodes share the block:
+
+- segment rows arrive in ascending order and every sort is stable, so each
+  sorted line orders tied values by row, and each segment's running sums
+  are accumulated on their own, in that order;
+- a categorical code's sums add the node's rows in ascending order, and a
+  node's totals sum its own bins, as many as its greatest code + 1 (numpy's
+  pairwise sum associates 9 or more terms by their count);
+- each segment's best candidate is the first NaN, else the first maximum,
+  as np.argmax would pick.
 """
 
 from __future__ import annotations
@@ -31,67 +42,136 @@ def categorical_mask(kinds) -> np.ndarray:
     return np.array([k == CATEGORICAL for k in kinds], dtype=bool)
 
 
-def scan_numeric(x, rows, features, s1, s2, score):
-    """Best boundary of each numeric column `features` of x over `rows`.
+def node_block(x, rows, num):
+    """The block of one node: `rows` (ascending), then rows stably sorted by each of `num`."""
+    order = x[rows[:, None], num].argsort(axis=0, kind="stable")
+    return np.concatenate((rows[None], rows[order.T]))
 
-    s1 and s2 hold the statistics of the node's rows, aligned with `rows`.
-    Returns (gains, thresholds), one entry per feature; a feature whose gain
-    is not positive has no split.  Each (rows x features) block is dropped
-    as soon as it is used, which keeps the peak memory of a fit down.
+
+def _first_max(gains, starts, sizes):
+    """np.argmax of each group gains[starts[i]:starts[i] + sizes[i]], as flat indices."""
+    top = np.maximum.reduceat(gains, starts)  # NaN when the group holds one
+    hit = gains == top.repeat(sizes)
+    if np.isnan(top).any():
+        hit |= np.isnan(gains)
+    first = hit.nonzero()[0]
+    return first[first.searchsorted(starts)]
+
+
+def _code_sums(x, rows, sizes, cat, s1, s2):
+    """Per (categorical feature, segment): the bin sums of (s1, s2), their totals, and present codes.
+
+    Returns (sums, totals, present) shaped (2, groups, bins), (2, groups)
+    and (groups, bins); group g is feature g // segments, segment g % segments.
     """
-    xs = x[np.ix_(rows, features)]
-    order = np.argsort(xs, axis=0, kind="stable")
-    vs = np.take_along_axis(xs, order, axis=0)
-    del xs
-    c1 = s1[order]
-    np.cumsum(c1, axis=0, out=c1)
-    c2 = s2[order]
-    np.cumsum(c2, axis=0, out=c2)
-    del order
-    gains = score(c1[:-1], c2[:-1], c1[-1], c2[-1])
-    del c1, c2
-    gains[vs[:-1] == vs[1:]] = -np.inf
-    best = np.argmax(gains, axis=0)
-    cols = np.arange(gains.shape[1])
-    thresholds = (vs[best, cols] + vs[best + 1, cols]) / 2.0
-    return gains[best, cols], thresholds
+    codes = x[rows, cat[:, None]].astype(np.int64)
+    n_bins = int(codes.max()) + 1
+    n_groups = cat.size * sizes.size
+    key = (codes + (np.arange(sizes.size) * n_bins).repeat(sizes)).ravel()
+    if cat.size > 1:
+        key += (np.arange(cat.size) * (sizes.size * n_bins)).repeat(rows.size)
+        s1 = s1[None].repeat(cat.size, axis=0).ravel()
+        s2 = s2[None].repeat(cat.size, axis=0).ravel()
+    size = n_groups * n_bins
+    sums = np.concatenate((np.bincount(key, s1, size), np.bincount(key, s2, size))).reshape(2, n_groups, n_bins)
+    present = np.bincount(key, minlength=size).reshape(n_groups, n_bins) > 0
+    own = n_bins - present[:, ::-1].argmax(axis=1)
+    totals = np.empty((2, n_groups))
+    for m in set(own.tolist()):
+        sel = own == m
+        totals[:, sel] = sums[:, :, :m].sum(axis=2)[:, sel]
+    return sums, totals, present
 
 
-def scan_categorical(col, s1, s2, score):
-    """Best one-vs-rest code of one categorical column: (gain, code) or None."""
-    codes = col.astype(np.int64)
-    c1 = np.bincount(codes, weights=s1)
-    c2 = np.bincount(codes, weights=s2)
-    present = np.flatnonzero(np.bincount(codes) > 0)
-    if present.size < 2:
-        return None
-    gains = score(c1[present], c2[present], c1.sum(), c2.sum())
-    best = int(np.argmax(gains))
-    if not gains[best] > 0.0:
-        return None
-    return float(gains[best]), float(present[best])
+def scan(x, block, starts, num, cat, s1, s2, parent, score):
+    """Every feature's best split in every segment of `block`.
+
+    `starts` are the segments' ascending offsets (the first is 0) and
+    `parent` holds one term per segment.  Returns (gains, thresholds), each
+    (columns of x by segments); a feature outside num and cat, or without a
+    positive gain, has gain -inf.
+    """
+    width = block.shape[1]
+    n_seg = starts.size
+    ends = np.concatenate((starts[1:], [width]))
+    last = ends - 1
+    sizes = ends - starts
+    n_num = num.size * width
+    n_cat = 0
+    if cat.size:
+        # every (feature, segment, code) bin is a candidate; absent codes score -inf
+        sums, totals, present = _code_sums(x, block[0], sizes, cat, s1[block[0]], s2[block[0]])
+        n_groups, n_bins = present.shape
+        n_cat = present.size
+
+    # the score's operands (l1, l2, t1, t2, parent): numeric boundaries, then codes
+    ops = np.empty((5, n_num + n_cat))
+    numeric = ops[:, :n_num].reshape(5, num.size, width)  # a view
+    np.take(s1, block[1:], out=numeric[0], mode="clip")
+    np.take(s2, block[1:], out=numeric[1], mode="clip")
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        numeric[:2, :, a:b].cumsum(axis=2, out=numeric[:2, :, a:b])
+    np.take(numeric[:2], last.repeat(sizes), axis=2, out=numeric[2:4], mode="clip")
+    numeric[4] = parent.repeat(sizes)
+    group_starts = (np.arange(0, n_num, width)[:, None] + starts).ravel()
+    group_sizes = sizes[None].repeat(num.size, axis=0).ravel()
+    if n_cat:
+        ops[:2, n_num:] = sums.reshape(2, n_cat)
+        ops[2:4, n_num:] = totals.repeat(n_bins, axis=1)
+        ops[4, n_num:] = parent[np.arange(n_groups) % n_seg].repeat(n_bins)
+        group_starts = np.concatenate((group_starts, np.arange(n_num, n_num + n_cat, n_bins)))
+        group_sizes = np.concatenate((group_sizes, np.full(n_groups, n_bins)))
+
+    cand = score(*ops)
+    num_gains = cand[:n_num].reshape(num.size, width)
+    num_gains[:, last] = -np.inf  # a segment's last row is no boundary
+    vs = x[block[1:], num[:, None]]
+    num_gains[:, :-1][vs[:, :-1] == vs[:, 1:]] = -np.inf
+    if n_cat:
+        absent = ~present
+        absent[present.sum(axis=1) < 2] = True  # a node with one code has no split
+        cand[n_num:][absent.ravel()] = -np.inf
+    best = _first_max(cand, group_starts, group_sizes)
+    top = cand[best]
+    top[~(top > 0.0)] = -np.inf
+
+    gains = np.empty((x.shape[1], n_seg))
+    gains.fill(-np.inf)
+    thresholds = np.zeros((x.shape[1], n_seg))
+    k = num.size * n_seg
+    nb = best[:k]
+    vflat = vs.ravel()
+    gains[num] = top[:k].reshape(num.size, n_seg)
+    thresholds[num] = ((vflat[nb] + vflat.take(nb + 1, mode="clip")) / 2.0).reshape(num.size, n_seg)
+    if n_cat:
+        gains[cat] = top[k:].reshape(cat.size, n_seg)
+        thresholds[cat] = ((best[k:] - n_num) % n_bins).reshape(cat.size, n_seg)
+    return gains, thresholds
 
 
-def best_split(x, rows, features, is_categorical, s1, s2, score):
-    """The node's best split over `features` (ascending column indices).
+def winners(gains):
+    """Per segment: the first feature with the strictly greatest gain, and that gain."""
+    f = gains.argmax(axis=0)
+    return f, gains[f, np.arange(gains.shape[1])]
 
-    The winner is the first feature, in the given order, with the strictly
-    greatest positive gain; within a feature, the lowest threshold or code.
-    Returns (gain, feature, threshold, categorical) or None.
+
+def best_split(x, rows, features, is_categorical, s1, s2, parent, score):
+    """One node's best split over `features` (ascending column indices).
+
+    `rows` are the node's rows, ascending; s1 and s2 are indexed by row.  The
+    winner is the first feature with the strictly greatest positive gain;
+    within a feature, the lowest threshold or code.  Returns (gain, feature,
+    threshold, categorical) or None.
     """
     features = np.asarray(features, dtype=np.int64)
     cat = is_categorical[features]
-    gains = np.full(features.size, -np.inf)
-    thresholds = np.zeros(features.size)
-    num = ~cat
-    if rows.size > 1 and num.any():
-        gains[num], thresholds[num] = scan_numeric(x, rows, features[num], s1, s2, score)
-    for i in np.flatnonzero(cat):
-        hit = scan_categorical(x[rows, features[i]], s1, s2, score)
-        if hit is not None:
-            gains[i], thresholds[i] = hit
-    gains[~(gains > 0.0)] = -np.inf
-    i = int(np.argmax(gains))
-    if not gains[i] > 0.0:
+    num = features[~cat]
+    gains, thresholds = scan(
+        x, node_block(x, rows, num), np.zeros(1, dtype=np.int64), num, features[cat],
+        s1, s2, np.array([parent]), score,
+    )
+    f, gain = winners(gains)
+    f = int(f[0])
+    if not gain[0] > 0.0:
         return None
-    return float(gains[i]), int(features[i]), float(thresholds[i]), bool(cat[i])
+    return float(gain[0]), f, float(thresholds[f, 0]), bool(is_categorical[f])

@@ -51,6 +51,26 @@ def _categorical_dataset(n=90, seed=21):
     )
 
 
+def _counting_fits(monkeypatch):
+    """Boosted fits made by icui.impute: [jobs per call] for lone and batched fits."""
+    lone, batches = [], []
+    fit_one = impute_mod.fit_boosted_matrix
+    fit_many = impute_mod.fit_boosted_many
+
+    def one(*args, **kwargs):
+        lone.append(1)
+        return fit_one(*args, **kwargs)
+
+    def many(jobs, *args, **kwargs):
+        jobs = list(jobs)
+        batches.append(len(jobs))
+        return fit_many(jobs, *args, **kwargs)
+
+    monkeypatch.setattr(impute_mod, "fit_boosted_matrix", one)
+    monkeypatch.setattr(impute_mod, "fit_boosted_many", many)
+    return lone, batches
+
+
 def _counting(monkeypatch, name):
     calls = []
     fn = getattr(impute_mod, name)
@@ -96,19 +116,42 @@ def test_select_matches_independent_fits_below_min_rows():
 
 @pytest.mark.parametrize("target, fits_per_cell", [("spo2", 1), ("hr_min", 2)])
 def test_select_fits_each_distinct_model_once_per_cell(monkeypatch, target, fits_per_cell):
-    calls = _counting(monkeypatch, "fit_boosted_matrix")
+    lone, batches = _counting_fits(monkeypatch)
     params = ImputeParams(algorithm="select", min_rows=10, boost=FAST_BOOST)
     select_imputer(_grouped_dataset(), target, params=params)
-    assert len(calls) == params.outer_k * params.inner_k * fits_per_cell
+    assert sum(lone) + sum(batches) == params.outer_k * params.inner_k * fits_per_cell
+    # one batch per predictor list: a1's, and a2's when the target has a sibling
+    assert lone == [] and len(batches) == fits_per_cell
 
 
 def test_final_a3_fit_shares_a1_model_without_siblings(monkeypatch):
-    calls = _counting(monkeypatch, "fit_boosted_matrix")
+    lone, batches = _counting_fits(monkeypatch)
     ds = _grouped_dataset()
     model = impute_mod.fit_imputation(ds, ImputeParams(algorithm="a3", min_rows=10, boost=FAST_BOOST))
     assert model.columns["spo2"].predictor is model.columns["spo2"].predictor_grouped
     assert model.columns["hr_min"].predictor is not model.columns["hr_min"].predictor_grouped
-    assert len(calls) == 3  # spo2: one shared model; hr_min: a1 and a2
+    assert sum(lone) + sum(batches) == 3  # spo2: one shared model; hr_min: a1 and a2
+
+
+@pytest.mark.parametrize("target, predictors_per_cell", [("spo2", 1), ("hr_min", 2), ("z", 2)])
+def test_select_predicts_each_distinct_predictor_once_per_cell(monkeypatch, target, predictors_per_cell):
+    calls = []
+    predict = impute_mod._Predictor.predict
+
+    def counted(self, ds, rows):
+        calls.append((id(self), rows.size))
+        return predict(self, ds, rows)
+
+    if target == "z":
+        ds, seed = _categorical_dataset(), 1
+    else:
+        ds, seed = _grouped_dataset(), 0
+    params = ImputeParams(algorithm="select", seed=seed, min_rows=10, boost=FAST_BOOST)
+    want = select_imputer_reference(ds, target, params=params)
+    monkeypatch.setattr(impute_mod._Predictor, "predict", counted)
+    assert select_imputer(ds, target, params=params) == want
+    assert len(calls) == params.outer_k * params.inner_k * predictors_per_cell
+    assert len(set(calls)) == len(calls)  # no predictor ran twice on one cell's rows
 
 
 def test_run_cv_rejects_repeated_model_kind():

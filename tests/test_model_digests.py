@@ -80,6 +80,24 @@ def _boosted_squared():
     return boosted_to_dict(model)
 
 
+def _boosted_many_codes():
+    """A 12-code categorical column: each node's code totals sum more than 8 bins."""
+    rng = np.random.default_rng(23)
+    n = 120
+    g = rng.integers(0, 12, n)
+    a = np.round(rng.normal(size=n), 1)
+    logit = 0.9 * a + np.where(g % 3 == 0, 1.0, -0.5)
+    labels = (rng.random(n) < 1.0 / (1.0 + np.exp(-logit))).astype(int)
+    ds = build_dataset(
+        numeric={"a": a},
+        categorical={"g": (g, [f"l{i}" for i in range(12)])},
+        labels=labels,
+        column_order=["g", "a"],
+    )
+    params = BoostParams(n_rounds=5, max_depth=3, eta=0.3, min_child_weight=0.5)
+    return boosted_to_dict(fit_boosted(ds, params, seed=2))
+
+
 def _forest_mtry3():
     params = ForestParams(n_trees=5, min_samples_leaf=2, mtry=3)
     return forest_to_dict(fit_forest(_table(), params, seed=4, threads=1))
@@ -93,6 +111,7 @@ def _forest_no_bootstrap():
 CASES = {
     "boosted-subsampled": _boosted_subsampled,
     "boosted-gamma": _boosted_gamma,
+    "boosted-many-codes": _boosted_many_codes,
     "boosted-squared": _boosted_squared,
     "forest-mtry3": _forest_mtry3,
     "forest-no-bootstrap": _forest_no_bootstrap,

@@ -1,8 +1,10 @@
-"""The 2-D split scan against the per-feature scanners it replaced.
+"""The block split scan against the per-feature scanners it replaced.
 
 Every feature's (gain, threshold), or its lack of a split, must come out of
-`icui.split.scan_numeric` exactly as the old scanner (tests/split_oracle.py)
-computed it for that feature alone: compared with ==, not approximately.
+`icui.split.scan` exactly as the old scanner (tests/split_oracle.py)
+computed it for that feature alone: compared with ==, not approximately.  A
+block of many segments must score each segment as a block of that segment
+alone would.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from icui import split
 from icui.boost import _newton_gains
 from icui.data import CATEGORICAL, NUMERIC
 from icui.forest import _gini_gains, gini
+from boost_oracle import scan_categorical, scan_numeric
 from split_oracle import boost_scan_numeric, forest_scan_numeric
 
 
@@ -33,6 +36,22 @@ def _node(rng, n_total, n_rows, k):
     x[:, 0] = 1.25
     rows = np.sort(rng.choice(n_total, size=n_rows, replace=False))
     return x, rows
+
+
+def _scan_node(x, rows, features, s1, s2, parent, score, is_cat=None):
+    """split.scan of one node; s1 and s2 are aligned with `rows`."""
+    is_cat = np.zeros(x.shape[1], dtype=bool) if is_cat is None else is_cat
+    features = np.asarray(features)
+    num = features[~is_cat[features]]
+    full1 = np.zeros(x.shape[0])
+    full2 = np.zeros(x.shape[0])
+    full1[rows] = s1
+    full2[rows] = s2
+    gains, thr = split.scan(
+        x, split.node_block(x, rows, num), np.zeros(1, dtype=np.int64), num,
+        features[is_cat[features]], full1, full2, np.array([parent]), score,
+    )
+    return gains[features, 0], thr[features, 0]
 
 
 def _assert_same(got_gain, got_thr, want):
@@ -59,8 +78,8 @@ def test_forest_scan_equals_per_feature_oracle(msl):
             continue
         i_parent = gini([n - pos, pos])
         features = np.arange(x.shape[1])
-        score = partial(_gini_gains, i_parent=i_parent, msl=msl)
-        gains, thr = split.scan_numeric(x, rows, features, w, wy, score)
+        score = partial(_gini_gains, msl=msl)
+        gains, thr = _scan_node(x, rows, features, w, wy, i_parent, score)
         for j, f in enumerate(features):
             want = forest_scan_numeric(x[rows, f], w, wy, n, pos, i_parent, msl)
             _assert_same(gains[j], thr[j], want)
@@ -86,8 +105,8 @@ def test_boost_scan_equals_per_feature_oracle(mcw, lam, gamma):
         hs = float(h.sum())
         s_parent = gs * gs / (hs + lam)
         features = np.arange(x.shape[1])
-        score = partial(_newton_gains, lam=lam, gamma=gamma, mcw=mcw, s_parent=s_parent)
-        gains, thr = split.scan_numeric(x, rows, features, g, h, score)
+        score = partial(_newton_gains, lam=lam, gamma=gamma, mcw=mcw)
+        gains, thr = _scan_node(x, rows, features, g, h, s_parent, score)
         for j, f in enumerate(features):
             want = boost_scan_numeric(x[rows, f], g, h, lam, gamma, mcw, s_parent)
             _assert_same(gains[j], thr[j], want)
@@ -101,11 +120,11 @@ def _merge_oracle(x, rows, features, is_cat, s1, s2, score):
     best = None
     for f in features:
         if is_cat[f]:
-            hit = split.scan_categorical(x[rows, f], s1, s2, score)
+            hit = scan_categorical(x[rows, f], s1, s2, score)
         elif rows.size < 2:
             hit = None
         else:
-            gains, thr = split.scan_numeric(x, rows, np.array([f]), s1, s2, score)
+            gains, thr = scan_numeric(x, rows, np.array([f]), s1, s2, score)
             hit = (float(gains[0]), float(thr[0])) if gains[0] > 0.0 else None
         if hit is not None and (best is None or hit[0] > best[0]):
             best = (hit[0], int(f), hit[1], bool(is_cat[f]))
@@ -128,6 +147,67 @@ def test_best_split_keeps_the_first_strictly_greatest_feature():
         n, pos = float(w.sum()), float(wy.sum())
         if pos in (0.0, n):
             continue
-        score = partial(_gini_gains, i_parent=gini([n - pos, pos]), msl=1.0)
-        got = split.best_split(x, rows, features, is_cat, w, wy, score)
+        i_parent = gini([n - pos, pos])
+        w_all = np.zeros(n_total)
+        wy_all = np.zeros(n_total)
+        w_all[rows] = w
+        wy_all[rows] = wy
+        got = split.best_split(x, rows, features, is_cat, w_all, wy_all, i_parent, partial(_gini_gains, msl=1.0))
+        score = partial(_gini_gains, i_parent=i_parent, msl=1.0)
         assert got == _merge_oracle(x, rows, features, is_cat, w, wy, score)
+
+
+@pytest.mark.parametrize("lam, mcw", [(1.0, 1.0), (0.0, 0.0)])
+def test_block_of_many_nodes_scores_each_node_as_alone(lam, mcw):
+    """Each segment of a block gets the per-node oracle's (gain, threshold) or code.
+
+    The segments differ in size (one-row ones too), a node's codes may stop
+    below the block's 12 bins, running sums cross magnitudes that round, and
+    with lambda = 0 and no weight floor, rows with g = h = 0 make 0/0 gains.
+    """
+    from boost_oracle import _newton_gains as oracle_gains
+
+    rng = np.random.default_rng(int(7 + lam))
+    num = np.array([0, 1, 4])
+    cat = np.array([2, 3])
+    is_cat = np.zeros(5, dtype=bool)
+    is_cat[cat] = True
+    checked = 0
+    for trial in range(40):
+        n_total = 160
+        x = np.empty((n_total, 5))
+        x[:, 0] = np.round(rng.normal(size=n_total), 1)
+        x[:, 1] = rng.normal(size=n_total) * 10.0 ** rng.integers(-3, 4, n_total)
+        x[:, 2] = rng.integers(0, 12, n_total)
+        x[:, 3] = rng.integers(0, 3, n_total)
+        x[:, 4] = 0.5
+        g = rng.normal(size=n_total) * 10.0 ** rng.integers(-3, 3, n_total)
+        h = rng.random(n_total) * 10.0 ** rng.integers(-1, 2, n_total)
+        dead = rng.random(n_total) < (0.3 if mcw == 0.0 else 0.0)
+        g[dead] = 0.0
+        h[dead] = 0.0
+        cuts = np.sort(rng.choice(np.arange(1, n_total), size=int(rng.integers(1, 12)), replace=False))
+        perm = rng.permutation(n_total)
+        nodes = [np.sort(part) for part in np.split(perm, cuts)]
+        nodes.append(np.sort(rng.choice(n_total, size=1)))
+        for node in nodes[::2]:
+            x[node, 2] %= int(rng.integers(4, 8))  # this node's codes stop below 8
+        block = np.concatenate([split.node_block(x, rows, num) for rows in nodes], axis=1)
+        starts = np.cumsum([0] + [rows.size for rows in nodes[:-1]])
+        with np.errstate(divide="ignore", invalid="ignore"):  # a node of only g = h = 0 rows
+            parent = np.array([g[rows].sum() ** 2 / (h[rows].sum() + lam) for rows in nodes])
+        score = partial(_newton_gains, lam=lam, gamma=0.0, mcw=mcw)
+        gains, thr = split.scan(x, block, starts, num, cat, g, h, parent, score)
+        for s, rows in enumerate(nodes):
+            old = partial(oracle_gains, lam=lam, gamma=0.0, mcw=mcw, s_parent=parent[s])
+            for f in range(5):
+                if is_cat[f]:
+                    want = scan_categorical(x[rows, f], g[rows], h[rows], old)
+                elif rows.size < 2:
+                    want = None
+                else:
+                    got = scan_numeric(x, rows, np.array([f]), g[rows], h[rows], old)
+                    want = (float(got[0][0]), float(got[1][0])) if got[0][0] > 0.0 else None
+                _assert_same(gains[f, s], thr[f, s], want)
+                checked += want is not None
+    assert checked > 500
