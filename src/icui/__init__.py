@@ -61,9 +61,7 @@ from .forest import (
     ForestModel,
     ForestParams,
     ImportanceProfile,
-    best_split,
     fit_forest,
-    fit_tree,
     forest_importance,
     gini,
     impurity_decrease,

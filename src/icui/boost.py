@@ -16,7 +16,6 @@ model-based imputers.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -27,7 +26,7 @@ from . import split
 from .data import Dataset, design_matrix
 from .errors import ValidationError
 from .rng import make_rng
-from .trees import LEAF, Tree, _check_matrix, predict_value, tree_from_dict, tree_to_dict
+from .trees import LEAF, Tree, _check_matrix, predict_value, tree_to_dict
 
 MODEL_FORMAT = "icui-model"
 MODEL_VERSION = 1
@@ -49,11 +48,14 @@ class BoostParams:
 
     def __post_init__(self):
         for name, ok, rule in (
+            ("n_rounds", self.n_rounds >= 1, ">= 1"),
             ("max_depth", self.max_depth >= 0, ">= 0"),
             ("eta", self.eta > 0, "> 0"),
             ("reg_lambda", self.reg_lambda >= 0, ">= 0"),
             ("gamma", self.gamma >= 0, ">= 0"),
             ("min_child_weight", self.min_child_weight >= 0, ">= 0"),
+            ("row_subsample", 0 < self.row_subsample <= 1, "in (0, 1]"),
+            ("col_subsample", 0 < self.col_subsample <= 1, "in (0, 1]"),
         ):
             if not ok:
                 raise ValidationError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -318,10 +320,6 @@ def fit_boosted_many(
     params = params or BoostParams()
     if objective not in (OBJECTIVE_LOGISTIC, OBJECTIVE_SQUARED):
         raise ValidationError(f"unknown objective {objective!r}")
-    if params.n_rounds < 1:
-        raise ValidationError("n_rounds must be >= 1")
-    if not 0.0 < params.row_subsample <= 1.0 or not 0.0 < params.col_subsample <= 1.0:
-        raise ValidationError("subsample fractions must be in (0, 1]")
     if len(kinds) != len(names):
         raise ValidationError(f"{len(kinds)} feature kinds for {len(names)} feature names")
     jobs = list(jobs)
@@ -468,29 +466,3 @@ def boosted_to_dict(model: BoostedModel) -> dict:
         "seed": model.seed,
         "trees": [tree_to_dict(t) for t in model.trees],
     }
-
-
-def boosted_from_dict(payload: dict) -> BoostedModel:
-    if payload.get("format") != MODEL_FORMAT or payload.get("kind") != "boosted":
-        raise ValidationError("not a boosted model file")
-    if payload.get("version") != MODEL_VERSION:
-        raise ValidationError(f"unsupported model version {payload.get('version')!r}")
-    return BoostedModel(
-        trees=[tree_from_dict(t) for t in payload["trees"]],
-        base_score=float(payload["base_score"]),
-        params=BoostParams(**payload["params"]),
-        feature_names=list(payload["feature_names"]),
-        feature_kinds=list(payload["feature_kinds"]),
-        objective=payload["objective"],
-        seed=int(payload["seed"]),
-    )
-
-
-def save_boosted(model: BoostedModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(boosted_to_dict(model), fh, sort_keys=True)
-
-
-def load_boosted(path: str) -> BoostedModel:
-    with open(path, encoding="utf-8") as fh:
-        return boosted_from_dict(json.load(fh))

@@ -15,6 +15,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -36,7 +37,7 @@ from .data import (
 )
 from .errors import IcuiError, ParseError, ValidationError
 from .evaluate import CvResult, CvSummary, FoldMetrics, ModelSpec, run_cv
-from .forest import ForestParams, resolve_threads
+from .forest import ForestParams
 from .impute import ImputeParams, fit_imputation, impute
 from .plots import emit_plots
 from .synth import SynthSpec, write_synth
@@ -78,21 +79,39 @@ class RunConfig:
         return ["rf", "boosted"] if self.model == "both" else [self.model]
 
 
-def _from_dict(cls, data: dict, where: str):
+def _section(base, data, where: str):
+    """`base` (a params dataclass) with the keys of the JSON object `data` replaced.
+
+    Keys absent from `data` keep `base`'s values, so a partial section keeps
+    the documented defaults.  Each value must match its field's annotated
+    type (an int passes for a float); a field that is itself a params
+    dataclass is merged the same way, one level down.
+    """
     if not isinstance(data, dict):
         raise ValidationError(f"{where}: expected an object")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - allowed)
+    fields = {f.name: f for f in dataclasses.fields(base)}
+    unknown = sorted(set(data) - set(fields))
     if unknown:
         raise ValidationError(f"{where}: unknown keys {unknown}")
+    hints = typing.get_type_hints(type(base))
+    values = {}
+    for key, value in data.items():
+        if dataclasses.is_dataclass(hints[key]):
+            value = _section(getattr(base, key), value, f"{where}.{key}")
+        else:
+            types = tuple(typing.get_origin(t) or t for t in typing.get_args(hints[key]) or (hints[key],))
+            types += (int,) if float in types else ()
+            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+                raise ValidationError(f"{where}: {key} must be {fields[key].type}, got {value!r}")
+        values[key] = value
     try:
-        return cls(**data)
+        return dataclasses.replace(base, **values)
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
 
 
 def load_run_config(config_path: str | None, overrides: dict | None = None) -> RunConfig:
-    """Config file merged with flag overrides; every key is checked."""
+    """Config file merged with flag overrides over RunConfig's defaults; every key is checked."""
     raw: dict = {}
     if config_path is not None:
         if not os.path.exists(config_path):
@@ -104,24 +123,10 @@ def load_run_config(config_path: str | None, overrides: dict | None = None) -> R
                 raise ParseError(f"{config_path}: bad JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValidationError(f"{config_path}: config must be a JSON object")
-    top = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = sorted(set(raw) - top)
-    if unknown:
-        raise ValidationError(f"config: unknown keys {unknown}")
     if overrides:
         raw = dict(raw)
         raw.update({k: v for k, v in overrides.items() if v is not None})
-    kwargs = dict(raw)
-    if "rf" in kwargs:
-        kwargs["rf"] = _from_dict(ForestParams, kwargs["rf"], "config.rf")
-    if "boosted" in kwargs:
-        kwargs["boosted"] = _from_dict(BoostParams, kwargs["boosted"], "config.boosted")
-    if "impute" in kwargs:
-        sub = dict(kwargs["impute"]) if isinstance(kwargs["impute"], dict) else kwargs["impute"]
-        if isinstance(sub, dict) and isinstance(sub.get("boost"), dict):
-            sub["boost"] = _from_dict(BoostParams, sub["boost"], "config.impute.boost")
-        kwargs["impute"] = _from_dict(ImputeParams, sub, "config.impute")
-    return RunConfig(**kwargs)
+    return _section(RunConfig(), raw, "config")
 
 
 def _resolve_plan(cfg: RunConfig) -> PreprocessPlan:
@@ -161,7 +166,6 @@ def _write_meta(cfg: RunConfig, command: str, results: dict[str, CvResult]) -> N
         "command": command,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
-        "threads": resolve_threads(None),
         "config": dataclasses.asdict(cfg),
         # per model and fold, the k the importance clustering ran with: at most
         # clusters_k, fewer when a fold's profile has fewer distinct scores
@@ -474,8 +478,8 @@ def build_parser() -> _Parser:
     for name, func, blurb in (
         ("prep", _cmd_prep, "apply a preprocess plan and write prepped.csv"),
         ("impute", _cmd_impute, "fit imputers on the whole table and write imputed.csv"),
-        ("train", _cmd_train, "cross-validated training with metric tables"),
-        ("explain", _cmd_explain, "training plus importance and attribution tables"),
+        ("train", _cmd_train, "same pipeline and artifacts as run-all"),
+        ("explain", _cmd_explain, "same pipeline and artifacts as run-all"),
         ("report", _cmd_report, "re-render SVG panels from an output directory"),
         ("run-all", _cmd_run_all, "prep, impute, train, explain, report in one pass"),
     ):

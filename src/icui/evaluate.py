@@ -180,14 +180,13 @@ def _fit_one_fold(
     fold: int,
     seed: int,
     clusters_k: int,
-    threads: int | None,
 ) -> tuple[FoldMetrics, ImportanceProfile | None, AttributionMatrix | None, ClusterReport | None]:
     """One model on one fold: metrics, importance, attribution, cluster report."""
     metrics = FoldMetrics(fold=fold, n_test=test_ds.n_rows, n_pos=int(test_ds.labels.sum()))
     model_seed = stable_seed(seed, spec.kind, fold)
     try:
         if spec.kind == MODEL_RF:
-            model = fit_forest(train_ds, spec.params, seed=model_seed, threads=threads)
+            model = fit_forest(train_ds, spec.params, seed=model_seed)
             scores = predict_proba_forest(model, x_test)
         else:
             model = fit_boosted(train_ds, spec.params, seed=model_seed)
@@ -250,7 +249,6 @@ def run_cv(
     seed: int = 0,
     impute_cfg=None,
     clusters_k: int = 20,
-    threads: int | None = None,
 ) -> dict[str, CvResult]:
     """k-fold CV: per fold, fit on the other folds, score the held-out fold.
 
@@ -287,7 +285,7 @@ def run_cv(
             test_ds = impute_mod.impute(test_ds, imodel)
         x_test, _, _ = design_matrix(test_ds)
         for spec in model_specs:
-            outcome = _fit_one_fold(spec, train_ds, test_ds, x_test, fold, seed, clusters_k, threads)
+            outcome = _fit_one_fold(spec, train_ds, test_ds, x_test, fold, seed, clusters_k)
             for bucket, value in zip(collected[spec.kind], outcome):
                 bucket.append(value)
 

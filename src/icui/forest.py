@@ -16,10 +16,7 @@ feature and averaged over trees, where each node contributes
 
 from __future__ import annotations
 
-import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 
@@ -29,25 +26,10 @@ from . import split
 from .data import Dataset, design_matrix
 from .errors import ValidationError
 from .rng import make_rng
-from .trees import LEAF, Tree, TreeBuilder, _check_matrix, predict_value, tree_from_dict, tree_to_dict
+from .trees import LEAF, Tree, TreeBuilder, _check_matrix, predict_value, tree_to_dict
 
 MODEL_FORMAT = "icui-model"
 MODEL_VERSION = 1
-
-
-def resolve_threads(requested: int | None = None) -> int:
-    """Worker count: explicit argument, else ICUI_THREADS (0 = auto), else 1."""
-    if requested is None:
-        raw = os.environ.get("ICUI_THREADS", "1")
-        try:
-            requested = int(raw)
-        except ValueError:
-            raise ValidationError(f"ICUI_THREADS must be an integer, got {raw!r}") from None
-    if requested < 0:
-        raise ValidationError("thread count must be >= 0")
-    if requested == 0:
-        return os.cpu_count() or 1
-    return requested
 
 
 @dataclass
@@ -60,6 +42,7 @@ class ForestParams:
 
     def __post_init__(self):
         for name, ok, rule in (
+            ("n_trees", self.n_trees >= 1, ">= 1"),
             ("min_samples_leaf", self.min_samples_leaf >= 1, ">= 1"),
             ("mtry", self.mtry is None or self.mtry >= 1, ">= 1"),
             ("max_depth", self.max_depth is None or self.max_depth >= 0, ">= 0"),
@@ -83,16 +66,6 @@ class ImportanceProfile:
     names: list[str]
     scores: np.ndarray
     normalized: bool
-
-
-@dataclass
-class SplitCandidate:
-    feature: int
-    threshold: float
-    categorical: bool
-    gain: float
-    left_counts: tuple[float, float]
-    right_counts: tuple[float, float]
 
 
 def gini(counts) -> float:
@@ -161,65 +134,14 @@ def _gini_gains(n_l, p_l, n, pos, i_parent, *, msl):
     return gains
 
 
-def _best_split_matrix(x, rows, weights, wy_all, is_cat, features, msl):
-    """Best split over candidate `features` for the ascending `rows`.
-
-    weights and wy_all = weights * y are indexed by row.
-    """
-    w = weights[rows]
-    wy = wy_all[rows]
-    pos = float(wy.sum())
-    n = float(w.sum())
-    if n - pos <= 0 or pos <= 0:
-        return None
-    i_parent = _gini2(n - pos, pos)
-    hit = split.best_split(x, rows, features, is_cat, weights, wy_all, i_parent, partial(_gini_gains, msl=msl))
-    if hit is None:
-        return None
-    gain, f, thr, cat = hit
-    col = x[rows, f]
-    left = (col == thr) if cat else (col <= thr)
-    p_l = float(wy[left].sum())
-    n_l = float(w[left].sum())
-    return SplitCandidate(
-        feature=f,
-        threshold=thr,
-        categorical=cat,
-        gain=gain,
-        left_counts=(n_l - p_l, p_l),
-        right_counts=((n - pos) - (n_l - p_l), pos - p_l),
-    )
-
-
-def best_split(rows, ds: Dataset, features, min_samples_leaf: int = 1) -> SplitCandidate | None:
-    """Public split search over a Dataset row subset (duplicates = weight)."""
-    if ds.labels is None:
-        raise ValidationError("best_split requires labels")
-    x, kinds, _ = design_matrix(ds)
-    idx = np.asarray(rows, dtype=np.int64)
-    uniq, counts = np.unique(idx, return_counts=True)
-    msl = float(min_samples_leaf)
-    if counts.sum() < 2 * msl:
-        return None
-    weights = np.zeros(ds.n_rows)
-    weights[uniq] = counts
-    return _best_split_matrix(
-        x,
-        uniq,
-        weights,
-        weights * ds.labels,
-        split.categorical_mask(kinds),
-        sorted(int(f) for f in features),
-        msl,
-    )
-
-
 def _fit_tree_matrix(x, y, kinds, params: ForestParams, rng, weights) -> Tree:
+    """One CART tree on x, y; `weights` are per-row counts (bootstrap duplicates)."""
     n_features = x.shape[1]
     mtry = params.mtry if params.mtry is not None else math.ceil(math.sqrt(n_features))
     mtry = max(1, min(mtry, n_features))
     msl = float(params.min_samples_leaf)
     is_cat = split.categorical_mask(kinds)
+    score = partial(_gini_gains, msl=msl)
     builder = TreeBuilder(track_class_counts=True)
 
     wy_all = weights * y
@@ -228,8 +150,8 @@ def _fit_tree_matrix(x, y, kinds, params: ForestParams, rng, weights) -> Tree:
     while stack:
         rows, depth, parent, side = stack.pop()
         w = weights[rows]
-        yk = y[rows]
-        pos = float((w * yk).sum())
+        wy = wy_all[rows]
+        pos = float(wy.sum())
         n = float(w.sum())
         node = builder.add_node(n, pos / n, (n - pos, pos))
         if parent >= 0:
@@ -245,72 +167,45 @@ def _fit_tree_matrix(x, y, kinds, params: ForestParams, rng, weights) -> Tree:
             feats = np.sort(rng.choice(n_features, size=mtry, replace=False))
         else:
             feats = np.arange(n_features)
-        cand = _best_split_matrix(x, rows, weights, wy_all, is_cat, feats, msl)
-        if cand is None:
+        hit = split.best_split(x, rows, feats, is_cat, weights, wy_all, _gini2(n - pos, pos), score)
+        if hit is None:
             continue
+        _, f, thr, cat = hit
+        col = x[rows, f]
+        go_left = (col == thr) if cat else (col <= thr)
+        p_l = float(wy[go_left].sum())
+        n_l = float(w[go_left].sum())
         # Recompute the stored gain in `impurity_decrease`'s arithmetic; the
         # scanner mirrors it, so the two agree bit-for-bit on integer counts.
-        gain = _split_gain(*cand.left_counts, *cand.right_counts)
+        gain = _split_gain(n_l - p_l, p_l, (n - pos) - (n_l - p_l), pos - p_l)
         if not gain > 0.0:
             continue
-        builder.set_split(node, cand.feature, cand.threshold, cand.categorical, gain)
-        col = x[rows, cand.feature]
-        go_left = (col == cand.threshold) if cand.categorical else (col <= cand.threshold)
+        builder.set_split(node, f, thr, cat, gain)
         # right pushed first so the left child is built (and numbered) first
         stack.append((rows[~go_left], depth + 1, node, "right"))
         stack.append((rows[go_left], depth + 1, node, "left"))
     return builder.build()
 
 
-def fit_tree(rows, ds: Dataset, params: ForestParams, rng) -> Tree:
-    """Fit one CART tree on a row multiset (bootstrap duplicates as weights)."""
-    if ds.labels is None:
-        raise ValidationError("fit_tree requires labels")
-    x, kinds, _ = design_matrix(ds)
-    idx = np.asarray(rows, dtype=np.int64)
-    if idx.size == 0:
-        raise ValidationError("fit_tree requires at least one row")
-    weights = np.bincount(idx, minlength=ds.n_rows).astype(np.float64)
-    return _fit_tree_matrix(x, ds.labels.astype(np.float64), kinds, params, rng, weights)
-
-
-def fit_forest(
-    ds: Dataset,
-    params: ForestParams | None = None,
-    seed: int = 0,
-    threads: int | None = None,
-) -> ForestModel:
-    """Fit a bootstrap ensemble; tree t draws from the stream (seed, "tree", t).
-
-    Per-tree streams are independent of scheduling, so results are identical
-    at any worker count.
-    """
+def fit_forest(ds: Dataset, params: ForestParams | None = None, seed: int = 0) -> ForestModel:
+    """Fit a bootstrap ensemble; tree t draws from the stream (seed, "tree", t)."""
     params = params or ForestParams()
     if ds.labels is None:
         raise ValidationError("fit_forest requires labels")
     if ds.n_rows == 0:
         raise ValidationError("fit_forest requires rows")
-    if params.n_trees < 1:
-        raise ValidationError("n_trees must be >= 1")
     x, kinds, names = design_matrix(ds)
     y = ds.labels.astype(np.float64)
     n = ds.n_rows
-
-    def build(t: int) -> Tree:
+    trees = []
+    for t in range(params.n_trees):
         rng = make_rng(seed, "tree", t)
         if params.bootstrap:
             draw = rng.integers(0, n, size=n)
             weights = np.bincount(draw, minlength=n).astype(np.float64)
         else:
             weights = np.ones(n, dtype=np.float64)
-        return _fit_tree_matrix(x, y, kinds, params, rng, weights)
-
-    workers = resolve_threads(threads)
-    if workers > 1 and params.n_trees > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trees = list(pool.map(build, range(params.n_trees)))
-    else:
-        trees = [build(t) for t in range(params.n_trees)]
+        trees.append(_fit_tree_matrix(x, y, kinds, params, rng, weights))
     return ForestModel(
         trees=trees,
         params=params,
@@ -361,28 +256,3 @@ def forest_to_dict(model: ForestModel) -> dict:
         "seed": model.seed,
         "trees": [tree_to_dict(t) for t in model.trees],
     }
-
-
-def forest_from_dict(payload: dict) -> ForestModel:
-    if payload.get("format") != MODEL_FORMAT or payload.get("kind") != "forest":
-        raise ValidationError("not a forest model file")
-    if payload.get("version") != MODEL_VERSION:
-        raise ValidationError(f"unsupported model version {payload.get('version')!r}")
-    return ForestModel(
-        trees=[tree_from_dict(t) for t in payload["trees"]],
-        params=ForestParams(**payload["params"]),
-        feature_names=list(payload["feature_names"]),
-        feature_kinds=list(payload["feature_kinds"]),
-        bootstrap_n=int(payload["bootstrap_n"]),
-        seed=int(payload["seed"]),
-    )
-
-
-def save_forest(model: ForestModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(forest_to_dict(model), fh, sort_keys=True)
-
-
-def load_forest(path: str) -> ForestModel:
-    with open(path, encoding="utf-8") as fh:
-        return forest_from_dict(json.load(fh))

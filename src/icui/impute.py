@@ -63,6 +63,9 @@ class ImputeParams:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS + (SELECT,):
             raise ValidationError(f"unknown imputation algorithm {self.algorithm!r}")
+        for name in ("outer_k", "inner_k"):
+            if getattr(self, name) < 2:
+                raise ValidationError(f"{name} must be >= 2, got {getattr(self, name)!r}")
 
 
 @dataclass

@@ -35,9 +35,6 @@ class Tree:
     def n_nodes(self) -> int:
         return int(self.feature.size)
 
-    def is_leaf(self, node: int) -> bool:
-        return self.feature[node] == LEAF
-
 
 class TreeBuilder:
     """Accumulates nodes and produces an immutable Tree."""
@@ -104,14 +101,6 @@ def _check_matrix(x, n_features: int) -> np.ndarray:
     return x
 
 
-def route_left(tree: Tree, node: int, x: np.ndarray) -> np.ndarray:
-    """Boolean mask over rows of `x` (2D) that go left at `node`."""
-    vals = x[:, tree.feature[node]]
-    if tree.categorical[node]:
-        return vals == tree.threshold[node]
-    return vals <= tree.threshold[node]
-
-
 def leaf_ids(tree: Tree, x: np.ndarray) -> np.ndarray:
     """Leaf node id for every row of `x` (2D float64)."""
     n = x.shape[0]
@@ -135,23 +124,6 @@ def predict_value(tree: Tree, x: np.ndarray) -> np.ndarray:
     return tree.value[leaf_ids(tree, x)]
 
 
-def validate_tree(tree: Tree) -> None:
-    """Structural checks: child linkage, weight conservation, nonnegative gains."""
-    for node in range(tree.n_nodes):
-        if tree.feature[node] == LEAF:
-            if tree.left[node] != LEAF or tree.right[node] != LEAF:
-                raise ValidationError(f"leaf {node} has children")
-            continue
-        lo, hi = tree.left[node], tree.right[node]
-        if not (0 < lo < tree.n_nodes and 0 < hi < tree.n_nodes):
-            raise ValidationError(f"node {node}: bad child ids")
-        total = tree.n_samples[lo] + tree.n_samples[hi]
-        if total != tree.n_samples[node]:
-            raise ValidationError(f"node {node}: child weights do not sum to parent")
-        if tree.gain[node] < 0:
-            raise ValidationError(f"node {node}: negative split gain")
-
-
 def tree_to_dict(tree: Tree) -> dict:
     out = {
         "feature": tree.feature.tolist(),
@@ -166,18 +138,3 @@ def tree_to_dict(tree: Tree) -> dict:
     if tree.class_counts is not None:
         out["class_counts"] = tree.class_counts.tolist()
     return out
-
-
-def tree_from_dict(d: dict) -> Tree:
-    counts = d.get("class_counts")
-    return Tree(
-        feature=np.array(d["feature"], dtype=np.int64),
-        threshold=np.array(d["threshold"], dtype=np.float64),
-        categorical=np.array(d["categorical"], dtype=bool),
-        left=np.array(d["left"], dtype=np.int64),
-        right=np.array(d["right"], dtype=np.int64),
-        n_samples=np.array(d["n_samples"], dtype=np.float64),
-        value=np.array(d["value"], dtype=np.float64),
-        gain=np.array(d["gain"], dtype=np.float64),
-        class_counts=None if counts is None else np.array(counts, dtype=np.float64),
-    )

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from icui.data import CATEGORICAL, NUMERIC, ColumnSpec, Dataset
+from icui.errors import ValidationError
+from icui.trees import LEAF, Tree
 
 
 def build_dataset(
@@ -54,6 +56,24 @@ def build_dataset(
     )
     ds.check()
     return ds
+
+
+
+def validate_tree(tree: Tree) -> None:
+    """Structural checks: child linkage, weight conservation, nonnegative gains."""
+    for node in range(tree.n_nodes):
+        if tree.feature[node] == LEAF:
+            if tree.left[node] != LEAF or tree.right[node] != LEAF:
+                raise ValidationError(f"leaf {node} has children")
+            continue
+        lo, hi = tree.left[node], tree.right[node]
+        if not (0 < lo < tree.n_nodes and 0 < hi < tree.n_nodes):
+            raise ValidationError(f"node {node}: bad child ids")
+        total = tree.n_samples[lo] + tree.n_samples[hi]
+        if total != tree.n_samples[node]:
+            raise ValidationError(f"node {node}: child weights do not sum to parent")
+        if tree.gain[node] < 0:
+            raise ValidationError(f"node {node}: negative split gain")
 
 
 @pytest.fixture

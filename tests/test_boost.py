@@ -13,16 +13,13 @@ from icui.boost import (
     OBJECTIVE_SQUARED,
     BoostedModel,
     BoostParams,
-    boosted_from_dict,
     boosted_to_dict,
     fit_boosted,
     fit_boosted_matrix,
     leaf_weight,
-    load_boosted,
     logistic_grad_hess,
     predict_margin,
     predict_proba_boosted,
-    save_boosted,
     sigmoid,
     split_gain,
 )
@@ -338,36 +335,10 @@ def test_validation_of_params_and_matrix():
         predict_margin(model, np.zeros((2, 2)))
 
 
-# --------------------------------------------------------------- serialization
-
-
-def test_boosted_round_trip(tmp_path):
-    x, y = _toy_problem(n=70)
-    model = fit_boosted_matrix(
-        x, y, [NUM] * 3, list("abc"), BoostParams(n_rounds=5, max_depth=3), seed=2
-    )
-    path = tmp_path / "boost.json"
-    save_boosted(model, str(path))
-    back = load_boosted(str(path))
-    assert np.array_equal(predict_margin(model, x), predict_margin(back, x))
-    assert boosted_to_dict(model) == boosted_to_dict(back)
-    assert back.objective == OBJECTIVE_LOGISTIC
-
-
-def test_boosted_from_dict_rejects_foreign_payloads():
-    x, y = _toy_problem(n=30)
-    payload = boosted_to_dict(
-        fit_boosted_matrix(x, y, [NUM] * 3, list("abc"), BoostParams(n_rounds=1), seed=0)
-    )
-    with pytest.raises(ValidationError):
-        boosted_from_dict(dict(payload, kind="forest"))
-    with pytest.raises(ValidationError):
-        boosted_from_dict(dict(payload, version=0))
-
-
 @pytest.mark.parametrize(
     "field, value",
     [
+        ("n_rounds", 0),
         ("max_depth", -1),
         ("eta", 0.0),
         ("eta", -1.0),
@@ -375,6 +346,10 @@ def test_boosted_from_dict_rejects_foreign_payloads():
         ("gamma", -1.0),
         ("min_child_weight", -1.0),
         ("reg_lambda", float("nan")),
+        ("row_subsample", 0.0),
+        ("row_subsample", 1.5),
+        ("col_subsample", -0.1),
+        ("col_subsample", float("nan")),
     ],
 )
 def test_boost_params_reject_out_of_range_values(field, value):
@@ -384,3 +359,4 @@ def test_boost_params_reject_out_of_range_values(field, value):
 
 def test_boost_params_accept_boundary_values():
     BoostParams(max_depth=0, eta=1e-9, reg_lambda=0.0, gamma=0.0, min_child_weight=0.0)
+    BoostParams(n_rounds=1, row_subsample=1.0, col_subsample=1e-9)

@@ -131,12 +131,11 @@ def test_every_output_table_reparses(tmp_path, synth_csv):
         assert ds.n_rows >= 0
 
 
-def test_run_all_deterministic_across_thread_counts(tmp_path, synth_csv, monkeypatch):
+def test_run_all_deterministic_across_thread_counts(tmp_path, synth_csv):
+    # two runs of one config give the same bytes (trees are fitted in one thread)
     cfg = _write_cfg(tmp_path)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    monkeypatch.setenv("ICUI_THREADS", "1")
     assert cli_main(["run-all", "--config", cfg, "--input", synth_csv, "--out", str(out1)]) == 0
-    monkeypatch.setenv("ICUI_THREADS", "3")
     assert cli_main(["run-all", "--config", cfg, "--input", synth_csv, "--out", str(out2)]) == 0
     t1, t2 = _tree_bytes(out1), _tree_bytes(out2)
     assert set(t1) == set(t2)
@@ -287,3 +286,75 @@ def test_out_of_range_imputer_boost_param_rejected_from_config(tmp_path, capsys)
     rc = cli_main(["run-all", "--config", str(path), "--input", "x.csv", "--out", "y"])
     assert rc == 1
     assert "config.impute.boost: max_depth must be >= 0" in capsys.readouterr().err
+
+
+# ------------------------------------------------- partial and mistyped config
+
+
+def _load(tmp_path, payload):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    return load_run_config(str(path), None)
+
+
+def test_partial_sections_keep_the_documented_defaults(tmp_path):
+    default = load_run_config(None, None)
+    cfg = _load(tmp_path, {"impute": {"min_rows": 30}})
+    assert cfg.impute.algorithm == "select"
+    assert cfg.impute.min_rows == 30
+    assert cfg.impute.boost == default.impute.boost
+    cfg = _load(tmp_path, {"impute": {"boost": {"eta": 0.3}}})
+    assert (cfg.impute.boost.n_rounds, cfg.impute.boost.max_depth, cfg.impute.boost.eta) == (50, 3, 0.3)
+    assert cfg.impute.algorithm == "select"
+    cfg = _load(tmp_path, {"rf": {"max_depth": 6}, "boosted": {"eta": 0.2}})
+    assert (cfg.rf.n_trees, cfg.rf.max_depth, cfg.rf.min_samples_leaf) == (300, 6, 5)
+    assert (cfg.boosted.n_rounds, cfg.boosted.max_depth, cfg.boosted.eta) == (200, 4, 0.2)
+
+
+def test_non_object_imputer_boost_rejected(tmp_path):
+    with pytest.raises(ValidationError, match=r"config\.impute\.boost: expected an object"):
+        _load(tmp_path, {"impute": {"boost": 3}})
+
+
+@pytest.mark.parametrize(
+    "payload, where",
+    [
+        ({"k": "5"}, r"config: k must be int, got '5'"),
+        ({"clusters_k": 2.5}, r"config: clusters_k must be int"),
+        ({"rf": {"n_trees": "3"}}, r"config\.rf: n_trees must be int"),
+        ({"rf": {"bootstrap": 1}}, r"config\.rf: bootstrap must be bool"),
+        ({"boosted": {"eta": "0.1"}}, r"config\.boosted: eta must be float"),
+        ({"impute": {"min_rows": True}}, r"config\.impute: min_rows must be int"),
+        ({"impute": {"boost": {"max_depth": 2.0}}}, r"config\.impute\.boost: max_depth must be int"),
+    ],
+    ids=["k", "clusters_k", "rf.n_trees", "rf.bootstrap", "boosted.eta", "impute.min_rows", "impute.boost.max_depth"],
+)
+def test_wrong_typed_values_rejected_naming_the_field(tmp_path, capsys, payload, where):
+    with pytest.raises(ValidationError, match=where):
+        _load(tmp_path, payload)
+    rc = cli_main(["run-all", "--config", str(tmp_path / "cfg.json"), "--input", "x.csv", "--out", "y"])
+    assert rc == 1
+    assert "internal error" not in capsys.readouterr().err
+
+
+def test_ints_accepted_for_floats_and_null_for_optionals(tmp_path):
+    cfg = _load(tmp_path, {"boosted": {"eta": 1, "gamma": 0}, "rf": {"max_depth": None, "mtry": None}})
+    assert cfg.boosted.eta == 1 and cfg.rf.max_depth is None
+
+
+@pytest.mark.parametrize(
+    "payload, where",
+    [
+        ({"rf": {"n_trees": 0}}, r"config\.rf: n_trees must be >= 1, got 0"),
+        ({"boosted": {"n_rounds": 0}}, r"config\.boosted: n_rounds must be >= 1, got 0"),
+        ({"boosted": {"row_subsample": 0.0}}, r"config\.boosted: row_subsample must be in \(0, 1\]"),
+        ({"impute": {"boost": {"col_subsample": 1.5}}}, r"config\.impute\.boost: col_subsample must be in"),
+        ({"impute": {"outer_k": 1}}, r"config\.impute: outer_k must be >= 2, got 1"),
+        ({"impute": {"inner_k": 0}}, r"config\.impute: inner_k must be >= 2, got 0"),
+    ],
+    ids=["rf.n_trees", "boosted.n_rounds", "boosted.row_subsample", "impute.boost.col_subsample",
+         "impute.outer_k", "impute.inner_k"],
+)
+def test_out_of_range_counts_rejected_naming_the_field(tmp_path, payload, where):
+    with pytest.raises(ValidationError, match=where):
+        _load(tmp_path, payload)

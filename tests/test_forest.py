@@ -1,40 +1,66 @@
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from conftest import build_dataset
+from conftest import build_dataset, validate_tree
 from icui.data import CATEGORICAL, NUMERIC, design_matrix, take_rows
 from icui.errors import ValidationError
 from icui.forest import (
     ForestModel,
     ForestParams,
+    _fit_tree_matrix,
     _gini2,
     _split_gain,
-    best_split,
     fit_forest,
-    fit_tree,
-    forest_from_dict,
     forest_importance,
     forest_to_dict,
     gini,
     impurity_decrease,
-    load_forest,
     predict_proba_forest,
-    resolve_threads,
-    save_forest,
 )
 from icui.rng import make_rng
-from icui.trees import (
-    LEAF,
-    TreeBuilder,
-    leaf_ids,
-    predict_value,
-    route_left,
-    validate_tree,
-)
+from icui.trees import LEAF, TreeBuilder, leaf_ids, predict_value
+
+
+def fit_tree(rows, ds, params, rng):
+    """One forest tree on the row multiset `rows`; duplicates act as weights."""
+    x, kinds, _ = design_matrix(ds)
+    weights = np.bincount(np.asarray(rows, dtype=np.int64), minlength=ds.n_rows).astype(np.float64)
+    return _fit_tree_matrix(x, ds.labels.astype(np.float64), kinds, params, rng, weights)
+
+
+@dataclass
+class RootSplit:
+    feature: int
+    threshold: float
+    categorical: bool
+    gain: float
+    left_counts: tuple[float, float]
+    right_counts: tuple[float, float]
+
+
+def root_split(rows, ds, min_samples_leaf=1):
+    """The split a forest tree makes at a node holding the row multiset `rows`.
+
+    Fits a depth-1 tree with every feature a candidate (no mtry draw), so its
+    root split is the node's best split, or None when the root stays a leaf.
+    """
+    params = ForestParams(max_depth=1, min_samples_leaf=min_samples_leaf, mtry=len(ds.columns), bootstrap=False)
+    tree = fit_tree(rows, ds, params, rng=None)
+    if tree.feature[0] == LEAF:
+        return None
+    return RootSplit(
+        feature=int(tree.feature[0]),
+        threshold=float(tree.threshold[0]),
+        categorical=bool(tree.categorical[0]),
+        gain=float(tree.gain[0]),
+        left_counts=tuple(tree.class_counts[1].tolist()),
+        right_counts=tuple(tree.class_counts[2].tolist()),
+    )
 
 
 # ---------------------------------------------------------------- tree plumbing
@@ -53,13 +79,13 @@ def _stump(feature=0, threshold=0.5, categorical=False, values=(0.25, 0.75)):
 def test_route_left_numeric_boundary_goes_left():
     t = _stump(threshold=2.0)
     x = np.array([[1.0], [2.0], [2.5]])
-    assert route_left(t, 0, x).tolist() == [True, True, False]
+    assert (leaf_ids(t, x) == t.left[0]).tolist() == [True, True, False]
 
 
 def test_route_left_categorical_is_equality():
     t = _stump(threshold=2.0, categorical=True)
     x = np.array([[2.0], [1.0], [3.0]])
-    assert route_left(t, 0, x).tolist() == [True, False, False]
+    assert (leaf_ids(t, x) == t.left[0]).tolist() == [True, False, False]
 
 
 def test_leaf_ids_and_predict_value():
@@ -181,7 +207,7 @@ def test_best_split_matches_enumeration_oracle():
         ds = _random_dataset(rng, n)
         rows = rng.integers(0, n, size=int(rng.integers(n // 2 + 2, 2 * n + 1)))
         msl = int(rng.integers(1, 4))
-        got = best_split(rows, ds, range(3), min_samples_leaf=msl)
+        got = root_split(rows, ds, min_samples_leaf=msl)
         want = _oracle_best_split(rows, ds, float(msl))
         if want is None:
             assert got is None
@@ -203,7 +229,7 @@ def test_best_split_tie_prefers_lower_feature():
         numeric={"a": [1.0, 2.0, 3.0, 4.0], "b": [1.0, 2.0, 3.0, 4.0]},
         labels=[0, 0, 1, 1],
     )
-    cand = best_split(np.arange(4), ds, [0, 1])
+    cand = root_split(np.arange(4), ds)
     assert cand.feature == 0
     assert cand.threshold == 2.5
     assert cand.gain == 0.5
@@ -211,7 +237,7 @@ def test_best_split_tie_prefers_lower_feature():
 
 def test_best_split_tie_prefers_lower_threshold():
     ds = build_dataset(numeric={"a": [1.0, 2.0, 3.0]}, labels=[0, 1, 0])
-    cand = best_split(np.arange(3), ds, [0])
+    cand = root_split(np.arange(3), ds)
     assert cand.threshold == 1.5
 
 
@@ -220,7 +246,7 @@ def test_best_split_tie_prefers_lower_code():
         categorical={"c": ([0, 1], ["x", "y"])},
         labels=[0, 1],
     )
-    cand = best_split(np.arange(2), ds, [0])
+    cand = root_split(np.arange(2), ds)
     assert cand.categorical
     assert cand.threshold == 0.0
     assert cand.gain == 0.5
@@ -229,15 +255,15 @@ def test_best_split_tie_prefers_lower_code():
 def test_best_split_invariant_under_row_order():
     rng = np.random.default_rng(3)
     ds = _random_dataset(rng, 25)
-    a = best_split(np.arange(25), ds, range(3), min_samples_leaf=2)
+    a = root_split(np.arange(25), ds, min_samples_leaf=2)
     perm = rng.permutation(25)
-    b = best_split(np.arange(25), take_rows(ds, perm), range(3), min_samples_leaf=2)
+    b = root_split(np.arange(25), take_rows(ds, perm), min_samples_leaf=2)
     assert (a.feature, a.threshold, a.gain) == (b.feature, b.threshold, b.gain)
 
 
 def test_best_split_pure_node_returns_none():
     ds = build_dataset(numeric={"a": [1.0, 2.0, 3.0]}, labels=[1, 1, 1])
-    assert best_split(np.arange(3), ds, [0]) is None
+    assert root_split(np.arange(3), ds) is None
 
 
 def test_best_split_respects_min_samples_leaf():
@@ -246,13 +272,13 @@ def test_best_split_respects_min_samples_leaf():
         numeric={"a": [1.0, 2, 3, 4, 5, 6, 7, 8]},
         labels=[0, 0, 0, 0, 1, 1, 1, 1],
     )
-    cand = best_split(np.arange(8), ds, [0], min_samples_leaf=4)
+    cand = root_split(np.arange(8), ds, min_samples_leaf=4)
     assert cand.threshold == 4.5
     ds2 = build_dataset(
         numeric={"a": [1.0, 2, 3, 4, 5, 6, 7, 8]},
         labels=[0, 0, 0, 1, 0, 1, 1, 1],
     )
-    cand2 = best_split(np.arange(8), ds2, [0], min_samples_leaf=4)
+    cand2 = root_split(np.arange(8), ds2, min_samples_leaf=4)
     assert cand2 is not None and cand2.threshold == 4.5
 
 
@@ -348,16 +374,6 @@ def test_fit_forest_deterministic_and_seed_sensitive():
     dump = lambda m: json.dumps(forest_to_dict(m), sort_keys=True)
     assert dump(a) == dump(b)
     assert dump(a) != dump(c)
-
-
-def test_fit_forest_identical_across_thread_counts():
-    ds = _training_dataset()
-    params = ForestParams(n_trees=8, max_depth=5, min_samples_leaf=2)
-    one = fit_forest(ds, params, seed=2, threads=1)
-    four = fit_forest(ds, params, seed=2, threads=4)
-    assert json.dumps(forest_to_dict(one), sort_keys=True) == json.dumps(
-        forest_to_dict(four), sort_keys=True
-    )
 
 
 def test_fit_forest_leaf_weights_respect_min_samples_leaf():
@@ -492,50 +508,9 @@ def test_forest_importance_all_constant_features_zero_unnormalized():
     assert not prof.normalized
 
 
-# --------------------------------------------------------------- serialization
-
-
-def test_forest_round_trip_preserves_predictions(tmp_path):
-    ds = _training_dataset(n=70)
-    model = fit_forest(ds, ForestParams(n_trees=4, max_depth=4), seed=8)
-    path = tmp_path / "model.json"
-    save_forest(model, str(path))
-    back = load_forest(str(path))
-    x, _, _ = design_matrix(ds)
-    assert np.array_equal(predict_proba_forest(model, x), predict_proba_forest(back, x))
-    assert forest_to_dict(model) == forest_to_dict(back)
-    assert back.feature_names == model.feature_names
-
-
-def test_forest_from_dict_rejects_wrong_format():
-    payload = forest_to_dict(_hand_model())
-    bad = dict(payload, format="other")
-    with pytest.raises(ValidationError):
-        forest_from_dict(bad)
-    bad2 = dict(payload, version=99)
-    with pytest.raises(ValidationError):
-        forest_from_dict(bad2)
-
-
-# --------------------------------------------------------------------- threads
-
-
-def test_resolve_threads(monkeypatch):
-    assert resolve_threads(3) == 3
-    monkeypatch.setenv("ICUI_THREADS", "2")
-    assert resolve_threads() == 2
-    monkeypatch.setenv("ICUI_THREADS", "0")
-    assert resolve_threads() >= 1
-    monkeypatch.setenv("ICUI_THREADS", "zebra")
-    with pytest.raises(ValidationError):
-        resolve_threads()
-    with pytest.raises(ValidationError):
-        resolve_threads(-1)
-
-
 @pytest.mark.parametrize(
     "field, value",
-    [("min_samples_leaf", 0), ("min_samples_leaf", -3), ("mtry", 0), ("max_depth", -1)],
+    [("n_trees", 0), ("min_samples_leaf", 0), ("min_samples_leaf", -3), ("mtry", 0), ("max_depth", -1)],
 )
 def test_forest_params_reject_out_of_range_values(field, value):
     with pytest.raises(ValidationError, match=field):

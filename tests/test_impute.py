@@ -311,3 +311,10 @@ def test_impute_params_validation():
     with pytest.raises(ValidationError):
         ImputeParams(algorithm="a9")
     assert ImputeParams().fit_on_all is False
+
+
+@pytest.mark.parametrize("field", ["outer_k", "inner_k"])
+def test_impute_params_reject_fold_counts_below_two(field):
+    with pytest.raises(ValidationError, match=f"{field} must be >= 2, got 1"):
+        ImputeParams(**{field: 1})
+    ImputeParams(**{field: 2})

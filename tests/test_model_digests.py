@@ -100,12 +100,12 @@ def _boosted_many_codes():
 
 def _forest_mtry3():
     params = ForestParams(n_trees=5, min_samples_leaf=2, mtry=3)
-    return forest_to_dict(fit_forest(_table(), params, seed=4, threads=1))
+    return forest_to_dict(fit_forest(_table(), params, seed=4))
 
 
 def _forest_no_bootstrap():
     params = ForestParams(n_trees=3, max_depth=5, min_samples_leaf=1, mtry=2, bootstrap=False)
-    return forest_to_dict(fit_forest(_table(), params, seed=9, threads=1))
+    return forest_to_dict(fit_forest(_table(), params, seed=9))
 
 
 CASES = {
