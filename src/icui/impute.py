@@ -63,9 +63,13 @@ class ImputeParams:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS + (SELECT,):
             raise ValidationError(f"unknown imputation algorithm {self.algorithm!r}")
-        for name in ("outer_k", "inner_k"):
-            if getattr(self, name) < 2:
-                raise ValidationError(f"{name} must be >= 2, got {getattr(self, name)!r}")
+        for name, ok, rule in (
+            ("min_rows", self.min_rows >= 0, ">= 0"),
+            ("outer_k", self.outer_k >= 2, ">= 2"),
+            ("inner_k", self.inner_k >= 2, ">= 2"),
+        ):
+            if not ok:
+                raise ValidationError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass

@@ -1,15 +1,17 @@
 """Exact greedy split search shared by the forest and boosting.
 
-The search scores a *block*: the nodes of one tree depth, or a single node,
-laid side by side as segments of an int array of row ids, never padded.
-Line 0 of the block holds each segment's rows in ascending order; line
-1 + j holds the same rows stably sorted by numeric feature `num[j]`.  Two
-per-row statistics, indexed by row id, are accumulated down every sorted
-line of every segment: (w, w*y) for the forest's Gini decrease, (g, h) for
-boosting's Newton gain.  Every boundary between consecutive distinct sorted
-values is a candidate, with its threshold at the midpoint.  This is the exact
-greedy algorithm of XGBoost (Chen & Guestrin, KDD 2016) over presorted
-column blocks.  Categorical features are split one-vs-rest on a single code.
+The search scores a *block*: boosting's nodes of one tree depth, or the
+forest's next node of every tree, laid side by side as segments of an int
+array of row ids, never padded.  Line 0 of the block holds each segment's
+rows in ascending order; line 1 + j holds the same rows stably sorted by
+numeric feature `num[j]`, one feature shared by every segment, or `num[j, s]`
+in segment s when each node draws its own features.  Two per-row statistics,
+indexed by row id, are accumulated down every sorted line of every segment:
+(w, w*y) for the forest's Gini decrease, (g, h) for boosting's Newton gain.
+Every boundary between consecutive distinct sorted values is a candidate,
+with its threshold at the midpoint.  This is the exact greedy algorithm of
+XGBoost (Chen & Guestrin, KDD 2016) over presorted column blocks.
+Categorical features are split one-vs-rest on a single code.
 
 A model supplies one score function, score(l1, l2, t1, t2, parent): the gains
 of splits whose left child sums the statistics to (l1, l2) in a node whose
@@ -40,12 +42,6 @@ from .data import CATEGORICAL
 def categorical_mask(kinds) -> np.ndarray:
     """Boolean mask of the categorical columns among feature `kinds`."""
     return np.array([k == CATEGORICAL for k in kinds], dtype=bool)
-
-
-def node_block(x, rows, num):
-    """The block of one node: `rows` (ascending), then rows stably sorted by each of `num`."""
-    order = x[rows[:, None], num].argsort(axis=0, kind="stable")
-    return np.concatenate((rows[None], rows[order.T]))
 
 
 def _first_max(gains, starts, sizes):
@@ -83,30 +79,36 @@ def _code_sums(x, rows, sizes, cat, s1, s2):
     return sums, totals, present
 
 
-def scan(x, block, starts, num, cat, s1, s2, parent, score):
+def scan(x, block, starts, num, cat, s1, s2, parent, score, row=None):
     """Every feature's best split in every segment of `block`.
 
     `starts` are the segments' ascending offsets (the first is 0) and
-    `parent` holds one term per segment.  Returns (gains, thresholds), each
-    (columns of x by segments); a feature outside num and cat, or without a
-    positive gain, has gain -inf.
+    `parent` holds one term per segment.  `num` names the numeric feature of
+    each sorted line, either for all segments (shape lines) or per segment
+    (lines x segments); a segment may repeat a feature in several lines.
+    `row` maps the block's row ids to rows of x (ids are rows when None).
+    Returns (gains, thresholds), each (columns of x by segments); a feature
+    outside num and cat, or without a positive gain, has gain -inf.
     """
     width = block.shape[1]
     n_seg = starts.size
     ends = np.concatenate((starts[1:], [width]))
     last = ends - 1
     sizes = ends - starts
-    n_num = num.size * width
+    lines = num if num.ndim == 2 else num[:, None]
+    n_lines = lines.shape[0]
+    n_num = n_lines * width
     n_cat = 0
     if cat.size:
         # every (feature, segment, code) bin is a candidate; absent codes score -inf
-        sums, totals, present = _code_sums(x, block[0], sizes, cat, s1[block[0]], s2[block[0]])
+        x_rows = block[0] if row is None else row[block[0]]
+        sums, totals, present = _code_sums(x, x_rows, sizes, cat, s1[block[0]], s2[block[0]])
         n_groups, n_bins = present.shape
         n_cat = present.size
 
     # the score's operands (l1, l2, t1, t2, parent): numeric boundaries, then codes
     ops = np.empty((5, n_num + n_cat))
-    numeric = ops[:, :n_num].reshape(5, num.size, width)  # a view
+    numeric = ops[:, :n_num].reshape(5, n_lines, width)  # a view
     np.take(s1, block[1:], out=numeric[0], mode="clip")
     np.take(s2, block[1:], out=numeric[1], mode="clip")
     for a, b in zip(starts.tolist(), ends.tolist()):
@@ -114,7 +116,7 @@ def scan(x, block, starts, num, cat, s1, s2, parent, score):
     np.take(numeric[:2], last.repeat(sizes), axis=2, out=numeric[2:4], mode="clip")
     numeric[4] = parent.repeat(sizes)
     group_starts = (np.arange(0, n_num, width)[:, None] + starts).ravel()
-    group_sizes = sizes[None].repeat(num.size, axis=0).ravel()
+    group_sizes = sizes[None].repeat(n_lines, axis=0).ravel()
     if n_cat:
         ops[:2, n_num:] = sums.reshape(2, n_cat)
         ops[2:4, n_num:] = totals.repeat(n_bins, axis=1)
@@ -123,9 +125,10 @@ def scan(x, block, starts, num, cat, s1, s2, parent, score):
         group_sizes = np.concatenate((group_sizes, np.full(n_groups, n_bins)))
 
     cand = score(*ops)
-    num_gains = cand[:n_num].reshape(num.size, width)
+    num_gains = cand[:n_num].reshape(n_lines, width)
     num_gains[:, last] = -np.inf  # a segment's last row is no boundary
-    vs = x[block[1:], num[:, None]]
+    x_rows = block[1:] if row is None else row[block[1:]]
+    vs = x[x_rows, lines.repeat(sizes, axis=1) if lines.shape[1] > 1 else lines]
     num_gains[:, :-1][vs[:, :-1] == vs[:, 1:]] = -np.inf
     if n_cat:
         absent = ~present
@@ -138,11 +141,12 @@ def scan(x, block, starts, num, cat, s1, s2, parent, score):
     gains = np.empty((x.shape[1], n_seg))
     gains.fill(-np.inf)
     thresholds = np.zeros((x.shape[1], n_seg))
-    k = num.size * n_seg
+    k = n_lines * n_seg
     nb = best[:k]
     vflat = vs.ravel()
-    gains[num] = top[:k].reshape(num.size, n_seg)
-    thresholds[num] = ((vflat[nb] + vflat.take(nb + 1, mode="clip")) / 2.0).reshape(num.size, n_seg)
+    segs = np.arange(n_seg)
+    gains[lines, segs] = top[:k].reshape(n_lines, n_seg)
+    thresholds[lines, segs] = ((vflat[nb] + vflat.take(nb + 1, mode="clip")) / 2.0).reshape(n_lines, n_seg)
     if n_cat:
         gains[cat] = top[k:].reshape(cat.size, n_seg)
         thresholds[cat] = ((best[k:] - n_num) % n_bins).reshape(cat.size, n_seg)
@@ -153,25 +157,3 @@ def winners(gains):
     """Per segment: the first feature with the strictly greatest gain, and that gain."""
     f = gains.argmax(axis=0)
     return f, gains[f, np.arange(gains.shape[1])]
-
-
-def best_split(x, rows, features, is_categorical, s1, s2, parent, score):
-    """One node's best split over `features` (ascending column indices).
-
-    `rows` are the node's rows, ascending; s1 and s2 are indexed by row.  The
-    winner is the first feature with the strictly greatest positive gain;
-    within a feature, the lowest threshold or code.  Returns (gain, feature,
-    threshold, categorical) or None.
-    """
-    features = np.asarray(features, dtype=np.int64)
-    cat = is_categorical[features]
-    num = features[~cat]
-    gains, thresholds = scan(
-        x, node_block(x, rows, num), np.zeros(1, dtype=np.int64), num, features[cat],
-        s1, s2, np.array([parent]), score,
-    )
-    f, gain = winners(gains)
-    f = int(f[0])
-    if not gain[0] > 0.0:
-        return None
-    return float(gain[0]), f, float(thresholds[f, 0]), bool(is_categorical[f])

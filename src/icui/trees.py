@@ -36,61 +36,6 @@ class Tree:
         return int(self.feature.size)
 
 
-class TreeBuilder:
-    """Accumulates nodes and produces an immutable Tree."""
-
-    def __init__(self, track_class_counts: bool) -> None:
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.categorical: list[bool] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.n_samples: list[float] = []
-        self.value: list[float] = []
-        self.gain: list[float] = []
-        self.class_counts: list[tuple[float, float]] | None = [] if track_class_counts else None
-
-    def add_node(self, n_samples: float, value: float, counts: tuple[float, float] | None = None) -> int:
-        node = len(self.feature)
-        self.feature.append(LEAF)
-        self.threshold.append(0.0)
-        self.categorical.append(False)
-        self.left.append(LEAF)
-        self.right.append(LEAF)
-        self.n_samples.append(float(n_samples))
-        self.value.append(float(value))
-        self.gain.append(0.0)
-        if self.class_counts is not None:
-            self.class_counts.append((0.0, 0.0) if counts is None else counts)
-        return node
-
-    def set_split(self, node: int, feature: int, threshold: float, categorical: bool, gain: float) -> None:
-        self.feature[node] = int(feature)
-        self.threshold[node] = float(threshold)
-        self.categorical[node] = bool(categorical)
-        self.gain[node] = float(gain)
-
-    def link(self, node: int, left: int, right: int) -> None:
-        self.left[node] = left
-        self.right[node] = right
-
-    def build(self) -> Tree:
-        counts = None
-        if self.class_counts is not None:
-            counts = np.array(self.class_counts, dtype=np.float64).reshape(len(self.feature), 2)
-        return Tree(
-            feature=np.array(self.feature, dtype=np.int64),
-            threshold=np.array(self.threshold, dtype=np.float64),
-            categorical=np.array(self.categorical, dtype=bool),
-            left=np.array(self.left, dtype=np.int64),
-            right=np.array(self.right, dtype=np.int64),
-            n_samples=np.array(self.n_samples, dtype=np.float64),
-            value=np.array(self.value, dtype=np.float64),
-            gain=np.array(self.gain, dtype=np.float64),
-            class_counts=counts,
-        )
-
-
 def _check_matrix(x, n_features: int) -> np.ndarray:
     """`x` as float64, checked to be 2-D with `n_features` finite columns."""
     x = np.asarray(x, dtype=np.float64)

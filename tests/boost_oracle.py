@@ -15,6 +15,7 @@ from functools import partial
 
 import numpy as np
 
+from conftest import TreeBuilder
 from icui import split
 from icui.boost import (
     OBJECTIVE_LOGISTIC,
@@ -26,7 +27,7 @@ from icui.boost import (
 )
 from icui.errors import ValidationError
 from icui.rng import make_rng
-from icui.trees import TreeBuilder, predict_value
+from icui.trees import predict_value
 
 
 def scan_numeric(x, rows, features, s1, s2, score):

@@ -1,14 +1,21 @@
-"""Test-only reference: the per-feature numeric split scanners.
+"""Test-only reference: the per-feature numeric split scanners and the one-node search.
 
-These are the scanners the forest and boosting used before `icui.split`
-scanned every numeric feature of a node in one 2-D pass; their bodies are
-kept unchanged.  Each scores one feature column `v` of a node and returns
+`forest_scan_numeric` and `boost_scan_numeric` are the scanners the forest
+and boosting used before `icui.split` scanned every numeric feature of a node
+in one 2-D pass.  Each scores one feature column `v` of a node and returns
 (gain, threshold) or None.
+
+`node_block` and `best_split` are the one-node search the forest used before
+it grew its trees in lockstep (tests/forest_oracle.py): the node's rows are
+sorted on their own and scanned as a block of one segment.  All bodies are
+kept unchanged.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from icui.split import categorical_mask, scan, winners  # categorical_mask: for forest_oracle
 
 
 def forest_scan_numeric(v, w, wy, n, pos, i_parent, msl):
@@ -64,3 +71,31 @@ def boost_scan_numeric(v, g, h, lam, gamma, mcw, s_parent):
         return None
     thr = (vs[b[best]] + vs[b[best] + 1]) / 2.0
     return float(gains[best]), float(thr)
+
+
+def node_block(x, rows, num):
+    """The block of one node: `rows` (ascending), then rows stably sorted by each of `num`."""
+    order = x[rows[:, None], num].argsort(axis=0, kind="stable")
+    return np.concatenate((rows[None], rows[order.T]))
+
+
+def best_split(x, rows, features, is_categorical, s1, s2, parent, score):
+    """One node's best split over `features` (ascending column indices).
+
+    `rows` are the node's rows, ascending; s1 and s2 are indexed by row.  The
+    winner is the first feature with the strictly greatest positive gain;
+    within a feature, the lowest threshold or code.  Returns (gain, feature,
+    threshold, categorical) or None.
+    """
+    features = np.asarray(features, dtype=np.int64)
+    cat = is_categorical[features]
+    num = features[~cat]
+    gains, thresholds = scan(
+        x, node_block(x, rows, num), np.zeros(1, dtype=np.int64), num, features[cat],
+        s1, s2, np.array([parent]), score,
+    )
+    f, gain = winners(gains)
+    f = int(f[0])
+    if not gain[0] > 0.0:
+        return None
+    return float(gain[0]), f, float(thresholds[f, 0]), bool(is_categorical[f])

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import build_dataset
+from conftest import TreeBuilder, build_dataset
 from icui.attribution import (
     OUTPUT_MARGIN,
     OUTPUT_PROBABILITY,
@@ -23,7 +23,6 @@ from icui.boost import BoostParams, fit_boosted_matrix, predict_margin
 from icui.data import CATEGORICAL, NUMERIC, design_matrix
 from icui.errors import ValidationError
 from icui.forest import ForestModel, ForestParams, fit_forest, predict_proba_forest
-from icui.trees import TreeBuilder
 
 ASSETS = Path(__file__).parent / "assets"
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import build_dataset
+from conftest import TreeBuilder, build_dataset
 from icui.boost import (
     OBJECTIVE_LOGISTIC,
     OBJECTIVE_SQUARED,
@@ -25,7 +25,7 @@ from icui.boost import (
 )
 from icui.data import CATEGORICAL, NUMERIC, design_matrix
 from icui.errors import ValidationError
-from icui.trees import LEAF, TreeBuilder, predict_value
+from icui.trees import LEAF, predict_value
 
 NUM = "numeric"
 

@@ -351,9 +351,10 @@ def test_ints_accepted_for_floats_and_null_for_optionals(tmp_path):
         ({"impute": {"boost": {"col_subsample": 1.5}}}, r"config\.impute\.boost: col_subsample must be in"),
         ({"impute": {"outer_k": 1}}, r"config\.impute: outer_k must be >= 2, got 1"),
         ({"impute": {"inner_k": 0}}, r"config\.impute: inner_k must be >= 2, got 0"),
+        ({"impute": {"min_rows": -5}}, r"config\.impute: min_rows must be >= 0, got -5"),
     ],
     ids=["rf.n_trees", "boosted.n_rounds", "boosted.row_subsample", "impute.boost.col_subsample",
-         "impute.outer_k", "impute.inner_k"],
+         "impute.outer_k", "impute.inner_k", "impute.min_rows"],
 )
 def test_out_of_range_counts_rejected_naming_the_field(tmp_path, payload, where):
     with pytest.raises(ValidationError, match=where):

@@ -6,13 +6,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import build_dataset, validate_tree
+from conftest import TreeBuilder, build_dataset, validate_tree
+from forest_oracle import _fit_tree_matrix
 from icui.data import CATEGORICAL, NUMERIC, design_matrix, take_rows
 from icui.errors import ValidationError
 from icui.forest import (
     ForestModel,
     ForestParams,
-    _fit_tree_matrix,
     _gini2,
     _split_gain,
     fit_forest,
@@ -23,7 +23,7 @@ from icui.forest import (
     predict_proba_forest,
 )
 from icui.rng import make_rng
-from icui.trees import LEAF, TreeBuilder, leaf_ids, predict_value
+from icui.trees import LEAF, leaf_ids, predict_value
 
 
 def fit_tree(rows, ds, params, rng):

@@ -108,11 +108,18 @@ def _forest_no_bootstrap():
     return forest_to_dict(fit_forest(_table(), params, seed=9))
 
 
+def _forest_mtry1_depth4():
+    """One feature per node, so some nodes draw only a categorical column."""
+    params = ForestParams(n_trees=4, max_depth=4, min_samples_leaf=1, mtry=1, bootstrap=False)
+    return forest_to_dict(fit_forest(_table(), params, seed=6))
+
+
 CASES = {
     "boosted-subsampled": _boosted_subsampled,
     "boosted-gamma": _boosted_gamma,
     "boosted-many-codes": _boosted_many_codes,
     "boosted-squared": _boosted_squared,
+    "forest-mtry1-depth4": _forest_mtry1_depth4,
     "forest-mtry3": _forest_mtry3,
     "forest-no-bootstrap": _forest_no_bootstrap,
 }

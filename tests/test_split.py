@@ -19,7 +19,7 @@ from icui.boost import _newton_gains
 from icui.data import CATEGORICAL, NUMERIC
 from icui.forest import _gini_gains, gini
 from boost_oracle import scan_categorical, scan_numeric
-from split_oracle import boost_scan_numeric, forest_scan_numeric
+from split_oracle import best_split, boost_scan_numeric, forest_scan_numeric, node_block
 
 
 def _node(rng, n_total, n_rows, k):
@@ -48,7 +48,7 @@ def _scan_node(x, rows, features, s1, s2, parent, score, is_cat=None):
     full1[rows] = s1
     full2[rows] = s2
     gains, thr = split.scan(
-        x, split.node_block(x, rows, num), np.zeros(1, dtype=np.int64), num,
+        x, node_block(x, rows, num), np.zeros(1, dtype=np.int64), num,
         features[is_cat[features]], full1, full2, np.array([parent]), score,
     )
     return gains[features, 0], thr[features, 0]
@@ -152,7 +152,7 @@ def test_best_split_keeps_the_first_strictly_greatest_feature():
         wy_all = np.zeros(n_total)
         w_all[rows] = w
         wy_all[rows] = wy
-        got = split.best_split(x, rows, features, is_cat, w_all, wy_all, i_parent, partial(_gini_gains, msl=1.0))
+        got = best_split(x, rows, features, is_cat, w_all, wy_all, i_parent, partial(_gini_gains, msl=1.0))
         score = partial(_gini_gains, i_parent=i_parent, msl=1.0)
         assert got == _merge_oracle(x, rows, features, is_cat, w, wy, score)
 
@@ -192,7 +192,7 @@ def test_block_of_many_nodes_scores_each_node_as_alone(lam, mcw):
         nodes.append(np.sort(rng.choice(n_total, size=1)))
         for node in nodes[::2]:
             x[node, 2] %= int(rng.integers(4, 8))  # this node's codes stop below 8
-        block = np.concatenate([split.node_block(x, rows, num) for rows in nodes], axis=1)
+        block = np.concatenate([node_block(x, rows, num) for rows in nodes], axis=1)
         starts = np.cumsum([0] + [rows.size for rows in nodes[:-1]])
         with np.errstate(divide="ignore", invalid="ignore"):  # a node of only g = h = 0 rows
             parent = np.array([g[rows].sum() ** 2 / (h[rows].sum() + lam) for rows in nodes])

@@ -5,12 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import TreeBuilder
 from icui.attribution import _COND_CAT, _COND_NUM, _ensemble_views, _tree_leaves, tree_shap
 from icui.boost import BoostParams, fit_boosted
 from icui.data import CATEGORICAL, NUMERIC, design_matrix
 from icui.forest import ForestModel, ForestParams, fit_forest
 from icui.synth import SynthSpec, generate
-from icui.trees import TreeBuilder
 from shap_oracle import tree_shap_oracle
 
 
