@@ -119,9 +119,11 @@ def _gini_gains(n_l, p_l, n, pos, i_parent, *, msl):
     n and pos are the node's totals and i_parent its impurity; bootstrap
     weights are integers, so every way of summing them gives the same totals.
     A node's last sorted row leaves n_r = 0; the scanner drops that candidate.
-    The operands are flat candidate arrays, so `_split_gain`'s arithmetic runs
-    in place, each operation on the same operands in the same order: every
-    temporary would add to a fit's peak memory.
+    `_split_gain`'s arithmetic runs in place on the flat candidate arrays,
+    each operation on the same operands in the same order.  Written as plain
+    expressions it raises a fit's peak RSS by about 0.9 MB at 1600 x 66 (300
+    trees) and 4.5 MB at 16,000 x 66 (50 trees, depth 16), where each root
+    fills a step alone.
     """
     n_r = n - n_l
     p_r = pos - p_l
@@ -151,37 +153,52 @@ def _gini_gains(n_l, p_l, n, pos, i_parent, *, msl):
     return gains
 
 
-# Cells (rows x sorted numeric lines) the trees of one batch may hold.  A
-# forest's trees are grown in consecutive batches up to this size, so the
-# arrays of one step stay a few MB however many trees a fit asks for: at
-# 1600 x 66 a batch holds three trees, and a fit's peak RSS stays within 10 %
-# of growing its trees one at a time.
-_BATCH_CELLS = 3 << 14
+# A forest's trees grow in consecutive batches.  A batch stacks about 30
+# bytes of per-tree statistics per tree and row, so it holds at most
+# _BATCH_ROWS rows all told (trees x rows), but never fewer than eight trees:
+# a step of one or two trees pays the scanner's fixed work for every node,
+# and past 4096 rows eight trees' statistics (4 MB at 16,000 rows) stay
+# below the fit's own x and rank table (13 MB at 16,000 x 66).  Each step
+# scores nodes of the batch, taken in turn, up to _STEP_CELLS cells (node
+# rows x sorted numeric lines), which bounds the scanner's arrays; a node
+# bigger than that fills a step alone.
+_BATCH_ROWS = 1 << 15
+_STEP_CELLS = 1 << 14
 
 
-def _grow_batch(x, y, is_cat, rank, params: ForestParams, mtry, trees) -> list[Tree]:
-    """One CART tree per (rng, weights) of `trees`, all grown together.
+def _grow_batch(x, y, is_cat, rank, params: ForestParams, mtry, rngs, weights) -> list[Tree]:
+    """One CART tree per rng of `rngs` and row of `weights`, all grown together.
 
     `weights` are per-row counts (bootstrap duplicates).  Every tree grows
-    depth-first from its own stack, and each step pops the next node of every
-    tree: one `split.scan` scores the step's splittable nodes as segments of
-    one block.  Tree b's row r has id b * n + r, so the trees' statistics
-    are stacked while x is shared.  A tree's nodes are numbered and its
-    `mtry` draws taken in its own preorder, as if it were grown alone.
+    depth-first from its own stack.  Each step pops the next node of the
+    trees whose turn it is, taken in rotation until the next node would
+    overflow `_STEP_CELLS`: one `split.scan` scores the step's splittable
+    nodes as segments of one block.  Tree b's row r has id b * n + r, so the
+    trees' statistics are stacked while x is shared.  A tree's nodes are
+    numbered and its `mtry` draws taken in its own preorder, as if it were
+    grown alone.
     """
     n, n_features = x.shape
     msl = float(params.min_samples_leaf)
     score = partial(_gini_gains, msl=msl)
     num = np.flatnonzero(~is_cat)
     cat = np.flatnonzero(is_cat)
-    row = np.tile(np.arange(n), len(trees))
-    w = np.concatenate([weights for _, weights in trees])
-    wy = w * np.tile(y, len(trees))
-    stacks = [[(np.flatnonzero(weights > 0) + b * n, 0, LEAF, False)] for b, (_, weights) in enumerate(trees)]
-    n_nodes = np.zeros(len(trees), dtype=np.int64)
+    row = np.tile(np.arange(n), len(rngs))
+    w = weights.ravel()
+    wy = (weights * y).ravel()
+    stacks = [[(np.flatnonzero(weights[b]) + b * n, 0, LEAF, False)] for b in range(len(rngs))]
+    n_nodes = np.zeros(len(rngs), dtype=np.int64)
     steps = []
-    active = list(range(len(trees)))
-    while active:
+    width = max(1, min(mtry, num.size))  # sorted lines per node row, at most
+    queue = list(range(len(rngs)))  # trees with pending nodes, in turn
+    while queue:
+        take = cells = 0
+        for b in queue:
+            cells += stacks[b][-1][0].size * width
+            if take and cells > _STEP_CELLS:
+                break
+            take += 1
+        active, queue = queue[:take], queue[take:]
         rows, depth, parent, is_left = zip(*[stacks[b].pop() for b in active])
         tree = np.array(active)
         sizes = np.array([r.size for r in rows])
@@ -207,7 +224,7 @@ def _grow_batch(x, y, is_cat, rank, params: ForestParams, mtry, trees) -> list[T
             starts = np.cumsum(sizes) - sizes
             lines, drawn = num, None
             if mtry < n_features:
-                feats = np.sort([trees[b][0].choice(n_features, size=mtry, replace=False) for b in tree[seg]], axis=1)
+                feats = np.sort([rngs[b].choice(n_features, size=mtry, replace=False) for b in tree[seg]], axis=1)
                 drawn = np.zeros((n_features, seg.size), dtype=bool)
                 drawn[feats.T, np.arange(seg.size)] = True
                 # each segment's drawn numeric features, ascending, padded
@@ -248,7 +265,7 @@ def _grow_batch(x, y, is_cat, rank, params: ForestParams, mtry, trees) -> list[T
                 # right pushed first so the left child is built (and numbered) first
                 stacks[b].append((part[~left], child, n_nodes[b] - 1, False))
                 stacks[b].append((part[left], child, n_nodes[b] - 1, True))
-        active = [b for b in active if stacks[b]]
+        queue += [b for b in active if stacks[b]]
     return _collect_trees(steps, n_nodes, is_cat)
 
 
@@ -302,7 +319,7 @@ def fit_forest(ds: Dataset, params: ForestParams | None = None, seed: int = 0) -
 
     Each numeric column is sorted once, stably; a row's rank in that order
     sorts every node of every tree.  Trees are grown in lockstep, in
-    consecutive batches of at most `_BATCH_CELLS` cells.
+    consecutive batches of at most `_BATCH_ROWS` rows or else eight trees.
     """
     params = params or ForestParams()
     if ds.labels is None:
@@ -317,20 +334,17 @@ def fit_forest(ds: Dataset, params: ForestParams | None = None, seed: int = 0) -
     mtry = max(1, min(mtry, n_features))
     num = np.flatnonzero(~is_cat)
     rank = np.zeros((n_features, n), dtype=np.int32)
-    rank[num[:, None], np.argsort(x[:, num], axis=0, kind="stable").T] = np.arange(n)
-    per_batch = max(1, _BATCH_CELLS // (n * max(1, min(mtry, num.size))))
+    for j in num.tolist():  # column by column: a whole-table argsort would double x
+        rank[j, np.argsort(x[:, j], kind="stable")] = np.arange(n)
+    per_batch = max(8, _BATCH_ROWS // n)
     trees = []
     for first in range(0, params.n_trees, per_batch):
-        batch = []
-        for t in range(first, min(first + per_batch, params.n_trees)):
-            rng = make_rng(seed, "tree", t)
-            if params.bootstrap:
-                draw = rng.integers(0, n, size=n)
-                weights = np.bincount(draw, minlength=n).astype(np.float64)
-            else:
-                weights = np.ones(n, dtype=np.float64)
-            batch.append((rng, weights))
-        trees += _grow_batch(x, y, is_cat, rank, params, mtry, batch)
+        rngs = [make_rng(seed, "tree", t) for t in range(first, min(first + per_batch, params.n_trees))]
+        weights = np.ones((len(rngs), n))
+        if params.bootstrap:
+            for rng, counts in zip(rngs, weights):
+                counts[:] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        trees += _grow_batch(x, y, is_cat, rank, params, mtry, rngs, weights)
     return ForestModel(
         trees=trees,
         params=params,

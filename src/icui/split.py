@@ -1,8 +1,8 @@
 """Exact greedy split search shared by the forest and boosting.
 
 The search scores a *block*: boosting's nodes of one tree depth, or the
-forest's next node of every tree, laid side by side as segments of an int
-array of row ids, never padded.  Line 0 of the block holds each segment's
+forest's next node of several trees, laid side by side as segments of an
+int array of row ids, never padded.  Line 0 of the block holds each segment's
 rows in ascending order; line 1 + j holds the same rows stably sorted by
 numeric feature `num[j]`, one feature shared by every segment, or `num[j, s]`
 in segment s when each node draws its own features.  Two per-row statistics,

@@ -1,8 +1,9 @@
 """The lockstep forest grower against the one-tree oracle it replaced.
 
-`fit_forest` grows all trees of a batch together, one node of every tree per
-step.  Every array of every tree must equal, with np.array_equal, the tree
-tests/forest_oracle.py grows alone from the same stream (seed, "tree", t).
+`fit_forest` grows all trees of a batch together, one node of each of
+several trees per step.  Every array of every tree must equal, with
+np.array_equal, the tree tests/forest_oracle.py grows alone from the same
+stream (seed, "tree", t).
 """
 
 from __future__ import annotations
@@ -106,11 +107,24 @@ def test_constant_column_never_splits():
     assert not any((t.feature == 2).any() for t in trees)  # column "c"
 
 
-@pytest.mark.parametrize("cells", [1, 3 * 140 * 2])
-def test_more_trees_than_one_batch_holds(monkeypatch, cells):
-    """A cap of one cell fits one tree per batch; the other holds three trees of mtry 2."""
-    monkeypatch.setattr(forest, "_BATCH_CELLS", cells)
-    _assert_same_forest(_table(), ForestParams(n_trees=7, mtry=2, min_samples_leaf=1), 6)
+@pytest.mark.parametrize("step_cells", [1, 300, 1 << 14])
+def test_batches_and_steps_of_any_size(monkeypatch, step_cells):
+    """Eleven trees in batches of eight and three; steps of one node, of a few, or of every tree's."""
+    monkeypatch.setattr(forest, "_BATCH_ROWS", 1)
+    monkeypatch.setattr(forest, "_STEP_CELLS", step_cells)
+    scan = split.scan
+    segments = []
+
+    def recording_scan(x, block, starts, *args, **kwargs):
+        segments.append(starts.size)
+        return scan(x, block, starts, *args, **kwargs)
+
+    monkeypatch.setattr(split, "scan", recording_scan)
+    _assert_same_forest(_table(), ForestParams(n_trees=11, mtry=2, min_samples_leaf=1), 6)
+    if step_cells == 1:
+        assert max(segments) == 1
+    else:
+        assert 1 < max(segments) <= 8
 
 
 def test_all_categorical_and_single_row_tables():
