@@ -373,5 +373,6 @@ def attribution_to_csv(attr: AttributionMatrix, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["row_id", "base_value"] + list(attr.feature_names))
-        for i in range(attr.phi.shape[0]):
-            writer.writerow([i, repr(attr.base_value)] + [repr(float(v)) for v in attr.phi[i]])
+        base = repr(attr.base_value)
+        for i, row in enumerate(attr.phi):
+            writer.writerow([i, base, *map(repr, row.tolist())])

@@ -207,12 +207,10 @@ def _write_importance_csv(path: str, profiles: list) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["feature"] + [f"fold{i + 1}" for i in range(k)] + ["mean"])
-        for i in order:
-            cells = [names[i]]
-            for p in profiles:
-                cells.append("" if p is None else repr(float(p.scores[i])))
-            cells.append(repr(float(mean[i])))
-            writer.writerow(cells)
+        cols = [[""] * len(names) if p is None else list(map(repr, p.scores.tolist())) for p in profiles]
+        cols.append(list(map(repr, mean.tolist())))
+        for i in order.tolist():
+            writer.writerow([names[i], *(c[i] for c in cols)])
 
 
 def _write_heatmap_csv(path: str, table: HeatmapTable) -> None:
@@ -220,7 +218,7 @@ def _write_heatmap_csv(path: str, table: HeatmapTable) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["feature"] + list(table.column_labels))
         for name, row in zip(table.feature_names, table.cells):
-            writer.writerow([name] + [repr(float(v)) for v in row])
+            writer.writerow([name, *map(repr, row.tolist())])
 
 
 def _read_heatmap_csv(path: str) -> HeatmapTable:

@@ -96,7 +96,7 @@ def kmeans_1d(
         raise ValidationError("values must be finite")
     if k < 1:
         raise ValidationError("k must be >= 1")
-    n_distinct = np.unique(values).size
+    n_distinct = int(np.count_nonzero(np.diff(np.sort(values)))) + 1  # np.unique would import numpy.ma
     if k > n_distinct:
         warnings.warn(
             f"k={k} exceeds {n_distinct} distinct values; reducing k to {n_distinct}",

@@ -185,11 +185,30 @@ def _parse_label_cell(cell: str, row: int, name: str) -> int:
     return int(val)
 
 
-def _is_finite_float(cell: str) -> bool:
+def _float_cells(cells, missing: np.ndarray) -> np.ndarray | None:
+    """`cells` as float64, NaN where missing; None unless every other cell is a finite float.
+
+    np.array parses each str with float(), so '1_0' and ' 1.5 ' are numbers
+    here as they are to float().
+    """
     try:
-        return math.isfinite(float(cell))
+        col = np.array([c or "nan" for c in cells], dtype=np.float64)
     except ValueError:
-        return False
+        return None
+    return col if np.isfinite(col[~missing]).all() else None
+
+
+def _raise_bad_cell(path: str, name: str, cells) -> None:
+    """Raise the ParseError naming the first cell of `cells` that is not a finite float."""
+    for i, c in enumerate(cells):
+        if c == "":
+            continue
+        try:
+            val = float(c)
+        except ValueError:
+            raise ParseError(f"{path}: row {i + 1}: column {name!r}: {c!r} is not numeric") from None
+        if not math.isfinite(val):
+            raise ParseError(f"{path}: row {i + 1}: column {name!r}: non-finite value {c!r}")
 
 
 def load_csv(
@@ -223,7 +242,7 @@ def load_csv(
     if len(set(header)) != len(header):
         raise ValidationError(f"{path}: duplicate column names in header")
     n = len(rows)
-    raw = {name: [rec[j] for rec in rows] for j, name in enumerate(header)}
+    raw = dict(zip(header, list(zip(*rows)) or [()] * len(header)))
 
     if schema is not None:
         spec_by_name = {c.name: c for c in schema}
@@ -258,21 +277,15 @@ def load_csv(
                 continue
             kind = spec.kind
         else:
-            kind = NUMERIC if all(c == "" or _is_finite_float(c) for c in cells) else CATEGORICAL
+            kind = None  # numeric iff every present cell is a finite float
 
         mask = np.array([c == "" for c in cells], dtype=bool)
+        col = None if kind == CATEGORICAL else _float_cells(cells, mask)
+        if kind is None:
+            kind = CATEGORICAL if col is None else NUMERIC
         if kind == NUMERIC:
-            col = np.full(n, np.nan, dtype=np.float64)
-            for i, c in enumerate(cells):
-                if c == "":
-                    continue
-                try:
-                    val = float(c)
-                except ValueError:
-                    raise ParseError(f"{path}: row {i + 1}: column {name!r}: {c!r} is not numeric") from None
-                if not math.isfinite(val):
-                    raise ParseError(f"{path}: row {i + 1}: column {name!r}: non-finite value {c!r}")
-                col[i] = val
+            if col is None:
+                _raise_bad_cell(path, name, cells)
         else:
             levels = sorted({c for c in cells if c != ""})
             code_of = {s: j for j, s in enumerate(levels)}

@@ -170,11 +170,15 @@ def _grow_batch(x, y, is_cat, rank, params: ForestParams, mtry, rngs, weights) -
     """One CART tree per rng of `rngs` and row of `weights`, all grown together.
 
     `weights` are per-row counts (bootstrap duplicates).  Every tree grows
-    depth-first from its own stack.  Each step pops the next node of the
-    trees whose turn it is, taken in rotation until the next node would
-    overflow `_STEP_CELLS`: one `split.scan` scores the step's splittable
-    nodes as segments of one block.  Tree b's row r has id b * n + r, so the
-    trees' statistics are stacked while x is shared.  A tree's nodes are
+    depth-first from its own stack.  Each step takes the trees whose turn it
+    is, in rotation: from each it pops the leading leaves, which are only
+    recorded, together with its next splittable node, until that node would
+    overflow `_STEP_CELLS`.  One `split.scan` scores the step's splittable
+    nodes as segments of one block, so a step scans at most one node of a
+    tree.  A node's weight and positive weight are known when it is pushed
+    (integer counts: a child's are its parent's less its sibling's, exact),
+    and with them whether it is a leaf.  Tree b's row r has id b * n + r, so
+    the trees' statistics are stacked while x is shared.  A tree's nodes are
     numbered and its `mtry` draws taken in its own preorder, as if it were
     grown alone.
     """
@@ -184,47 +188,62 @@ def _grow_batch(x, y, is_cat, rank, params: ForestParams, mtry, rngs, weights) -
     num = np.flatnonzero(~is_cat)
     cat = np.flatnonzero(is_cat)
     row = np.tile(np.arange(n), len(rngs))
-    w = weights.ravel()
-    wy = (weights * y).ravel()
-    stacks = [[(np.flatnonzero(weights[b]) + b * n, 0, LEAF, False)] for b in range(len(rngs))]
-    n_nodes = np.zeros(len(rngs), dtype=np.int64)
+    wy = weights * y
+
+    def splittable(nw, pos, depth):
+        ok = (pos != 0.0) & (pos != nw) & ~(nw < 2 * msl)
+        return ok & (depth < params.max_depth) if params.max_depth is not None else ok
+
+    # a stack entry: (rows, weight, positive weight, depth, parent id, is left, splittable)
+    root_n, root_pos = weights.sum(axis=1), wy.sum(axis=1)
+    root_ok = splittable(root_n, root_pos, 0)
+    w, wy = weights.ravel(), wy.ravel()
+    stacks = [
+        [(np.flatnonzero(weights[b]) + b * n, root_n[b], root_pos[b], 0, LEAF, False, root_ok[b])]
+        for b in range(len(rngs))
+    ]
+    n_nodes = [0] * len(rngs)
     steps = []
     width = max(1, min(mtry, num.size))  # sorted lines per node row, at most
     queue = list(range(len(rngs)))  # trees with pending nodes, in turn
     while queue:
+        popped, trees, ids, scanned = [], [], [], []
         take = cells = 0
         for b in queue:
-            cells += stacks[b][-1][0].size * width
-            if take and cells > _STEP_CELLS:
-                break
+            stack = stacks[b]
+            while stack and not stack[-1][-1]:
+                popped.append(stack.pop())
+                trees.append(b)
+                ids.append(n_nodes[b])
+                n_nodes[b] += 1
+            if stack:
+                cells += stack[-1][0].size * width
+                if scanned and cells > _STEP_CELLS:
+                    break
+                scanned.append(len(popped))
+                popped.append(stack.pop())
+                trees.append(b)
+                ids.append(n_nodes[b])
+                n_nodes[b] += 1
             take += 1
         active, queue = queue[:take], queue[take:]
-        rows, depth, parent, is_left = zip(*[stacks[b].pop() for b in active])
-        tree = np.array(active)
-        sizes = np.array([r.size for r in rows])
-        line = np.concatenate(rows)
-        starts = np.cumsum(sizes) - sizes
-        nw = np.add.reduceat(w[line], starts)  # integer counts: exact in any order
-        pos = np.add.reduceat(wy[line], starts)
+        rows, nw, pos, depth, parent, is_left, _ = zip(*popped)
+        nw, pos = np.array(nw), np.array(pos)
         node = {
-            "tree": tree, "id": n_nodes[tree], "parent": np.array(parent), "is_left": np.array(is_left),
-            "n": nw, "pos": pos, "feature": np.full(tree.size, LEAF), "threshold": np.zeros(tree.size),
-            "gain": np.zeros(tree.size),
+            "tree": np.array(trees), "id": np.array(ids), "parent": np.array(parent),
+            "is_left": np.array(is_left), "n": nw, "pos": pos, "feature": np.full(len(popped), LEAF),
+            "threshold": np.zeros(len(popped)), "gain": np.zeros(len(popped)),
         }
         steps.append(node)
-        n_nodes[tree] += 1
-        depth = np.array(depth)
-        ok = (pos != 0.0) & (pos != nw) & ~(nw < 2 * msl)
-        if params.max_depth is not None:
-            ok &= depth < params.max_depth
-        seg = np.flatnonzero(ok)
-        if seg.size:
-            keep = ok.repeat(sizes)
-            line, sizes = line[keep], sizes[seg]
+        if scanned:
+            seg = np.array(scanned)
+            tree = node["tree"][seg]
+            sizes = np.array([rows[i].size for i in scanned])
+            line = np.concatenate([rows[i] for i in scanned])
             starts = np.cumsum(sizes) - sizes
             lines, drawn = num, None
             if mtry < n_features:
-                feats = np.sort([rngs[b].choice(n_features, size=mtry, replace=False) for b in tree[seg]], axis=1)
+                feats = np.sort([rngs[b].choice(n_features, size=mtry, replace=False) for b in tree], axis=1)
                 drawn = np.zeros((n_features, seg.size), dtype=bool)
                 drawn[feats.T, np.arange(seg.size)] = True
                 # each segment's drawn numeric features, ascending, padded
@@ -247,26 +266,29 @@ def _grow_batch(x, y, is_cat, rank, params: ForestParams, mtry, rngs, weights) -
             go_left = np.where(is_cat[fr], vals == thr.repeat(sizes), vals <= thr.repeat(sizes))
             p_l = np.add.reduceat(np.where(go_left, wy[line], 0.0), starts)
             n_l = np.add.reduceat(np.where(go_left, w[line], 0.0), starts)
+            n_r, p_r = nn - n_l, pp - p_l
             # Recompute the stored gain in `impurity_decrease`'s arithmetic; the
             # scanner mirrors it, so the two agree bit-for-bit on integer counts.
             with np.errstate(divide="ignore", invalid="ignore"):
-                gain = _split_gain(n_l - p_l, p_l, (nn - pp) - (n_l - p_l), pp - p_l)
+                gain = _split_gain(n_l - p_l, p_l, n_r - p_r, p_r)
             split_ok = (best > 0.0) & (gain > 0.0)
             at = seg[split_ok]
             node["feature"][at] = f[split_ok]
             node["threshold"][at] = thr[split_ok]
             node["gain"][at] = gain[split_ok]
+            child = np.array(depth)[seg] + 1
+            ok_l = splittable(n_l, p_l, child).tolist()
+            ok_r = splittable(n_r, p_r, child).tolist()
             ends = starts + sizes
             for i in np.flatnonzero(split_ok).tolist():
-                b = active[seg[i]]
-                child = depth[seg[i]] + 1
+                b, d, pid = trees[scanned[i]], depth[scanned[i]] + 1, ids[scanned[i]]
                 part = line[starts[i] : ends[i]]
                 left = go_left[starts[i] : ends[i]]
                 # right pushed first so the left child is built (and numbered) first
-                stacks[b].append((part[~left], child, n_nodes[b] - 1, False))
-                stacks[b].append((part[left], child, n_nodes[b] - 1, True))
+                stacks[b].append((part[~left], n_r[i], p_r[i], d, pid, False, ok_r[i]))
+                stacks[b].append((part[left], n_l[i], p_l[i], d, pid, True, ok_l[i]))
         queue += [b for b in active if stacks[b]]
-    return _collect_trees(steps, n_nodes, is_cat)
+    return _collect_trees(steps, np.array(n_nodes), is_cat)
 
 
 def _step_block(line, sizes, lines, rank, row):

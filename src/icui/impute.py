@@ -201,7 +201,7 @@ def _predictor_jobs(
         predictor = _Predictor(feature_names=feature_names, fallbacks=fallbacks, target_kind=NUMERIC)
         return predictor, [(x, y, seed)], kinds, OBJECTIVE_SQUARED
 
-    codes = np.unique(y.astype(np.int64))
+    codes = np.flatnonzero(np.bincount(y.astype(np.int64)))  # the distinct codes, as np.unique
     classifiers: list[tuple[int, BoostedModel | float | None]] = []
     jobs = []
     n = y.size

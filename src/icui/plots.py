@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
+
 from .cluster import HeatmapTable
 from .errors import ValidationError
 from .evaluate import CvSummary
@@ -133,13 +135,6 @@ def pr_svg(summary: CvSummary) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _heat_color(t: float) -> str:
-    r = int(round(255 + t * (HEAT_HIGH[0] - 255)))
-    g = int(round(255 + t * (HEAT_HIGH[1] - 255)))
-    b = int(round(255 + t * (HEAT_HIGH[2] - 255)))
-    return f"rgb({r},{g},{b})"
-
-
 def _fold_spans(labels: list[str]) -> list[tuple[str, int, int]]:
     """Contiguous (prefix, start, end) spans of fold-major column labels."""
     spans = []
@@ -156,12 +151,18 @@ def heatmap_svg(table: HeatmapTable, title: str = "Cluster importance") -> str:
     n_rows, n_cols = table.cells.shape
     if n_rows == 0 or n_cols == 0:
         raise ValidationError("empty heatmap table")
+    if not np.isfinite(table.cells).all():
+        raise ValidationError("heatmap cells must be finite")
     left = min(160, max(70, 8 + 6 * max(len(n) for n in table.feature_names)))
     top, right, bottom = 44, 10, 10
     width = left + n_cols * CELL_W + right
     height = top + n_rows * CELL_H + bottom
     vmax = float(table.cells.max())
     scale = vmax if vmax > 0 else 1.0
+    # each channel runs from white at 0 to HEAT_HIGH at vmax; np.rint rounds
+    # half to even, as round() does
+    ramp = np.array(HEAT_HIGH) - 255
+    rgb = np.rint(255 + (table.cells.astype(np.float64) / scale)[:, :, None] * ramp).astype(np.int64)
 
     parts = _head(width, height)
     parts.append(f'<text x="{left}" y="18" font-size="13" fill="#111111">{title}</text>')
@@ -184,13 +185,12 @@ def heatmap_svg(table: HeatmapTable, title: str = "Cluster importance") -> str:
                 'stroke="#999999" stroke-width="1"/>'
             )
     for i in range(n_rows):
-        for j in range(n_cols):
-            v = float(table.cells[i, j])
-            parts.append(
-                f'<rect class="cell" x="{left + j * CELL_W}" y="{top + i * CELL_H}" '
-                f'width="{CELL_W}" height="{CELL_H}" fill="{_heat_color(v / scale)}" '
-                'stroke="#dddddd" stroke-width="0.5"/>'
-            )
+        y = top + i * CELL_H
+        parts += [
+            f'<rect class="cell" x="{left + j * CELL_W}" y="{y}" width="{CELL_W}" height="{CELL_H}" '
+            f'fill="rgb({r},{g},{b})" stroke="#dddddd" stroke-width="0.5"/>'
+            for j, (r, g, b) in enumerate(rgb[i].tolist())
+        ]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

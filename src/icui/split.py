@@ -113,7 +113,7 @@ def scan(x, block, starts, num, cat, s1, s2, parent, score, row=None):
     np.take(s2, block[1:], out=numeric[1], mode="clip")
     for a, b in zip(starts.tolist(), ends.tolist()):
         numeric[:2, :, a:b].cumsum(axis=2, out=numeric[:2, :, a:b])
-    np.take(numeric[:2], last.repeat(sizes), axis=2, out=numeric[2:4], mode="clip")
+    numeric[2:4] = numeric[:2, :, last].repeat(sizes, axis=2)  # each segment's totals
     numeric[4] = parent.repeat(sizes)
     group_starts = (np.arange(0, n_num, width)[:, None] + starts).ravel()
     group_sizes = sizes[None].repeat(n_lines, axis=0).ravel()

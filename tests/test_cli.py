@@ -131,7 +131,7 @@ def test_every_output_table_reparses(tmp_path, synth_csv):
         assert ds.n_rows >= 0
 
 
-def test_run_all_deterministic_across_thread_counts(tmp_path, synth_csv):
+def test_run_all_deterministic_across_runs(tmp_path, synth_csv):
     # two runs of one config give the same bytes (trees are fitted in one thread)
     cfg = _write_cfg(tmp_path)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

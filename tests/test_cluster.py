@@ -131,6 +131,19 @@ def test_k_reduced_to_distinct_count_with_warning():
     assert np.bincount(model.assignment, minlength=2).min() >= 1
 
 
+@pytest.mark.parametrize(
+    "values",
+    [[0.0, -0.0, 1.0], [-0.0, -0.0], [3.0, 1.0, 3.0, 2.0, 1.0], [-0.0, 0.0, 2.5, -0.0, 2.5, 7.0],
+     (np.random.default_rng(3).integers(-4, 5, 60) * 0.5).tolist()],
+)
+def test_distinct_count_matches_np_unique(values):
+    """Ties and -0.0/0.0 count as np.unique counts them."""
+    n = np.unique(values).size
+    with pytest.warns(UserWarning, match=f"exceeds {n} distinct values"):
+        model = kmeans_1d(values, n + 1)
+    assert model.k == n
+
+
 def test_k_equals_one_yields_mean_centroid():
     values = np.array([1.0, 2.0, 3.0, 6.0])
     model = kmeans_1d(values, 1, seed=0)

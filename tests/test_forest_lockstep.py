@@ -1,7 +1,7 @@
 """The lockstep forest grower against the one-tree oracle it replaced.
 
-`fit_forest` grows all trees of a batch together, one node of each of
-several trees per step.  Every array of every tree must equal, with
+`fit_forest` grows all trees of a batch together, one splittable node of
+each of several trees per step.  Every array of every tree must equal, with
 np.array_equal, the tree tests/forest_oracle.py grows alone from the same
 stream (seed, "tree", t).
 """
@@ -125,6 +125,38 @@ def test_batches_and_steps_of_any_size(monkeypatch, step_cells):
         assert max(segments) == 1
     else:
         assert 1 < max(segments) <= 8
+
+
+@pytest.mark.parametrize(
+    "params",
+    [ForestParams(n_trees=9, min_samples_leaf=2), ForestParams(n_trees=9, mtry=6, min_samples_leaf=5)],
+    ids=["msl2", "mtry-all-msl5"],
+)
+def test_each_step_scans_the_next_splittable_node_of_every_tree(monkeypatch, params):
+    """A step pops each tree's leading leaves together with its next splittable node.
+
+    With one batch and no step cap, every step scans one node of each tree
+    that has one left, so the fit takes as many scans as its largest
+    per-tree count of scanned nodes.
+    """
+    monkeypatch.setattr(forest, "_STEP_CELLS", 1 << 62)
+    ds = _table()
+    scan = split.scan
+    per_call = []
+
+    def recording_scan(x, block, starts, *args, row=None, **kwargs):
+        per_call.append((block[0, starts] // ds.n_rows).tolist())  # each segment's tree
+        return scan(x, block, starts, *args, row=row, **kwargs)
+
+    monkeypatch.setattr(split, "scan", recording_scan)
+    trees = _assert_same_forest(ds, params, 4)
+    msl = params.min_samples_leaf
+    # the grower's stop tests: both classes present and room for two children
+    scanned = [int(((t.class_counts > 0).all(axis=1) & (t.n_samples >= 2 * msl)).sum()) for t in trees]
+    assert sum(t.n_nodes for t in trees) > sum(scanned)  # there are leaves to chain
+    assert all(len(set(trees_of_call)) == len(trees_of_call) for trees_of_call in per_call)
+    assert np.bincount(np.concatenate(per_call), minlength=len(trees)).tolist() == scanned
+    assert len(per_call) == max(scanned)
 
 
 def test_all_categorical_and_single_row_tables():

@@ -8,6 +8,7 @@ from icui.boost import BoostParams, predict_margin
 from icui.errors import ValidationError
 from icui.impute import (
     ImputeParams,
+    _predictor_jobs,
     derive_groups,
     fit_algorithm0,
     fit_algorithm1,
@@ -192,6 +193,21 @@ def test_categorical_imputation_returns_valid_codes():
     assert filled.min() >= 0 and filled.max() <= 2
     # the signal is sharp; most filled codes should match the generating rule
     assert (filled == codes[cmask]).mean() > 0.7
+
+
+def test_one_vs_rest_classifiers_cover_the_distinct_observed_codes():
+    """A categorical target's codes, with ties and gaps, as np.unique lists them."""
+    codes = np.array([3, 0, 3, 5, 0, 5, 5, 3, 1] * 6)
+    gap = np.zeros(codes.size, dtype=bool)
+    gap[codes == 1] = True  # code 1 is never observed
+    ds = build_dataset(
+        numeric={"a": np.arange(codes.size, dtype=np.float64)},
+        categorical={"g": (codes, list("pqrstu"))},
+        missing={"g": gap},
+    )
+    predictor, jobs, _, _ = _predictor_jobs(ds, "g", ["a"], seed=0)
+    assert [c for c, _ in predictor.classifiers] == np.unique(codes[~gap]).tolist() == [0, 3, 5]
+    assert len(jobs) == 3
 
 
 # ------------------------------------------------------------------- selection

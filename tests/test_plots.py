@@ -6,7 +6,7 @@ import pytest
 from icui.cluster import HeatmapTable
 from icui.errors import ValidationError
 from icui.evaluate import CvSummary, FoldMetrics, ModelSpec, run_cv
-from icui.plots import emit_plots, heatmap_svg, pr_svg, roc_svg
+from icui.plots import HEAT_HIGH, emit_plots, heatmap_svg, pr_svg, roc_svg
 from icui.forest import ForestParams
 from icui.synth import SynthSpec, generate
 
@@ -144,6 +144,26 @@ def test_heatmap_color_ramp_endpoints():
     fills = [c.get("fill") for c in cells]
     assert fills.count("rgb(255,255,255)") == 6  # zero cells stay white
     assert "rgb(8,48,107)" in fills  # the max cell hits the ramp end
+
+
+def test_heatmap_channels_round_half_to_even_like_round():
+    """Each channel is round(255 + t * (high - 255)) with t = cell / max."""
+    t = [1.0, 0.0, 0.125, 0.5, 0.625, 0.3]
+    table = HeatmapTable(feature_names=["a"], column_labels=[f"fold1_rank{j + 1}" for j in range(6)],
+                         cells=np.array([t]))
+    fills = [c.get("fill") for c in _elements(heatmap_svg(table), "rect", "cell")]
+    want = ["rgb({},{},{})".format(*(round(255 + v * (h - 255)) for h in HEAT_HIGH)) for v in t]
+    assert fills == want
+    assert fills[:2] == ["rgb(8,48,107)", "rgb(255,255,255)"]  # t = 1, t = 0
+    assert 255 + 0.125 * (HEAT_HIGH[2] - 255) == 236.5 and fills[2].endswith(",236)")  # half to even
+    assert 255 + 0.5 * (HEAT_HIGH[0] - 255) == 131.5 and fills[3].startswith("rgb(132,")
+
+
+def test_heatmap_rejects_non_finite_cells():
+    table = _table()
+    table.cells[0, 1] = np.nan
+    with pytest.raises(ValidationError, match="finite"):
+        heatmap_svg(table)
 
 
 def test_heatmap_rows_follow_feature_order():
