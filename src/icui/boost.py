@@ -26,10 +26,16 @@ from . import split
 from .data import Dataset, design_matrix
 from .errors import ValidationError
 from .rng import make_rng
-from .trees import LEAF, Tree, _check_matrix, predict_value, tree_to_dict
-
-MODEL_FORMAT = "icui-model"
-MODEL_VERSION = 1
+from .trees import (
+    LEAF,
+    MODEL_FORMAT,
+    MODEL_VERSION,
+    Tree,
+    _check_matrix,
+    predict_value,
+    preorder_trees,
+    tree_to_dict,
+)
 
 OBJECTIVE_LOGISTIC = "logistic"
 OBJECTIVE_SQUARED = "squared"
@@ -224,7 +230,7 @@ def _grow_round(x, g, h, is_cat, params: BoostParams, block, starts, allowed):
             threshold[splits] = thresholds[f, np.arange(n_seg)][splits]
             gain[splits] = best[splits]
         levels.append({
-            "job": seg_job, "parent": seg_parent, "left": seg_left, "n": (ends - starts).astype(np.float64),
+            "job": seg_job, "parent": seg_parent, "is_left": seg_left, "n_samples": (ends - starts).astype(np.float64),
             "value": -gs / denom, "feature": feature, "threshold": threshold, "gain": gain,
             "categorical": splits & is_cat[feature],
         })
@@ -250,50 +256,20 @@ def _grow_round(x, g, h, is_cat, params: BoostParams, block, starts, allowed):
         seg_parent = np.concatenate([ids[sp], ids[sp]])
         seg_left = np.repeat([True, False], sp.size)
     nodes = {k: np.concatenate([lv[k] for lv in levels]) for k in levels[0]}
-    trees = _preorder_trees(nodes, [lv["job"].size for lv in levels], n_jobs)
+    job, parent, is_left = nodes.pop("job"), nodes.pop("parent"), nodes.pop("is_left")
+    bounds = np.cumsum([0] + [lv["job"].size for lv in levels]).tolist()
+    below_roots = list(zip(bounds[1:-1], bounds[2:]))  # each level's span of node ids
+    size = np.ones(job.size, dtype=np.int64)  # subtree sizes, deepest level first
+    for a, b in reversed(below_roots):
+        np.add.at(size, parent[a:b], size[a:b])
+    pre = np.zeros(job.size, dtype=np.int64)  # preorder id within the job's tree
+    for a, b in below_roots:
+        p = parent[a:b]
+        # a right child comes after its parent and its left sibling's subtree
+        pre[a:b] = np.where(is_left[a:b], pre[p] + 1, pre[p] + size[p] - size[a:b])
+    pre_parent = np.where(parent == LEAF, LEAF, pre[parent])
+    trees = preorder_trees(job, pre, pre_parent, is_left, size[:n_jobs], nodes)
     return trees, nodes["value"][leaf]
-
-
-def _preorder_trees(nodes, level_sizes, n_jobs):
-    """Split the level-ordered nodes of all jobs into one preorder Tree per job."""
-    parent = nodes["parent"]
-    is_left = nodes["left"]
-    total = parent.size
-    child = np.flatnonzero(parent >= 0)
-    left = np.full(total, LEAF)
-    right = np.full(total, LEAF)
-    left[parent[child[is_left[child]]]] = child[is_left[child]]
-    right[parent[child[~is_left[child]]]] = child[~is_left[child]]
-    bounds = np.cumsum([0] + level_sizes)
-    size = np.ones(total, dtype=np.int64)  # subtree sizes, deepest level first
-    for a, b in reversed(list(zip(bounds[:-1], bounds[1:]))):
-        inner = a + np.flatnonzero(left[a:b] >= 0)
-        size[inner] += size[left[inner]] + size[right[inner]]
-    pos = np.zeros(total, dtype=np.int64)  # preorder index within the job's tree
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        inner = a + np.flatnonzero(left[a:b] >= 0)
-        pos[left[inner]] = pos[inner] + 1
-        pos[right[inner]] = pos[inner] + 1 + size[left[inner]]
-    roots = np.arange(n_jobs)
-    offset = np.cumsum(size[roots]) - size[roots]
-    slot = np.empty(total, dtype=np.int64)
-    slot[offset[nodes["job"]] + pos] = np.arange(total)
-    pre = np.append(pos, LEAF)  # pre[LEAF] is LEAF
-    fields = {
-        "feature": nodes["feature"],
-        "threshold": nodes["threshold"],
-        "categorical": nodes["categorical"],
-        "left": pre[left],
-        "right": pre[right],
-        "n_samples": nodes["n"],
-        "value": nodes["value"],
-        "gain": nodes["gain"],
-    }
-    fields = {k: v[slot] for k, v in fields.items()}
-    return [
-        Tree(**{k: v[o : o + size[j]] for k, v in fields.items()})
-        for j, o in enumerate(offset.tolist())
-    ]
 
 
 # Numeric cells (rows x numeric columns) a batch of jobs may hold.  Jobs are

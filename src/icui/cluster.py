@@ -17,6 +17,11 @@ from .errors import ValidationError
 from .forest import ImportanceProfile
 from .rng import make_rng
 
+# Lloyd iterations stop when the assignment repeats, when no centroid moves by
+# KMEANS_TOL or more, or after KMEANS_MAX_ITER iterations.
+KMEANS_TOL = 1e-10
+KMEANS_MAX_ITER = 300
+
 
 @dataclass
 class ClusterModel:
@@ -75,13 +80,7 @@ def _repair_empty(values, centroids, assign, k):
         centroids[target] = values[src]
 
 
-def kmeans_1d(
-    values,
-    k: int,
-    seed: int = 0,
-    tol: float = 1e-10,
-    max_iter: int = 300,
-) -> ClusterModel:
+def kmeans_1d(values, k: int, seed: int = 0) -> ClusterModel:
     """Seeded k-means++ then Lloyd iterations on a 1-D array.
 
     If the array has fewer than k distinct values, k is reduced to the
@@ -121,7 +120,7 @@ def kmeans_1d(
     _repair_empty(values, centroids, assign, k)
     history: list[float] = []
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         iterations += 1
         prev_centroids = centroids.copy()
         sums = np.bincount(assign, weights=values, minlength=k)
@@ -132,7 +131,7 @@ def kmeans_1d(
         history.append(float(((values - centroids[new_assign]) ** 2).sum()))
         converged = bool((new_assign == assign).all())
         assign = new_assign
-        if converged or float(np.abs(centroids - prev_centroids).max()) < tol:
+        if converged or float(np.abs(centroids - prev_centroids).max()) < KMEANS_TOL:
             break
     return ClusterModel(
         centroids=centroids,

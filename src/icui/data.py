@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,11 +23,6 @@ from .rng import make_rng
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
-
-ROLE_FEATURE = "feature"
-ROLE_LABEL = "label"
-ROLE_EXCLUDED = "excluded"
-ROLE_IDENTIFIER = "identifier"
 
 DEFAULT_LABEL_COLUMN = "icu_death"
 
@@ -41,7 +35,6 @@ LEAKAGE_COLUMNS = ("patientunitstayid", "encounter_id", "hospital_death", "parti
 class ColumnSpec:
     name: str
     kind: str  # NUMERIC or CATEGORICAL
-    role: str = ROLE_FEATURE
 
 
 @dataclass
@@ -198,32 +191,13 @@ def _float_cells(cells, missing: np.ndarray) -> np.ndarray | None:
     return col if np.isfinite(col[~missing]).all() else None
 
 
-def _raise_bad_cell(path: str, name: str, cells) -> None:
-    """Raise the ParseError naming the first cell of `cells` that is not a finite float."""
-    for i, c in enumerate(cells):
-        if c == "":
-            continue
-        try:
-            val = float(c)
-        except ValueError:
-            raise ParseError(f"{path}: row {i + 1}: column {name!r}: {c!r} is not numeric") from None
-        if not math.isfinite(val):
-            raise ParseError(f"{path}: row {i + 1}: column {name!r}: non-finite value {c!r}")
-
-
-def load_csv(
-    path: str,
-    schema: list[ColumnSpec] | None = None,
-    label_column: str | None = None,
-) -> Dataset:
+def load_csv(path: str, label_column: str | None = None) -> Dataset:
     """Load a CSV file into a Dataset.
 
-    Without a schema, column kinds are inferred (numeric iff every non-missing
-    cell parses as a finite float; all-missing columns default to numeric) and
-    a column named `label_column` (default 'icu_death'), when present, is
-    pulled out as the label vector.  With a schema, kinds and roles are taken
-    as given; role='excluded'/'identifier' columns are dropped and the
-    role='label' column becomes the label vector.
+    Column kinds are inferred: numeric iff every non-missing cell parses as a
+    finite float (all-missing columns default to numeric), categorical
+    otherwise.  A column named `label_column` (default 'icu_death'), when
+    present, is pulled out as the label vector.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -244,19 +218,8 @@ def load_csv(
     n = len(rows)
     raw = dict(zip(header, list(zip(*rows)) or [()] * len(header)))
 
-    if schema is not None:
-        spec_by_name = {c.name: c for c in schema}
-        missing_cols = [name for name in spec_by_name if name not in raw]
-        if missing_cols:
-            raise ValidationError(f"{path}: schema columns absent from file: {missing_cols}")
-        label_names = [c.name for c in schema if c.role == ROLE_LABEL]
-        if len(label_names) > 1:
-            raise ValidationError("schema declares more than one label column")
-        label_name = label_names[0] if label_names else None
-    else:
-        spec_by_name = None
-        wanted = DEFAULT_LABEL_COLUMN if label_column is None else label_column
-        label_name = wanted if wanted in raw else None
+    wanted = DEFAULT_LABEL_COLUMN if label_column is None else label_column
+    label_name = wanted if wanted in raw else None
 
     columns: list[ColumnSpec] = []
     values: dict[str, np.ndarray] = {}
@@ -271,22 +234,11 @@ def load_csv(
                 [_parse_label_cell(c, i + 1, name) for i, c in enumerate(cells)], dtype=np.uint8
             )
             continue
-        if spec_by_name is not None:
-            spec = spec_by_name.get(name)
-            if spec is None or spec.role in (ROLE_EXCLUDED, ROLE_IDENTIFIER):
-                continue
-            kind = spec.kind
-        else:
-            kind = None  # numeric iff every present cell is a finite float
-
         mask = np.array([c == "" for c in cells], dtype=bool)
-        col = None if kind == CATEGORICAL else _float_cells(cells, mask)
-        if kind is None:
-            kind = CATEGORICAL if col is None else NUMERIC
-        if kind == NUMERIC:
-            if col is None:
-                _raise_bad_cell(path, name, cells)
-        else:
+        col = _float_cells(cells, mask)
+        kind = NUMERIC
+        if col is None:
+            kind = CATEGORICAL
             levels = sorted({c for c in cells if c != ""})
             code_of = {s: j for j, s in enumerate(levels)}
             col = np.array([code_of.get(c, -1) for c in cells], dtype=np.int64)

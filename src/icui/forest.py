@@ -26,10 +26,16 @@ from . import split
 from .data import Dataset, design_matrix
 from .errors import ValidationError
 from .rng import make_rng
-from .trees import LEAF, Tree, _check_matrix, predict_value, tree_to_dict
-
-MODEL_FORMAT = "icui-model"
-MODEL_VERSION = 1
+from .trees import (
+    LEAF,
+    MODEL_FORMAT,
+    MODEL_VERSION,
+    Tree,
+    _check_matrix,
+    predict_value,
+    preorder_trees,
+    tree_to_dict,
+)
 
 
 @dataclass
@@ -87,12 +93,11 @@ def impurity_decrease(parent, left, right) -> float:
     hi = np.asarray(right, dtype=np.float64)
     if not (np.array_equal(lo + hi, p)):
         raise ValidationError("child counts do not sum to parent counts")
-    n = p[0] + p[1]
-    n_l = lo[0] + lo[1]
-    n_r = hi[0] + hi[1]
-    if n_l <= 0 or n_r <= 0:
+    if lo[0] + lo[1] <= 0 or hi[0] + hi[1] <= 0:
         raise ValidationError("split children must be non-empty")
-    return gini(p) - (n_l / n * gini(lo) + n_r / n * gini(hi))
+    for counts in (p, lo, hi):
+        gini(counts)  # validates each count vector
+    return _split_gain(lo[0], lo[1], hi[0], hi[1])
 
 
 def _gini2(c0: float, c1: float) -> float:
@@ -104,7 +109,10 @@ def _gini2(c0: float, c1: float) -> float:
 
 
 def _split_gain(l0: float, l1: float, r0: float, r1: float) -> float:
-    """`impurity_decrease` of the children (l0, l1) and (r0, r1), unchecked."""
+    """`impurity_decrease` of the children (l0, l1) and (r0, r1), unchecked.
+
+    The parent's counts are taken as the children's sums.
+    """
     p0 = l0 + r0
     p1 = l1 + r1
     n = p0 + p1
@@ -288,7 +296,18 @@ def _grow_batch(x, y, is_cat, rank, params: ForestParams, mtry, rngs, weights) -
                 stacks[b].append((part[~left], n_r[i], p_r[i], d, pid, False, ok_r[i]))
                 stacks[b].append((part[left], n_l[i], p_l[i], d, pid, True, ok_l[i]))
         queue += [b for b in active if stacks[b]]
-    return _collect_trees(steps, np.array(n_nodes), is_cat)
+    rec = {k: np.concatenate([step[k] for step in steps]) for k in steps[0]}
+    nw, pos, feature = rec["n"], rec["pos"], rec["feature"]
+    fields = {
+        "feature": feature,
+        "threshold": rec["threshold"],
+        "categorical": (feature != LEAF) & is_cat[feature],
+        "n_samples": nw,
+        "value": pos / nw,
+        "gain": rec["gain"],
+        "class_counts": np.stack((nw - pos, pos), axis=1),
+    }
+    return preorder_trees(rec["tree"], rec["id"], rec["parent"], rec["is_left"], n_nodes, fields)
 
 
 def _step_block(line, sizes, lines, rank, row):
@@ -300,40 +319,6 @@ def _step_block(line, sizes, lines, rank, row):
     feat = lines.repeat(sizes, axis=1) if lines.ndim == 2 else lines[:, None]
     key = np.arange(sizes.size).repeat(sizes) * rank.shape[1] + rank[feat, row[line]]
     return np.concatenate((line[None], line[key.argsort(axis=1)]))
-
-
-def _collect_trees(steps, n_nodes, is_cat) -> list[Tree]:
-    """Each tree's nodes, recorded step by step, as one preorder Tree."""
-    rec = {k: np.concatenate([step[k] for step in steps]) for k in steps[0]}
-    offset = np.cumsum(n_nodes) - n_nodes
-    slot = offset[rec["tree"]] + rec["id"]
-    node = {k: np.empty_like(v) for k, v in rec.items()}
-    for k, v in rec.items():
-        node[k][slot] = v
-    left = np.full(slot.size, LEAF)
-    right = np.full(slot.size, LEAF)
-    child = node["parent"] >= 0
-    at = offset[node["tree"][child]] + node["parent"][child]
-    ids = node["id"][child]
-    is_left = node["is_left"][child]
-    left[at[is_left]] = ids[is_left]
-    right[at[~is_left]] = ids[~is_left]
-    nw, pos, feature = node["n"], node["pos"], node["feature"]
-    arrays = {
-        "feature": feature,
-        "threshold": node["threshold"],
-        "categorical": (feature != LEAF) & is_cat[feature],
-        "left": left,
-        "right": right,
-        "n_samples": nw,
-        "value": pos / nw,
-        "gain": node["gain"],
-        "class_counts": np.stack((nw - pos, pos), axis=1),
-    }
-    return [
-        Tree(**{k: v[o : o + m] for k, v in arrays.items()})
-        for o, m in zip(offset.tolist(), n_nodes.tolist())
-    ]
 
 
 def fit_forest(ds: Dataset, params: ForestParams | None = None, seed: int = 0) -> ForestModel:

@@ -247,48 +247,39 @@ def _fit_predictor(
     return _attach(predictor, models)
 
 
-def _fallback_entry(ds: Dataset, target: str, algorithm: str, note: str | None = None) -> ColumnImputer:
+def _fallback_entry(ds: Dataset, target: str, note: str | None = None) -> ColumnImputer:
     spec = ds.column(target)
     return ColumnImputer(
         column=target, kind=spec.kind, algorithm="a0", fallback=_a0_stat(ds, target), note=note
     )
 
 
-def _algorithm1(ds: Dataset, target: str, min_rows: int, predictor_for) -> ColumnImputer:
-    """a1's entry for `target`; predictor_for(feature_names) supplies its predictor."""
+def _model_entry(
+    ds: Dataset, target: str, algorithm: str, siblings: list[str], min_rows: int, predictor_for
+) -> ColumnImputer:
+    """The a1 or a2 entry for `target`; predictor_for(feature_names) supplies its predictor.
+
+    Its predictors are every other column but `siblings` (a1 passes none).
+    """
     spec = ds.column(target)
     n_obs = int((~ds.missing[target]).sum())
     if n_obs < min_rows:
         return _fallback_entry(
-            ds, target, "a1", note=f"a1 -> a0: {n_obs} complete cases < min_rows={min_rows}"
+            ds, target, note=f"{algorithm} -> a0: {n_obs} complete cases < min_rows={min_rows}"
         )
-    features = [c.name for c in ds.columns if c.name != target]
-    if not features:
-        return _fallback_entry(ds, target, "a1", note="a1 -> a0: no predictor columns")
-    return ColumnImputer(
-        column=target, kind=spec.kind, algorithm="a1", fallback=_a0_stat(ds, target),
-        predictor=predictor_for(features),
-    )
-
-
-def _algorithm2(ds: Dataset, target: str, groups: dict[str, str], min_rows: int, predictor_for) -> ColumnImputer:
-    """a2's entry for `target`; predictor_for(feature_names) supplies its predictor."""
-    spec = ds.column(target)
-    n_obs = int((~ds.missing[target]).sum())
-    if n_obs < min_rows:
-        return _fallback_entry(
-            ds, target, "a2", note=f"a2 -> a0: {n_obs} complete cases < min_rows={min_rows}"
-        )
-    siblings = _siblings(ds, target, groups)
     features = [c.name for c in ds.columns if c.name != target and c.name not in siblings]
     if not features:
-        return _fallback_entry(ds, target, "a2", note="a2 -> a0: no out-of-group predictors")
+        reason = "no predictor columns" if algorithm == "a1" else "no out-of-group predictors"
+        return _fallback_entry(ds, target, note=f"{algorithm} -> a0: {reason}")
+    predictor = predictor_for(features)
+    grouped = algorithm == "a2"
     return ColumnImputer(
         column=target,
         kind=spec.kind,
-        algorithm="a2",
+        algorithm=algorithm,
         fallback=_a0_stat(ds, target),
-        predictor_grouped=predictor_for(features),
+        predictor=None if grouped else predictor,
+        predictor_grouped=predictor if grouped else None,
         siblings=siblings,
     )
 
@@ -306,7 +297,7 @@ def fit_algorithm1(
     seed: int = 0,
 ) -> ColumnImputer:
     """Boosted predictor of `target` from every other feature column."""
-    return _algorithm1(ds, target, min_rows, _fitted(ds, target, boost, seed))
+    return _model_entry(ds, target, "a1", [], min_rows, _fitted(ds, target, boost, seed))
 
 
 def fit_algorithm2(
@@ -319,7 +310,8 @@ def fit_algorithm2(
 ) -> ColumnImputer:
     """Like a1, but predictors exclude the target's same-group siblings."""
     groups = groups or derive_groups(ds.feature_names())
-    return _algorithm2(ds, target, groups, min_rows, _fitted(ds, target, boost, seed))
+    siblings = _siblings(ds, target, groups)
+    return _model_entry(ds, target, "a2", siblings, min_rows, _fitted(ds, target, boost, seed))
 
 
 def _siblings(ds: Dataset, target: str, groups: dict[str, str]) -> list[str]:
@@ -338,24 +330,18 @@ def _fit_a1_a2(
     takes a1's predictor; when no subsampling is configured the seed is
     unused and that model is the one a separate fit would return.
     """
-    a1 = _algorithm1(ds, target, min_rows, a1_for)
-    if a1.predictor is not None and not _siblings(ds, target, groups):
-        a2 = ColumnImputer(
-            column=target,
-            kind=a1.kind,
-            algorithm="a2",
-            fallback=a1.fallback,
-            predictor_grouped=a1.predictor,
-        )
-    else:
-        a2 = _algorithm2(ds, target, groups, min_rows, a2_for)
+    a1 = _model_entry(ds, target, "a1", [], min_rows, a1_for)
+    siblings = _siblings(ds, target, groups)
+    if a1.predictor is not None and not siblings:
+        a2_for = lambda features: a1.predictor
+    a2 = _model_entry(ds, target, "a2", siblings, min_rows, a2_for)
     return a1, a2
 
 
 def _algorithm3_from(ds: Dataset, target: str, a1: ColumnImputer, a2: ColumnImputer) -> ColumnImputer:
     """a3 assembled from fitted a1 and a2 entries of the same column."""
     if a1.algorithm == "a0" and a2.algorithm == "a0":
-        return _fallback_entry(ds, target, "a3", note=a1.note)
+        return _fallback_entry(ds, target, note=a1.note)
     return ColumnImputer(
         column=target,
         kind=a1.kind,
@@ -424,7 +410,7 @@ def apply_algorithm3(
 
 def _fit_by_id(ds, target, algorithm, groups, boost, min_rows, seed) -> ColumnImputer:
     if algorithm == "a0":
-        return _fallback_entry(ds, target, "a0")
+        return _fallback_entry(ds, target)
     if algorithm == "a1":
         return fit_algorithm1(ds, target, boost, min_rows, seed)
     if algorithm == "a2":
@@ -505,7 +491,7 @@ def select_imputer(
                 batched(fit_ds, stable_seed(params.seed, "select", target, "a2", o, i)),
             )
             entries = {
-                "a0": _fallback_entry(fit_ds, target, "a0"),
+                "a0": _fallback_entry(fit_ds, target),
                 "a1": a1,
                 "a2": a2,
                 "a3": _algorithm3_from(fit_ds, target, a1, a2),
@@ -557,7 +543,7 @@ def fit_imputation(ds: Dataset, params: ImputeParams | None = None) -> Imputatio
         seed = stable_seed(params.seed, "impute", name)
         has_missing = bool(ds.missing[name].any())
         if not has_missing or params.algorithm == "a0":
-            model.columns[name] = _fallback_entry(ds, name, "a0")
+            model.columns[name] = _fallback_entry(ds, name)
             continue
         if params.algorithm == SELECT:
             chosen, rows = select_imputer(ds, name, groups, params)

@@ -26,6 +26,11 @@ CELL_W, CELL_H = 14, 12
 HEAT_HIGH = (8, 48, 107)  # deep blue endpoint of the white-to-blue ramp
 
 
+def _text(s: str) -> str:
+    """`s` escaped for an SVG text node."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _px(v: float) -> str:
     return f"{v:.2f}"
 
@@ -51,12 +56,12 @@ def _axes(xlabel: str, ylabel: str, title: str, subtitle: str | None) -> list[st
     parts = [
         f'<rect class="frame" x="{_px(x0)}" y="{_px(y0)}" width="{_px(w)}" height="{_px(h)}" '
         'fill="none" stroke="#333333" stroke-width="1"/>',
-        f'<text x="{_px(x0)}" y="20" font-size="13" fill="#111111">{title}</text>',
+        f'<text x="{_px(x0)}" y="20" font-size="13" fill="#111111">{_text(title)}</text>',
     ]
     if subtitle:
         parts.append(
             f'<text x="{_px(x0 + w)}" y="20" font-size="11" fill="#555555" '
-            f'text-anchor="end">{subtitle}</text>'
+            f'text-anchor="end">{_text(subtitle)}</text>'
         )
     for t in TICKS:
         parts.append(
@@ -165,18 +170,18 @@ def heatmap_svg(table: HeatmapTable, title: str = "Cluster importance") -> str:
     rgb = np.rint(255 + (table.cells.astype(np.float64) / scale)[:, :, None] * ramp).astype(np.int64)
 
     parts = _head(width, height)
-    parts.append(f'<text x="{left}" y="18" font-size="13" fill="#111111">{title}</text>')
+    parts.append(f'<text x="{left}" y="18" font-size="13" fill="#111111">{_text(title)}</text>')
     for i, name in enumerate(table.feature_names):
         parts.append(
             f'<text x="{left - 4}" y="{top + i * CELL_H + 9}" font-size="9" '
-            f'text-anchor="end" fill="#333333">{name}</text>'
+            f'text-anchor="end" fill="#333333">{_text(name)}</text>'
         )
     for prefix, start, end in _fold_spans(table.column_labels):
         cx = left + (start + end + 1) * CELL_W / 2
         label = prefix.replace("fold", "fold ")
         parts.append(
             f'<text x="{_px(cx)}" y="{top - 8}" font-size="10" text-anchor="middle" '
-            f'fill="#333333">{label}</text>'
+            f'fill="#333333">{_text(label)}</text>'
         )
         if start > 0:
             sx = left + start * CELL_W

@@ -18,6 +18,9 @@ from .errors import ValidationError
 
 LEAF = -1
 
+MODEL_FORMAT = "icui-model"
+MODEL_VERSION = 1
+
 
 @dataclass
 class Tree:
@@ -34,6 +37,31 @@ class Tree:
     @property
     def n_nodes(self) -> int:
         return int(self.feature.size)
+
+
+def preorder_trees(tree, pre, parent, is_left, n_nodes, fields) -> list[Tree]:
+    """One Tree per entry of `n_nodes`, from node records in any order.
+
+    Record i is node `pre[i]`, a preorder id, of tree `tree[i]`.  Its parent
+    is node `parent[i]` of the same tree (LEAF at a root), whose left child
+    it is iff `is_left[i]`.  `fields` holds every other Tree array per record.
+    """
+    n_nodes = np.asarray(n_nodes)
+    offset = np.cumsum(n_nodes) - n_nodes
+    slot = offset[tree] + pre
+    arrays = {"left": np.full(slot.size, LEAF), "right": np.full(slot.size, LEAF)}
+    child = parent != LEAF
+    at = offset[tree[child]] + parent[child]
+    left = is_left[child]
+    arrays["left"][at[left]] = pre[child][left]
+    arrays["right"][at[~left]] = pre[child][~left]
+    for k, v in fields.items():
+        arrays[k] = np.empty_like(v)
+        arrays[k][slot] = v
+    return [
+        Tree(**{k: v[o : o + m] for k, v in arrays.items()})
+        for o, m in zip(offset.tolist(), n_nodes.tolist())
+    ]
 
 
 def _check_matrix(x, n_features: int) -> np.ndarray:

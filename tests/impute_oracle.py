@@ -16,7 +16,6 @@ from icui.impute import (
     ColumnImputer,
     ImputeParams,
     ScoreRow,
-    _fallback_entry,
     derive_groups,
     fit_algorithm1,
     fit_algorithm2,
@@ -24,11 +23,22 @@ from icui.impute import (
 from icui.rng import stable_seed
 
 
+def _a0_entry(ds, target, note=None) -> ColumnImputer:
+    """The a0 entry: median (lower of two middles) or most frequent code (lowest on ties)."""
+    kind = ds.column(target).kind
+    observed = ds.values[target][~ds.missing[target]]
+    if kind == NUMERIC:
+        fallback = float(np.sort(observed)[(observed.size - 1) // 2])
+    else:
+        fallback = float(np.argmax(np.bincount(observed.astype(np.int64))))
+    return ColumnImputer(column=target, kind=kind, algorithm="a0", fallback=fallback, note=note)
+
+
 def _fit_algorithm3(ds, target, groups, boost, min_rows, seed) -> ColumnImputer:
     a1 = fit_algorithm1(ds, target, boost, min_rows, seed)
     a2 = fit_algorithm2(ds, target, groups, boost, min_rows, seed)
     if a1.algorithm == "a0" and a2.algorithm == "a0":
-        return _fallback_entry(ds, target, "a3", note=a1.note)
+        return _a0_entry(ds, target, note=a1.note)
     return ColumnImputer(
         column=target,
         kind=a1.kind,
@@ -43,7 +53,7 @@ def _fit_algorithm3(ds, target, groups, boost, min_rows, seed) -> ColumnImputer:
 
 def _fit_by_id(ds, target, algorithm, groups, boost, min_rows, seed) -> ColumnImputer:
     if algorithm == "a0":
-        return _fallback_entry(ds, target, "a0")
+        return _a0_entry(ds, target)
     if algorithm == "a1":
         return fit_algorithm1(ds, target, boost, min_rows, seed)
     if algorithm == "a2":

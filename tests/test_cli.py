@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -93,6 +94,9 @@ def test_run_all_layout(tmp_path, synth_csv):
     for model, files in EXPECTED_MODEL_FILES.items():
         have = set(os.listdir(out / model))
         assert files <= have, f"{model} missing {files - have}"
+        for name in have:
+            if name.endswith(".svg"):
+                ET.fromstring((out / model / name).read_text(encoding="utf-8"))  # well-formed XML
     payload = json.loads((out / "summary.json").read_text())
     assert set(payload["models"]) == {"rf", "boosted"}
     for entry in payload["models"].values():

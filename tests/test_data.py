@@ -7,7 +7,6 @@ from conftest import build_dataset
 from icui.data import (
     CATEGORICAL,
     NUMERIC,
-    ColumnSpec,
     PreprocessPlan,
     apply_preprocess,
     design_matrix,
@@ -56,21 +55,12 @@ def test_load_csv_categorical_codes_dense_sorted(tmp_csv):
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity", "1e999"])
 def test_load_csv_non_finite_cells(tmp_csv, cell):
-    # without a schema a non-finite cell makes the column categorical ...
+    # a non-finite cell makes the column categorical
     path = tmp_csv(f"a,b\n1.5,2\n{cell},3\n")
     ds = load_csv(path)
     assert ds.column("a").kind == CATEGORICAL
     assert ds.code_maps["a"] == sorted(["1.5", cell])
     assert ds.column("b").kind == NUMERIC
-    # ... and a schema that declares it numeric rejects it, naming row and column
-    with pytest.raises(ParseError, match=rf"row 2: column 'a': non-finite value '{cell}'"):
-        load_csv(path, schema=[ColumnSpec("a", NUMERIC), ColumnSpec("b", NUMERIC)])
-
-
-def test_load_csv_non_numeric_cell_under_numeric_schema(tmp_csv):
-    path = tmp_csv("a\n1\nabc\n")
-    with pytest.raises(ParseError, match=r"row 2: column 'a': 'abc' is not numeric"):
-        load_csv(path, schema=[ColumnSpec("a", NUMERIC)])
 
 
 def test_load_csv_skips_blank_lines(tmp_csv):

@@ -140,14 +140,17 @@ def test_impurity_decrease_validation():
 
 
 def test_split_gain_helper_equals_impurity_decrease():
-    # the forest's unchecked scalar path stores the same float as the public formula
+    # the forest's unchecked scalar path, which `impurity_decrease` returns,
+    # stores the same float as the textbook formula over `gini`
     rng = np.random.default_rng(11)
     for _ in range(2000):
         l0, l1, r0, r1 = (float(v) for v in rng.integers(0, 60, size=4))
         if l0 + l1 == 0 or r0 + r1 == 0:
             continue
         parent = (l0 + r0, l1 + r1)
-        expect = impurity_decrease(parent, (l0, l1), (r0, r1))
+        n, n_l, n_r = parent[0] + parent[1], l0 + l1, r0 + r1
+        expect = gini(parent) - (n_l / n * gini((l0, l1)) + n_r / n * gini((r0, r1)))
+        assert impurity_decrease(parent, (l0, l1), (r0, r1)) == expect
         assert _split_gain(l0, l1, r0, r1) == expect
         assert _gini2(*parent) == gini(parent)
 

@@ -185,6 +185,19 @@ def test_heatmap_fold_group_labels_and_separator():
     assert len(seps) == 1
 
 
+def test_markup_in_names_and_titles_is_escaped():
+    # '&', '<' and '>' in a feature or model name must not break the XML
+    table = _table()
+    table.feature_names = ["ph<7.2", "a&b", "x>y"]
+    svg = heatmap_svg(table, title="Cluster importance: m<&>")
+    assert "&lt;7.2" in svg and "a&amp;b" in svg and "x&gt;y" in svg
+    texts = {t.text for t in _elements(svg, "text")}
+    assert {"ph<7.2", "a&b", "x>y", "Cluster importance: m<&>"} <= texts
+    for panel in (roc_svg, pr_svg):
+        texts = {t.text for t in _elements(panel(_summary(model="m<&>")), "text")}
+        assert any(t.endswith(": m<&>") for t in texts)
+
+
 def test_heatmap_rejects_empty():
     with pytest.raises(ValidationError):
         heatmap_svg(HeatmapTable(feature_names=[], column_labels=[], cells=np.zeros((0, 0))))
