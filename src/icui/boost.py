@@ -17,7 +17,7 @@ model-based imputers.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -26,16 +26,7 @@ from . import split
 from .data import Dataset, design_matrix
 from .errors import ValidationError
 from .rng import make_rng
-from .trees import (
-    LEAF,
-    MODEL_FORMAT,
-    MODEL_VERSION,
-    Tree,
-    _check_matrix,
-    predict_value,
-    preorder_trees,
-    tree_to_dict,
-)
+from .trees import LEAF, Tree, _check_matrix, predict_value, preorder_trees
 
 OBJECTIVE_LOGISTIC = "logistic"
 OBJECTIVE_SQUARED = "squared"
@@ -428,17 +419,3 @@ def predict_proba_boosted(model: BoostedModel, x) -> np.ndarray:
         raise ValidationError("probabilities are defined only for the logistic objective")
     return sigmoid(predict_margin(model, x))
 
-
-def boosted_to_dict(model: BoostedModel) -> dict:
-    return {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "kind": "boosted",
-        "params": asdict(model.params),
-        "base_score": model.base_score,
-        "objective": model.objective,
-        "feature_names": list(model.feature_names),
-        "feature_kinds": list(model.feature_kinds),
-        "seed": model.seed,
-        "trees": [tree_to_dict(t) for t in model.trees],
-    }

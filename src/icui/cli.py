@@ -15,6 +15,7 @@ import dataclasses
 import json
 import os
 import sys
+import types
 import typing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -26,7 +27,6 @@ from .attribution import attribution_to_csv
 from .boost import BoostParams
 from .cluster import HeatmapTable, build_heatmap
 from .data import (
-    DEFAULT_LABEL_COLUMN,
     PreprocessPlan,
     apply_preprocess,
     drop_incomplete_rows,
@@ -84,8 +84,9 @@ def _section(base, data, where: str):
 
     Keys absent from `data` keep `base`'s values, so a partial section keeps
     the documented defaults.  Each value must match its field's annotated
-    type (an int passes for a float); a field that is itself a params
-    dataclass is merged the same way, one level down.
+    type (an int passes for a float; of a generic such as `list[str]`, only
+    the container is checked); a field that is itself a params dataclass is
+    merged the same way, one level down.
     """
     if not isinstance(data, dict):
         raise ValidationError(f"{where}: expected an object")
@@ -96,12 +97,14 @@ def _section(base, data, where: str):
     hints = typing.get_type_hints(type(base))
     values = {}
     for key, value in data.items():
-        if dataclasses.is_dataclass(hints[key]):
+        hint = hints[key]
+        if dataclasses.is_dataclass(hint):
             value = _section(getattr(base, key), value, f"{where}.{key}")
         else:
-            types = tuple(typing.get_origin(t) or t for t in typing.get_args(hints[key]) or (hints[key],))
-            types += (int,) if float in types else ()
-            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+            allowed = tuple(typing.get_origin(t) or t for t in (typing.get_args(hint) if union else (hint,)))
+            allowed += (int,) if float in allowed else ()
+            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
                 raise ValidationError(f"{where}: {key} must be {fields[key].type}, got {value!r}")
         values[key] = value
     try:
@@ -110,22 +113,24 @@ def _section(base, data, where: str):
         raise ValidationError(f"{where}: {exc}") from None
 
 
+def _read_json_object(path: str, what: str) -> dict:
+    """The JSON object in the `what` file at `path`."""
+    if not os.path.exists(path):
+        raise ValidationError(f"{what} file not found: {path}")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: bad JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path}: {what} must be a JSON object")
+    return payload
+
+
 def load_run_config(config_path: str | None, overrides: dict | None = None) -> RunConfig:
     """Config file merged with flag overrides over RunConfig's defaults; every key is checked."""
-    raw: dict = {}
-    if config_path is not None:
-        if not os.path.exists(config_path):
-            raise ValidationError(f"config file not found: {config_path}")
-        with open(config_path, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{config_path}: bad JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ValidationError(f"{config_path}: config must be a JSON object")
-    if overrides:
-        raw = dict(raw)
-        raw.update({k: v for k, v in overrides.items() if v is not None})
+    raw = {} if config_path is None else _read_json_object(config_path, "config")
+    raw.update({k: v for k, v in (overrides or {}).items() if v is not None})
     return _section(RunConfig(), raw, "config")
 
 
@@ -133,11 +138,8 @@ def _resolve_plan(cfg: RunConfig) -> PreprocessPlan:
     if cfg.preset is not None:
         return preset_plan(cfg.preset)
     if cfg.plan is not None:
-        if not os.path.exists(cfg.plan):
-            raise ValidationError(f"plan file not found: {cfg.plan}")
-        with open(cfg.plan, encoding="utf-8") as fh:
-            return PreprocessPlan.from_json(fh.read())
-    return PreprocessPlan(exclude=[], rename={}, label=DEFAULT_LABEL_COLUMN)
+        return _section(PreprocessPlan(), _read_json_object(cfg.plan, "plan"), "plan")
+    return PreprocessPlan()
 
 
 def _require(cfg: RunConfig, *names: str) -> None:
@@ -191,7 +193,10 @@ def _write_points_csv(path: str, header: tuple[str, str], points) -> None:
 def _read_points_csv(path: str) -> list[tuple[float, float]]:
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    return [(float(a), float(b)) for a, b in rows[1:]]
+    try:
+        return [(float(a), float(b)) for a, b in rows[1:]]
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _write_importance_csv(path: str, profiles: list) -> None:
@@ -228,7 +233,10 @@ def _read_heatmap_csv(path: str) -> HeatmapTable:
         raise ValidationError(f"{path}: not a heatmap table")
     labels = rows[0][1:]
     names = [r[0] for r in rows[1:]]
-    cells = np.array([[float(v) for v in r[1:]] for r in rows[1:]], dtype=np.float64)
+    try:
+        cells = np.array([[float(v) for v in r[1:]] for r in rows[1:]], dtype=np.float64)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     return HeatmapTable(feature_names=names, column_labels=labels, cells=cells)
 
 
@@ -356,7 +364,8 @@ def _cmd_impute(args) -> int:
     return 0
 
 
-def _run_pipeline(args, *, command: str) -> int:
+def _cmd_pipeline(args) -> int:
+    """train, explain and run-all: one pipeline, recorded under the command's name."""
     cfg = _config_from_args(args)
     _require(cfg, "out")
     ds, plan = _load_input(cfg)
@@ -366,7 +375,7 @@ def _run_pipeline(args, *, command: str) -> int:
     _write_json(os.path.join(cfg.out, "summary.json"), _summary_payload(cfg, work, results))
     for model, result in results.items():
         _emit_model_artifacts(cfg, model, result)
-    _write_meta(cfg, command, results)
+    _write_meta(cfg, args.command, results)
     for model, result in results.items():
         s = result.summary
         print(f"{model}: AUROC {s.auroc_formatted} AUPRC {s.auprc_formatted} "
@@ -375,60 +384,53 @@ def _run_pipeline(args, *, command: str) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    return _run_pipeline(args, command="train")
-
-
-def _cmd_explain(args) -> int:
-    return _run_pipeline(args, command="explain")
-
-
-def _cmd_run_all(args) -> int:
-    return _run_pipeline(args, command="run-all")
-
-
 def _cmd_report(args) -> int:
-    """Re-render the SVG panels from an output directory's CSV/JSON tables."""
+    """Re-render the SVG panels from an output directory's CSV/JSON tables.
+
+    Every table is read before the first panel is written.
+    """
     cfg = _config_from_args(args)
     _require(cfg, "out")
     spath = os.path.join(cfg.out, "summary.json")
-    if not os.path.exists(spath):
-        raise ValidationError(f"summary file not found: {spath}")
-    with open(spath, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    for model, entry in sorted(payload["models"].items()):
-        mdir = os.path.join(cfg.out, model)
-        folds = []
-        for frow in entry["folds"]:
-            i = frow["fold"]
-            metrics = FoldMetrics(
-                fold=i,
-                n_test=frow["n_test"],
-                n_pos=frow["n_pos"],
-                auroc=frow["auroc"],
-                auprc=frow["auprc"],
-                error=frow["error"],
+    payload = _read_json_object(spath, "summary")
+    panels = []
+    try:
+        for model, entry in sorted(payload["models"].items()):
+            mdir = os.path.join(cfg.out, model)
+            folds = []
+            for frow in entry["folds"]:
+                i = frow["fold"]
+                metrics = FoldMetrics(
+                    fold=i,
+                    n_test=frow["n_test"],
+                    n_pos=frow["n_pos"],
+                    auroc=frow["auroc"],
+                    auprc=frow["auprc"],
+                    error=frow["error"],
+                )
+                if metrics.error is None:
+                    metrics.roc_points = _read_points_csv(os.path.join(mdir, f"roc_fold{i + 1}.csv"))
+                    metrics.pr_points = _read_points_csv(os.path.join(mdir, f"pr_fold{i + 1}.csv"))
+                folds.append(metrics)
+            summary = CvSummary(
+                model=model,
+                k=payload["k"],
+                seed=payload["seed"],
+                baseline=payload["baseline"],
+                folds=folds,
+                n_valid_folds=entry["n_valid_folds"],
+                auroc_mean=entry["auroc"]["mean"],
+                auroc_std=entry["auroc"]["std"],
+                auroc_formatted=entry["auroc"]["formatted"],
+                auprc_mean=entry["auprc"]["mean"],
+                auprc_std=entry["auprc"]["std"],
+                auprc_formatted=entry["auprc"]["formatted"],
             )
-            if metrics.error is None:
-                metrics.roc_points = _read_points_csv(os.path.join(mdir, f"roc_fold{i + 1}.csv"))
-                metrics.pr_points = _read_points_csv(os.path.join(mdir, f"pr_fold{i + 1}.csv"))
-            folds.append(metrics)
-        summary = CvSummary(
-            model=model,
-            k=payload["k"],
-            seed=payload["seed"],
-            baseline=payload["baseline"],
-            folds=folds,
-            n_valid_folds=entry["n_valid_folds"],
-            auroc_mean=entry["auroc"]["mean"],
-            auroc_std=entry["auroc"]["std"],
-            auroc_formatted=entry["auroc"]["formatted"],
-            auprc_mean=entry["auprc"]["mean"],
-            auprc_std=entry["auprc"]["std"],
-            auprc_formatted=entry["auprc"]["formatted"],
-        )
-        hpath = os.path.join(mdir, f"heatmap_{model}.csv")
-        heatmap = _read_heatmap_csv(hpath) if os.path.exists(hpath) else None
+            hpath = os.path.join(mdir, f"heatmap_{model}.csv")
+            panels.append((summary, _read_heatmap_csv(hpath) if os.path.exists(hpath) else None, mdir))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(f"{spath}: missing or malformed entry: {exc!r}") from None
+    for summary, heatmap, mdir in panels:
         for path in emit_plots(summary, heatmap, mdir):
             print(f"wrote {path}")
     return 0
@@ -476,10 +478,10 @@ def build_parser() -> _Parser:
     for name, func, blurb in (
         ("prep", _cmd_prep, "apply a preprocess plan and write prepped.csv"),
         ("impute", _cmd_impute, "fit imputers on the whole table and write imputed.csv"),
-        ("train", _cmd_train, "same pipeline and artifacts as run-all"),
-        ("explain", _cmd_explain, "same pipeline and artifacts as run-all"),
+        ("train", _cmd_pipeline, "same pipeline and artifacts as run-all"),
+        ("explain", _cmd_pipeline, "same pipeline and artifacts as run-all"),
         ("report", _cmd_report, "re-render SVG panels from an output directory"),
-        ("run-all", _cmd_run_all, "prep, impute, train, explain, report in one pass"),
+        ("run-all", _cmd_pipeline, "prep, impute, train, explain, report in one pass"),
     ):
         p = sub.add_parser(name, help=blurb)
         _add_common(p)

@@ -120,23 +120,6 @@ class PreprocessPlan:
         payload = {"exclude": list(self.exclude), "rename": dict(self.rename), "label": self.label}
         return json.dumps(payload, indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "PreprocessPlan":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad preprocess plan JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ParseError("preprocess plan must be a JSON object")
-        unknown = set(payload) - {"exclude", "rename", "label"}
-        if unknown:
-            raise ValidationError(f"unknown preprocess plan keys: {sorted(unknown)}")
-        return cls(
-            exclude=list(payload.get("exclude", [])),
-            rename=dict(payload.get("rename", {})),
-            label=payload.get("label", DEFAULT_LABEL_COLUMN),
-        )
-
 
 def preset_plan(name: str) -> PreprocessPlan:
     """Built-in cleanup plans for the two supported table layouts."""

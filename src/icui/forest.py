@@ -17,7 +17,7 @@ feature and averaged over trees, where each node contributes
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -26,16 +26,7 @@ from . import split
 from .data import Dataset, design_matrix
 from .errors import ValidationError
 from .rng import make_rng
-from .trees import (
-    LEAF,
-    MODEL_FORMAT,
-    MODEL_VERSION,
-    Tree,
-    _check_matrix,
-    predict_value,
-    preorder_trees,
-    tree_to_dict,
-)
+from .trees import LEAF, Tree, _check_matrix, predict_value, preorder_trees
 
 
 @dataclass
@@ -389,16 +380,3 @@ def forest_importance(model: ForestModel, normalize: bool = True) -> ImportanceP
         return ImportanceProfile(names=list(model.feature_names), scores=raw / total, normalized=True)
     return ImportanceProfile(names=list(model.feature_names), scores=raw, normalized=False)
 
-
-def forest_to_dict(model: ForestModel) -> dict:
-    return {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "kind": "forest",
-        "params": asdict(model.params),
-        "feature_names": list(model.feature_names),
-        "feature_kinds": list(model.feature_kinds),
-        "bootstrap_n": model.bootstrap_n,
-        "seed": model.seed,
-        "trees": [tree_to_dict(t) for t in model.trees],
-    }

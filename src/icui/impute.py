@@ -15,11 +15,15 @@ predictor columns are filled with their a0 statistic, at fit and apply time
 alike.  `select_imputer` scores all four per column with nested CV (outer and
 inner splits over the target-observed rows; mean squared error for numeric
 targets, accuracy for categorical) and picks the best, ties toward the lower
-algorithm id.  Each cell fits every distinct model once: a3 is assembled
-from the cell's a1 and a2 models, and a2 is a1's model when the target has
-no sibling (its predictors are then exactly a1's).  The models of all cells
-of one column are fitted in one batch per predictor list, and each cell
-predicts its held-out rows once per distinct model.
+algorithm id.
+
+One builder makes a column's a0..a3 entries with unfitted predictors, each
+distinct one once: a3 is assembled from a1 and a2, and a2 takes a1's
+predictor when the target has no sibling (its predictors are then exactly
+a1's).  One step then fits them.  Selection builds the entries of every
+cell of a column and fits them in one batch per predictor list, and each
+cell predicts its held-out rows once per distinct model; a final
+per-column fit makes each model with a lone `fit_boosted_matrix` call.
 """
 
 from __future__ import annotations
@@ -83,11 +87,20 @@ class ScoreRow:
 
 @dataclass
 class _Predictor:
+    """Boosted model(s) of one target over `feature_names`.
+
+    Made unfitted: `jobs` holds the (x, y, seed) of each model to fit, and
+    `_fit` puts the models in place and drops the jobs.
+    """
+
     feature_names: list[str]
     fallbacks: dict[str, float]
     target_kind: str
+    kinds: list[str]
+    objective: str
+    jobs: list | None  # None once fitted
     regressor: BoostedModel | None = None
-    classifiers: list[tuple[int, BoostedModel | float]] | None = None  # (code, model or const margin)
+    classifiers: list[tuple[int, BoostedModel | float | None]] | None = None  # (code, model or const margin)
 
     def predict(self, ds: Dataset, rows: np.ndarray) -> np.ndarray:
         x = np.empty((rows.size, len(self.feature_names)), dtype=np.float64)
@@ -123,6 +136,7 @@ class ColumnImputer:
         `rows`; entries predicting the same rows with one dict run each
         predictor once.
         """
+        shared = {} if shared is None else shared
         if self.algorithm == "a0":
             return np.full(rows.size, self.fallback, dtype=np.float64)
         if self.algorithm == "a1":
@@ -176,14 +190,8 @@ def fit_algorithm0(ds: Dataset) -> ImputationModel:
     return ImputationModel(columns=columns, groups=groups)
 
 
-def _predictor_jobs(
-    ds: Dataset, target: str, feature_names: list[str], seed: int
-) -> tuple[_Predictor, list, list[str], str]:
-    """A predictor of `target` without its models, and the fits that supply them.
-
-    Returns (predictor, jobs, kinds, objective); each job is (x, y, seed) for
-    `fit_boosted_many`, and `_attach` puts the fitted models in place.
-    """
+def _new_predictor(ds: Dataset, target: str, feature_names: list[str], seed: int) -> _Predictor:
+    """An unfitted predictor of `target` from `feature_names`, trained on the target-observed rows."""
     spec = ds.column(target)
     observed_rows = np.flatnonzero(~ds.missing[target])
     fallbacks = {name: _a0_stat(ds, name) for name in feature_names}
@@ -196,16 +204,13 @@ def _predictor_jobs(
         x[:, j] = col
         kinds.append(ds.column(name).kind)
     y = ds.values[target][observed_rows].astype(np.float64)
-
     if spec.kind == NUMERIC:
-        predictor = _Predictor(feature_names=feature_names, fallbacks=fallbacks, target_kind=NUMERIC)
-        return predictor, [(x, y, seed)], kinds, OBJECTIVE_SQUARED
+        return _Predictor(feature_names, fallbacks, NUMERIC, kinds, OBJECTIVE_SQUARED, [(x, y, seed)])
 
-    codes = np.flatnonzero(np.bincount(y.astype(np.int64)))  # the distinct codes, as np.unique
     classifiers: list[tuple[int, BoostedModel | float | None]] = []
     jobs = []
     n = y.size
-    for code in codes:
+    for code in np.flatnonzero(np.bincount(y.astype(np.int64))):  # the distinct codes, as np.unique
         indicator = (y == code).astype(np.float64)
         mean = float(indicator.mean())
         if mean <= 0.0 or mean >= 1.0:
@@ -216,35 +221,34 @@ def _predictor_jobs(
             continue
         classifiers.append((int(code), None))
         jobs.append((x, indicator, stable_seed(seed, "ovr", int(code))))
-    predictor = _Predictor(
-        feature_names=feature_names, fallbacks=fallbacks, target_kind=CATEGORICAL, classifiers=classifiers
+    return _Predictor(
+        feature_names, fallbacks, CATEGORICAL, kinds, OBJECTIVE_LOGISTIC, jobs, classifiers=classifiers
     )
-    return predictor, jobs, kinds, OBJECTIVE_LOGISTIC
 
 
-def _attach(predictor: _Predictor, models: list[BoostedModel]) -> _Predictor:
-    """Put the fitted models of `_predictor_jobs`' jobs, in job order, into `predictor`."""
-    if predictor.target_kind == NUMERIC:
-        (predictor.regressor,) = models
-        return predictor
-    fitted = iter(models)
-    predictor.classifiers = [(c, next(fitted) if m is None else m) for c, m in predictor.classifiers]
-    return predictor
+def _fit(predictors, boost: BoostParams | None, batch: bool) -> None:
+    """Fit every distinct unfitted predictor in `predictors` (None entries are skipped).
 
-
-def _fit_predictor(
-    ds: Dataset,
-    target: str,
-    feature_names: list[str],
-    boost: BoostParams,
-    seed: int,
-) -> _Predictor:
-    predictor, jobs, kinds, objective = _predictor_jobs(ds, target, feature_names, seed)
-    models = [
-        fit_boosted_matrix(x, y, kinds, feature_names, boost, seed=s, objective=objective)
-        for x, y, s in jobs
-    ]
-    return _attach(predictor, models)
+    Predictors over one feature list share one `fit_boosted_many` call when
+    `batch`; otherwise each model is a lone `fit_boosted_matrix` call.
+    """
+    by_features: dict[tuple[str, ...], list[_Predictor]] = {}
+    for p in {id(p): p for p in predictors if p is not None and p.jobs is not None}.values():
+        by_features.setdefault(tuple(p.feature_names), []).append(p)
+    boost = boost or _DEFAULT_IMPUTER_BOOST
+    for items in by_features.values():
+        jobs = [job for p in items for job in p.jobs]
+        kinds, objective, names = items[0].kinds, items[0].objective, items[0].feature_names
+        if batch:
+            models = iter(fit_boosted_many(jobs, kinds, names, boost, objective))
+        else:
+            models = (fit_boosted_matrix(x, y, kinds, names, boost, s, objective) for x, y, s in jobs)
+        for p in items:
+            if p.target_kind == NUMERIC:
+                p.regressor = next(models)
+            else:
+                p.classifiers = [(c, next(models) if m is None else m) for c, m in p.classifiers]
+            p.jobs = None
 
 
 def _fallback_entry(ds: Dataset, target: str, note: str | None = None) -> ColumnImputer:
@@ -255,9 +259,15 @@ def _fallback_entry(ds: Dataset, target: str, note: str | None = None) -> Column
 
 
 def _model_entry(
-    ds: Dataset, target: str, algorithm: str, siblings: list[str], min_rows: int, predictor_for
+    ds: Dataset,
+    target: str,
+    algorithm: str,
+    siblings: list[str],
+    min_rows: int,
+    seed: int,
+    predictor: _Predictor | None = None,
 ) -> ColumnImputer:
-    """The a1 or a2 entry for `target`; predictor_for(feature_names) supplies its predictor.
+    """The unfitted a1 or a2 entry for `target`, with `predictor` or a new one.
 
     Its predictors are every other column but `siblings` (a1 passes none).
     """
@@ -271,7 +281,7 @@ def _model_entry(
     if not features:
         reason = "no predictor columns" if algorithm == "a1" else "no out-of-group predictors"
         return _fallback_entry(ds, target, note=f"{algorithm} -> a0: {reason}")
-    predictor = predictor_for(features)
+    predictor = predictor or _new_predictor(ds, target, features, seed)
     grouped = algorithm == "a2"
     return ColumnImputer(
         column=target,
@@ -284,9 +294,40 @@ def _model_entry(
     )
 
 
-def _fitted(ds: Dataset, target: str, boost: BoostParams | None, seed: int):
-    """A predictor_for that fits each predictor at once."""
-    return lambda features: _fit_predictor(ds, target, features, boost or _DEFAULT_IMPUTER_BOOST, seed)
+def _entries(
+    ds: Dataset, target: str, groups: dict[str, str], min_rows: int, seed_a1: int, seed_a2: int
+) -> dict[str, ColumnImputer]:
+    """The unfitted a0..a3 entries for one column, each distinct predictor made once.
+
+    a3 is assembled from the a1 and a2 entries.  Without a same-group
+    sibling, a2's predictors are exactly a1's, so a2 takes a1's predictor;
+    when no subsampling is configured the seed is unused and that model is
+    the one a separate fit would return.
+    """
+    a1 = _model_entry(ds, target, "a1", [], min_rows, seed_a1)
+    siblings = _siblings(ds, target, groups)
+    a2 = _model_entry(ds, target, "a2", siblings, min_rows, seed_a2, None if siblings else a1.predictor)
+    if a1.algorithm == "a0" and a2.algorithm == "a0":
+        a3 = _fallback_entry(ds, target, note=a1.note)
+    else:
+        a3 = ColumnImputer(
+            column=target,
+            kind=a1.kind,
+            algorithm="a3",
+            fallback=a1.fallback,
+            predictor=a1.predictor,
+            predictor_grouped=a2.predictor_grouped,
+            siblings=a2.siblings,
+            note=a1.note or a2.note,
+        )
+    return {"a0": _fallback_entry(ds, target), "a1": a1, "a2": a2, "a3": a3}
+
+
+def _fitted_entry(ds, target, algorithm, groups, boost, min_rows, seed) -> ColumnImputer:
+    """`target`'s `algorithm` entry, each of its models a lone `fit_boosted_matrix` call."""
+    entry = _entries(ds, target, groups, min_rows, seed, seed)[algorithm]
+    _fit([entry.predictor, entry.predictor_grouped], boost, batch=False)
+    return entry
 
 
 def fit_algorithm1(
@@ -297,7 +338,7 @@ def fit_algorithm1(
     seed: int = 0,
 ) -> ColumnImputer:
     """Boosted predictor of `target` from every other feature column."""
-    return _model_entry(ds, target, "a1", [], min_rows, _fitted(ds, target, boost, seed))
+    return _fitted_entry(ds, target, "a1", {}, boost, min_rows, seed)
 
 
 def fit_algorithm2(
@@ -310,8 +351,7 @@ def fit_algorithm2(
 ) -> ColumnImputer:
     """Like a1, but predictors exclude the target's same-group siblings."""
     groups = groups or derive_groups(ds.feature_names())
-    siblings = _siblings(ds, target, groups)
-    return _model_entry(ds, target, "a2", siblings, min_rows, _fitted(ds, target, boost, seed))
+    return _fitted_entry(ds, target, "a2", groups, boost, min_rows, seed)
 
 
 def _siblings(ds: Dataset, target: str, groups: dict[str, str]) -> list[str]:
@@ -321,58 +361,8 @@ def _siblings(ds: Dataset, target: str, groups: dict[str, str]) -> list[str]:
     ]
 
 
-def _fit_a1_a2(
-    ds: Dataset, target: str, groups: dict[str, str], min_rows: int, a1_for, a2_for
-) -> tuple[ColumnImputer, ColumnImputer]:
-    """The a1 and a2 entries for one column, each distinct predictor made once.
-
-    Without a same-group sibling, a2's predictors are exactly a1's, so a2
-    takes a1's predictor; when no subsampling is configured the seed is
-    unused and that model is the one a separate fit would return.
-    """
-    a1 = _model_entry(ds, target, "a1", [], min_rows, a1_for)
-    siblings = _siblings(ds, target, groups)
-    if a1.predictor is not None and not siblings:
-        a2_for = lambda features: a1.predictor
-    a2 = _model_entry(ds, target, "a2", siblings, min_rows, a2_for)
-    return a1, a2
-
-
-def _algorithm3_from(ds: Dataset, target: str, a1: ColumnImputer, a2: ColumnImputer) -> ColumnImputer:
-    """a3 assembled from fitted a1 and a2 entries of the same column."""
-    if a1.algorithm == "a0" and a2.algorithm == "a0":
-        return _fallback_entry(ds, target, note=a1.note)
-    return ColumnImputer(
-        column=target,
-        kind=a1.kind,
-        algorithm="a3",
-        fallback=a1.fallback,
-        predictor=a1.predictor,
-        predictor_grouped=a2.predictor_grouped,
-        siblings=a2.siblings,
-        note=a1.note or a2.note,
-    )
-
-
-def _fit_algorithm3(
-    ds: Dataset,
-    target: str,
-    groups: dict[str, str] | None = None,
-    boost: BoostParams | None = None,
-    min_rows: int = 50,
-    seed: int = 0,
-) -> ColumnImputer:
-    """Both predictors plus sibling list, routed per row at apply time."""
-    groups = groups or derive_groups(ds.feature_names())
-    fitted = _fitted(ds, target, boost, seed)
-    a1, a2 = _fit_a1_a2(ds, target, groups, min_rows, fitted, fitted)
-    return _algorithm3_from(ds, target, a1, a2)
-
-
-def _predicted(predictor: _Predictor, ds: Dataset, rows: np.ndarray, shared: dict | None) -> np.ndarray:
+def _predicted(predictor: _Predictor, ds: Dataset, rows: np.ndarray, shared: dict) -> np.ndarray:
     """predictor.predict(ds, rows), run once per `shared` dict."""
-    if shared is None:
-        return predictor.predict(ds, rows)
     key = id(predictor)
     if key not in shared:
         shared[key] = predictor.predict(ds, rows)
@@ -384,50 +374,20 @@ def apply_algorithm3(
 ) -> np.ndarray:
     """Route rows missing a same-group sibling to a2, the rest to a1.
 
-    With `shared` (see `ColumnImputer.predict`), each predictor's values
-    over all `rows` come from it, and the routed rows are picked out.
+    Each predictor's values over all `rows` come from `shared` (see
+    `ColumnImputer.predict`), and the routed rows are picked out.
     """
+    shared = {} if shared is None else shared
     rows = np.asarray(rows, dtype=np.int64)
     sibling_gap = np.zeros(rows.size, dtype=bool)
     for sib in entry.siblings:
         sibling_gap |= ds.missing[sib][rows]
     out = np.empty(rows.size, dtype=np.float64)
-
-    def route(mask: np.ndarray, predictor: _Predictor | None) -> None:
+    for mask, predictor in ((sibling_gap, entry.predictor_grouped), (~sibling_gap, entry.predictor)):
         if not mask.any():
-            return
-        if predictor is None:
-            out[mask] = entry.fallback
-        elif shared is None:
-            out[mask] = predictor.predict(ds, rows[mask])
-        else:
-            out[mask] = _predicted(predictor, ds, rows, shared)[mask]
-
-    route(sibling_gap, entry.predictor_grouped)
-    route(~sibling_gap, entry.predictor)
+            continue
+        out[mask] = entry.fallback if predictor is None else _predicted(predictor, ds, rows, shared)[mask]
     return out
-
-
-def _fit_by_id(ds, target, algorithm, groups, boost, min_rows, seed) -> ColumnImputer:
-    if algorithm == "a0":
-        return _fallback_entry(ds, target)
-    if algorithm == "a1":
-        return fit_algorithm1(ds, target, boost, min_rows, seed)
-    if algorithm == "a2":
-        return fit_algorithm2(ds, target, groups, boost, min_rows, seed)
-    return _fit_algorithm3(ds, target, groups, boost, min_rows, seed)
-
-
-def _fit_pending(pending: dict, boost: BoostParams | None) -> None:
-    """Fit the models of every pending predictor: one `fit_boosted_many` call per feature list."""
-    for features, items in pending.items():
-        _, _, kinds, objective = items[0]
-        jobs = [job for _, predictor_jobs, _, _ in items for job in predictor_jobs]
-        models = fit_boosted_many(jobs, kinds, list(features), boost or _DEFAULT_IMPUTER_BOOST, objective)
-        k = 0
-        for predictor, predictor_jobs, _, _ in items:
-            _attach(predictor, models[k : k + len(predictor_jobs)])
-            k += len(predictor_jobs)
 
 
 def select_imputer(
@@ -443,9 +403,9 @@ def select_imputer(
     is the mean over all cells.  Lower MSE wins for numeric targets, higher
     accuracy for categorical; ties break toward the lower algorithm id.
 
-    Every cell's a1 and a2 entries are built first with their predictors'
-    inputs; the models of all cells are then fitted in one batch per feature
-    list, and each cell predicts its held-out rows once per distinct model.
+    Every cell's entries are built unfitted first; the models of all cells
+    are then fitted in one `fit_boosted_many` call per feature list, and each
+    cell predicts its held-out rows once per distinct model.
     """
     params = params or ImputeParams()
     spec = ds.column(target)
@@ -454,16 +414,6 @@ def select_imputer(
     metric = "mse" if spec.kind == NUMERIC else "accuracy"
     if observed.size < params.outer_k * params.inner_k:
         return "a0", []
-
-    pending: dict[tuple[str, ...], list] = {}
-
-    def batched(fit_ds: Dataset, seed: int):
-        def predictor_for(features: list[str]) -> _Predictor:
-            item = _predictor_jobs(fit_ds, target, features, seed)
-            pending.setdefault(tuple(features), []).append(item)
-            return item[0]
-
-        return predictor_for
 
     cells = []
     outer = split_folds(
@@ -481,23 +431,14 @@ def select_imputer(
             val_rows = train_obs[inner.fold_of_row == i]
             if fit_rows.size == 0 or val_rows.size == 0:
                 continue
-            fit_ds = take_rows(ds, fit_rows)
-            a1, a2 = _fit_a1_a2(
-                fit_ds,
-                target,
-                groups,
-                params.min_rows,
-                batched(fit_ds, stable_seed(params.seed, "select", target, "a1", o, i)),
-                batched(fit_ds, stable_seed(params.seed, "select", target, "a2", o, i)),
-            )
-            entries = {
-                "a0": _fallback_entry(fit_ds, target),
-                "a1": a1,
-                "a2": a2,
-                "a3": _algorithm3_from(fit_ds, target, a1, a2),
-            }
+            seeds = [stable_seed(params.seed, "select", target, a, o, i) for a in ("a1", "a2")]
+            entries = _entries(take_rows(ds, fit_rows), target, groups, params.min_rows, *seeds)
             cells.append((entries, val_rows))
-    _fit_pending(pending, params.boost)
+    _fit(
+        [p for entries, _ in cells for e in entries.values() for p in (e.predictor, e.predictor_grouped)],
+        params.boost,
+        batch=True,
+    )
 
     scores: dict[str, list[float]] = {a: [] for a in ALGORITHMS}
     for entries, val_rows in cells:
@@ -540,21 +481,19 @@ def fit_imputation(ds: Dataset, params: ImputeParams | None = None) -> Imputatio
     model = ImputationModel(columns={}, groups=groups)
     for spec in ds.columns:
         name = spec.name
-        seed = stable_seed(params.seed, "impute", name)
-        has_missing = bool(ds.missing[name].any())
-        if not has_missing or params.algorithm == "a0":
-            model.columns[name] = _fallback_entry(ds, name)
-            continue
-        if params.algorithm == SELECT:
+        chosen = params.algorithm if ds.missing[name].any() else "a0"
+        if chosen == SELECT:
             chosen, rows = select_imputer(ds, name, groups, params)
             model.score_rows.extend(rows)
             if not rows:
                 model.warnings.append(
                     f"{name}: too few observed rows for nested-CV selection; using a0"
                 )
+        if chosen == "a0":
+            entry = _fallback_entry(ds, name)
         else:
-            chosen = params.algorithm
-        entry = _fit_by_id(ds, name, chosen, groups, params.boost, params.min_rows, seed)
+            seed = stable_seed(params.seed, "impute", name)
+            entry = _fitted_entry(ds, name, chosen, groups, params.boost, params.min_rows, seed)
         if entry.note:
             model.warnings.append(f"{name}: {entry.note}")
         model.columns[name] = entry

@@ -10,7 +10,7 @@ construction and serialization order deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -110,4 +110,17 @@ def tree_to_dict(tree: Tree) -> dict:
     }
     if tree.class_counts is not None:
         out["class_counts"] = tree.class_counts.tolist()
+    return out
+
+
+def model_to_dict(model, kind: str) -> dict:
+    """A fitted forest or boosted model as JSON-ready data: a header, then its fields."""
+    out = {"format": MODEL_FORMAT, "version": MODEL_VERSION, "kind": kind}
+    for f in fields(model):
+        value = getattr(model, f.name)
+        if f.name == "trees":
+            value = [tree_to_dict(t) for t in value]
+        elif is_dataclass(value):
+            value = asdict(value)
+        out[f.name] = value
     return out

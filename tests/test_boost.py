@@ -13,7 +13,6 @@ from icui.boost import (
     OBJECTIVE_SQUARED,
     BoostedModel,
     BoostParams,
-    boosted_to_dict,
     fit_boosted,
     fit_boosted_matrix,
     leaf_weight,
@@ -25,7 +24,7 @@ from icui.boost import (
 )
 from icui.data import CATEGORICAL, NUMERIC, design_matrix
 from icui.errors import ValidationError
-from icui.trees import LEAF, predict_value
+from icui.trees import LEAF, model_to_dict, predict_value
 
 NUM = "numeric"
 
@@ -246,7 +245,7 @@ def test_margin_update_uses_all_rows_even_when_subsampled():
 def test_deterministic_same_seed_and_distinct_seeds_with_subsampling():
     x, y = _toy_problem(n=80)
     params = BoostParams(n_rounds=6, max_depth=2, row_subsample=0.7, col_subsample=0.67)
-    dump = lambda m: json.dumps(boosted_to_dict(m), sort_keys=True)
+    dump = lambda m: json.dumps(model_to_dict(m, "boosted"), sort_keys=True)
     a = fit_boosted_matrix(x, y, [NUM] * 3, list("abc"), params, seed=5)
     b = fit_boosted_matrix(x, y, [NUM] * 3, list("abc"), params, seed=5)
     c = fit_boosted_matrix(x, y, [NUM] * 3, list("abc"), params, seed=6)
@@ -259,7 +258,8 @@ def test_full_data_fit_is_deterministic_without_rng():
     params = BoostParams(n_rounds=4, max_depth=3)
     a = fit_boosted_matrix(x, y, [NUM] * 3, list("abc"), params, seed=1)
     b = fit_boosted_matrix(x, y, [NUM] * 3, list("abc"), params, seed=99)
-    assert json.dumps(boosted_to_dict(a)["trees"]) == json.dumps(boosted_to_dict(b)["trees"])
+    dump = lambda m: json.dumps(model_to_dict(m, "boosted")["trees"])
+    assert dump(a) == dump(b)
 
 
 def test_single_class_labels_rejected_for_logistic():

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -177,6 +178,50 @@ def test_report_rebuilds_identical_svgs(tmp_path, synth_csv):
         assert p.read_bytes() == originals[p.name], f"{p.name} changed after report"
 
 
+@pytest.fixture(scope="module")
+def report_dir(tmp_path_factory, complete_csv):
+    """A run-all output directory of both models, without its SVG panels."""
+    root = tmp_path_factory.mktemp("report")
+    cfg = _write_cfg(root, k=3)
+    assert cli_main(["run-all", "--config", cfg, "--input", complete_csv, "--out", str(root / "out")]) == 0
+    for svg in (root / "out").glob("*/*.svg"):
+        svg.unlink()
+    return root / "out"
+
+
+def _break_summary_json(out):
+    (out / "summary.json").write_text("{not json")
+
+
+def _drop_summary_models(out):
+    payload = json.loads((out / "summary.json").read_text())
+    del payload["models"]
+    (out / "summary.json").write_text(json.dumps(payload))
+
+
+def _break_roc_cell(out):
+    path = out / "rf" / "roc_fold2.csv"
+    path.write_text(path.read_text().replace("\n0.0,", "\nzero,", 1))
+
+
+@pytest.mark.parametrize(
+    "corrupt, named",
+    [
+        (_break_summary_json, "summary.json"),
+        (_drop_summary_models, "summary.json"),
+        (_break_roc_cell, "roc_fold2.csv"),
+    ],
+)
+def test_report_on_bad_input_exits_1_before_writing(tmp_path, capsys, report_dir, corrupt, named):
+    out = tmp_path / "out"
+    shutil.copytree(report_dir, out)
+    corrupt(out)
+    assert cli_main(["report", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not list(out.glob("*/*.svg"))  # boosted, read first, got no panels either
+
+
 def test_flag_overrides_config(tmp_path, complete_csv):
     cfg = _write_cfg(tmp_path, model="rf", seed=3)
     out = tmp_path / "out"
@@ -185,6 +230,7 @@ def test_flag_overrides_config(tmp_path, complete_csv):
     ])
     assert rc == 0
     assert json.loads((out / "summary.json").read_text())["seed"] == 5
+    assert json.loads((out / "run_meta.json").read_text())["command"] == "train"
 
 
 def test_prep_applies_plan_file(tmp_path, complete_csv):
@@ -196,6 +242,17 @@ def test_prep_applies_plan_file(tmp_path, complete_csv):
     ds = load_csv(str(out / "prepped.csv"))
     assert "n01" not in ds.feature_names()
     assert ds.labels is not None
+
+
+@pytest.mark.parametrize(
+    "plan, key", [({"rename": ["a"]}, "rename"), ({"exclude": "s01"}, "exclude")]
+)
+def test_malformed_plan_exits_1_naming_the_key(tmp_path, capsys, complete_csv, plan, key):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    rc = cli_main(["prep", "--input", complete_csv, "--plan", str(plan_path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert f"plan: {key} must be" in capsys.readouterr().err
 
 
 def test_impute_subcommand_fills_and_reports(tmp_path, synth_csv):

@@ -17,13 +17,12 @@ from icui.forest import (
     _split_gain,
     fit_forest,
     forest_importance,
-    forest_to_dict,
     gini,
     impurity_decrease,
     predict_proba_forest,
 )
 from icui.rng import make_rng
-from icui.trees import LEAF, leaf_ids, predict_value
+from icui.trees import LEAF, leaf_ids, model_to_dict, predict_value
 
 
 def fit_tree(rows, ds, params, rng):
@@ -374,7 +373,7 @@ def test_fit_forest_deterministic_and_seed_sensitive():
     a = fit_forest(ds, params, seed=5)
     b = fit_forest(ds, params, seed=5)
     c = fit_forest(ds, params, seed=6)
-    dump = lambda m: json.dumps(forest_to_dict(m), sort_keys=True)
+    dump = lambda m: json.dumps(model_to_dict(m, "forest"), sort_keys=True)
     assert dump(a) == dump(b)
     assert dump(a) != dump(c)
 

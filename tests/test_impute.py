@@ -8,7 +8,7 @@ from icui.boost import BoostParams, predict_margin
 from icui.errors import ValidationError
 from icui.impute import (
     ImputeParams,
-    _predictor_jobs,
+    _new_predictor,
     derive_groups,
     fit_algorithm0,
     fit_algorithm1,
@@ -205,9 +205,10 @@ def test_one_vs_rest_classifiers_cover_the_distinct_observed_codes():
         categorical={"g": (codes, list("pqrstu"))},
         missing={"g": gap},
     )
-    predictor, jobs, _, _ = _predictor_jobs(ds, "g", ["a"], seed=0)
+    predictor = _new_predictor(ds, "g", ["a"], seed=0)
     assert [c for c, _ in predictor.classifiers] == np.unique(codes[~gap]).tolist() == [0, 3, 5]
-    assert len(jobs) == 3
+    assert all(model is None for _, model in predictor.classifiers)  # made unfitted
+    assert len(predictor.jobs) == 3
 
 
 # ------------------------------------------------------------------- selection

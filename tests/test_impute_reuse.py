@@ -51,24 +51,24 @@ def _categorical_dataset(n=90, seed=21):
     )
 
 
-def _counting_fits(monkeypatch):
-    """Boosted fits made by icui.impute: [jobs per call] for lone and batched fits."""
-    lone, batches = [], []
+def _fit_log(monkeypatch):
+    """(function, jobs) per boosted fit made by icui.impute, lone or batched."""
+    log = []
     fit_one = impute_mod.fit_boosted_matrix
     fit_many = impute_mod.fit_boosted_many
 
     def one(*args, **kwargs):
-        lone.append(1)
+        log.append(("fit_boosted_matrix", 1))
         return fit_one(*args, **kwargs)
 
     def many(jobs, *args, **kwargs):
         jobs = list(jobs)
-        batches.append(len(jobs))
+        log.append(("fit_boosted_many", len(jobs)))
         return fit_many(jobs, *args, **kwargs)
 
     monkeypatch.setattr(impute_mod, "fit_boosted_matrix", one)
     monkeypatch.setattr(impute_mod, "fit_boosted_many", many)
-    return lone, batches
+    return log
 
 
 def _counting(monkeypatch, name):
@@ -116,21 +116,41 @@ def test_select_matches_independent_fits_below_min_rows():
 
 @pytest.mark.parametrize("target, fits_per_cell", [("spo2", 1), ("hr_min", 2)])
 def test_select_fits_each_distinct_model_once_per_cell(monkeypatch, target, fits_per_cell):
-    lone, batches = _counting_fits(monkeypatch)
+    log = _fit_log(monkeypatch)
     params = ImputeParams(algorithm="select", min_rows=10, boost=FAST_BOOST)
     select_imputer(_grouped_dataset(), target, params=params)
-    assert sum(lone) + sum(batches) == params.outer_k * params.inner_k * fits_per_cell
+    assert sum(jobs for _, jobs in log) == params.outer_k * params.inner_k * fits_per_cell
     # one batch per predictor list: a1's, and a2's when the target has a sibling
-    assert lone == [] and len(batches) == fits_per_cell
+    assert [name for name, _ in log] == ["fit_boosted_many"] * fits_per_cell
 
 
 def test_final_a3_fit_shares_a1_model_without_siblings(monkeypatch):
-    lone, batches = _counting_fits(monkeypatch)
+    log = _fit_log(monkeypatch)
     ds = _grouped_dataset()
     model = impute_mod.fit_imputation(ds, ImputeParams(algorithm="a3", min_rows=10, boost=FAST_BOOST))
     assert model.columns["spo2"].predictor is model.columns["spo2"].predictor_grouped
     assert model.columns["hr_min"].predictor is not model.columns["hr_min"].predictor_grouped
-    assert sum(lone) + sum(batches) == 3  # spo2: one shared model; hr_min: a1 and a2
+    assert log == [("fit_boosted_matrix", 1)] * 3  # spo2: one shared model; hr_min: a1 and a2
+
+
+@pytest.mark.parametrize("algorithm", ["a1", "a2", "a3", "select"])
+@pytest.mark.parametrize("categorical", [False, True])
+def test_final_fits_are_lone_calls_and_selection_fits_are_batched(monkeypatch, algorithm, categorical):
+    log = _fit_log(monkeypatch)
+    ds = _categorical_dataset() if categorical else _grouped_dataset()
+    model = impute_mod.fit_imputation(ds, ImputeParams(algorithm=algorithm, min_rows=10, boost=FAST_BOOST))
+    predictors = {
+        id(p): p for e in model.columns.values() for p in (e.predictor, e.predictor_grouped) if p is not None
+    }
+    n_models = sum(
+        1 if p.regressor is not None else sum(not isinstance(m, float) for _, m in p.classifiers)
+        for p in predictors.values()
+    )
+    assert n_models > 0 or algorithm == "select"
+    # each final model is one lone call, so selection made none
+    assert log.count(("fit_boosted_matrix", 1)) == n_models
+    batched = {name for name, _ in log} - {"fit_boosted_matrix"}
+    assert batched == ({"fit_boosted_many"} if algorithm == "select" else set())
 
 
 @pytest.mark.parametrize("target, predictors_per_cell", [("spo2", 1), ("hr_min", 2), ("z", 2)])

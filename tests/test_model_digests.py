@@ -3,7 +3,7 @@
 The golden manifest runs neither boosting's row/column subsampling nor a
 forest with a small `mtry`.  Each case here fits a small model on a table
 with tied numeric values and categorical columns and compares the sha256 of
-its `*_to_dict` JSON with tests/assets/model_digests.json.  A change that
+its `model_to_dict` JSON with tests/assets/model_digests.json.  A change that
 alters fitted trees on purpose regenerates the digests with
 
     PYTHONPATH=src python tests/test_model_digests.py
@@ -25,12 +25,12 @@ from conftest import build_dataset
 from icui.boost import (
     OBJECTIVE_SQUARED,
     BoostParams,
-    boosted_to_dict,
     fit_boosted,
     fit_boosted_matrix,
 )
 from icui.data import design_matrix
-from icui.forest import ForestParams, fit_forest, forest_to_dict
+from icui.forest import ForestParams, fit_forest
+from icui.trees import model_to_dict
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "assets", "model_digests.json")
 
@@ -60,12 +60,12 @@ def _boosted_subsampled():
         n_rounds=6, max_depth=3, eta=0.3, reg_lambda=0.0, min_child_weight=0.0,
         row_subsample=0.7, col_subsample=0.5,
     )
-    return boosted_to_dict(fit_boosted(_table(), params, seed=3))
+    return model_to_dict(fit_boosted(_table(), params, seed=3), "boosted")
 
 
 def _boosted_gamma():
     params = BoostParams(n_rounds=5, max_depth=4, eta=0.2, gamma=0.05, row_subsample=0.7)
-    return boosted_to_dict(fit_boosted(_table(), params, seed=8))
+    return model_to_dict(fit_boosted(_table(), params, seed=8), "boosted")
 
 
 def _boosted_squared():
@@ -77,7 +77,7 @@ def _boosted_squared():
         np.delete(x, 2, axis=1), target, kinds[:2] + kinds[3:], names[:2] + names[3:],
         params, seed=5, objective=OBJECTIVE_SQUARED,
     )
-    return boosted_to_dict(model)
+    return model_to_dict(model, "boosted")
 
 
 def _boosted_many_codes():
@@ -95,23 +95,23 @@ def _boosted_many_codes():
         column_order=["g", "a"],
     )
     params = BoostParams(n_rounds=5, max_depth=3, eta=0.3, min_child_weight=0.5)
-    return boosted_to_dict(fit_boosted(ds, params, seed=2))
+    return model_to_dict(fit_boosted(ds, params, seed=2), "boosted")
 
 
 def _forest_mtry3():
     params = ForestParams(n_trees=5, min_samples_leaf=2, mtry=3)
-    return forest_to_dict(fit_forest(_table(), params, seed=4))
+    return model_to_dict(fit_forest(_table(), params, seed=4), "forest")
 
 
 def _forest_no_bootstrap():
     params = ForestParams(n_trees=3, max_depth=5, min_samples_leaf=1, mtry=2, bootstrap=False)
-    return forest_to_dict(fit_forest(_table(), params, seed=9))
+    return model_to_dict(fit_forest(_table(), params, seed=9), "forest")
 
 
 def _forest_mtry1_depth4():
     """One feature per node, so some nodes draw only a categorical column."""
     params = ForestParams(n_trees=4, max_depth=4, min_samples_leaf=1, mtry=1, bootstrap=False)
-    return forest_to_dict(fit_forest(_table(), params, seed=6))
+    return model_to_dict(fit_forest(_table(), params, seed=6), "forest")
 
 
 CASES = {
