@@ -34,6 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .boost import BoostedModel, predict_margin
+from .data import write_table
 from .errors import ValidationError
 from .forest import ForestModel, ImportanceProfile, predict_proba_forest
 from .trees import LEAF, Tree, _check_matrix
@@ -368,11 +369,6 @@ def global_shap_importance(attr: AttributionMatrix) -> ImportanceProfile:
 
 def attribution_to_csv(attr: AttributionMatrix, path: str) -> None:
     """CSV export: row_id, base_value, then one attribution column per feature."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row_id", "base_value"] + list(attr.feature_names))
-        base = repr(attr.base_value)
-        for i, row in enumerate(attr.phi):
-            writer.writerow([i, base, *map(repr, row.tolist())])
+    base = repr(attr.base_value)
+    rows = ([i, base, *map(repr, row.tolist())] for i, row in enumerate(attr.phi))
+    write_table(path, ["row_id", "base_value"] + list(attr.feature_names), rows)

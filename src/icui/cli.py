@@ -34,9 +34,11 @@ from .data import (
     preset_plan,
     summarize,
     write_csv,
+    write_json,
+    write_table,
 )
 from .errors import IcuiError, ParseError, ValidationError
-from .evaluate import CvResult, CvSummary, FoldMetrics, ModelSpec, run_cv
+from .evaluate import MODEL_BOOSTED, MODEL_RF, CvResult, CvSummary, FoldMetrics, ModelSpec, run_cv
 from .forest import ForestParams
 from .impute import ImputeParams, fit_imputation, impute
 from .plots import emit_plots
@@ -45,7 +47,8 @@ from .synth import SynthSpec, write_synth
 STRATEGY_IMPUTE = "impute"
 STRATEGY_DROP = "drop"
 STRATEGIES = (STRATEGY_IMPUTE, STRATEGY_DROP)
-MODEL_CHOICES = ("rf", "boosted", "both")
+MODELS = (MODEL_RF, MODEL_BOOSTED)
+MODEL_CHOICES = MODELS + ("both",)
 
 
 @dataclass
@@ -76,7 +79,7 @@ class RunConfig:
             raise ValidationError("give either a preset or a plan file, not both")
 
     def models(self) -> list[str]:
-        return ["rf", "boosted"] if self.model == "both" else [self.model]
+        return list(MODELS) if self.model == "both" else [self.model]
 
 
 def _section(base, data, where: str):
@@ -157,12 +160,6 @@ def _load_input(cfg: RunConfig):
     return ds, plan
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_meta(cfg: RunConfig, command: str, results: dict[str, CvResult]) -> None:
     meta = {
         "command": command,
@@ -176,96 +173,77 @@ def _write_meta(cfg: RunConfig, command: str, results: dict[str, CvResult]) -> N
             for model, result in results.items()
         },
     }
-    _write_json(os.path.join(cfg.out, "run_meta.json"), meta)
+    write_json(os.path.join(cfg.out, "run_meta.json"), meta)
 
 
 # ------------------------------------------------------------- artifact files
 
+# summary.json's schema, written by `_summary_payload` and read back by
+# `report`: the CvSummary fields common to all models at the top level; per
+# model its own fields, one object per metric holding the fields
+# f"{metric}_{stat}", and "folds", one object of FoldMetrics fields per fold
+_RUN_KEYS = ("k", "seed", "baseline")
+_MODEL_KEYS = ("n_valid_folds",)
+_METRIC_STATS = [(m, stat) for m in ("auroc", "auprc") for stat in ("mean", "std", "formatted")]
+_FOLD_KEYS = ("fold", "n_test", "n_pos", "auroc", "auprc", "error")
+# per fold: (file name prefix, FoldMetrics field, header) of each curve table
+_CURVES = (("roc", "roc_points", ["fpr", "tpr"]), ("pr", "pr_points", ["recall", "precision"]))
 
-def _write_points_csv(path: str, header: tuple[str, str], points) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for a, b in points:
-            writer.writerow([repr(float(a)), repr(float(b))])
 
+def _read_float_table(path: str, lead: list[str], keyed: bool = False):
+    """(float column labels, row names, cells) of a CSV table as run-all writes it.
 
-def _read_points_csv(path: str) -> list[tuple[float, float]]:
+    The header is `lead`, or with `keyed` `lead` and at least one label, each
+    row then starting with a name.  At least one row follows, each as wide as
+    the header, every other cell a finite float.  Anything else is a
+    ParseError naming `path`.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
+    head, body = (rows[0], rows[1:]) if rows else ([], [])
+    if head[: len(lead)] != lead or (len(head) > len(lead)) != keyed:
+        raise ParseError(f"{path}: header must be {','.join(lead)}{',...' if keyed else ''}")
+    if not body:
+        raise ParseError(f"{path}: no rows after the header")
+    for i, row in enumerate(body, start=1):
+        if len(row) != len(head):
+            raise ParseError(f"{path}: row {i}: expected {len(head)} fields, got {len(row)}")
     try:
-        return [(float(a), float(b)) for a, b in rows[1:]]
+        cells = np.array([[float(v) for v in row[keyed:]] for row in body], dtype=np.float64)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
+    if not np.isfinite(cells).all():
+        raise ParseError(f"{path}: non-finite cell")
+    return head[keyed:], [row[0] for row in body], cells
 
 
-def _write_importance_csv(path: str, profiles: list) -> None:
-    """Per-fold normalized scores plus their mean, descending on the mean."""
+def _importance_rows(profiles: list) -> tuple[list[str], list]:
+    """Header and rows of per-fold normalized scores plus their mean, descending on the mean."""
     valid = [p for p in profiles if p is not None]
     names = list(valid[0].names)
-    k = len(profiles)
     mean = np.zeros(len(names))
     for p in valid:
         mean += p.scores
     mean /= len(valid)
     order = np.lexsort((np.arange(len(names)), -mean))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["feature"] + [f"fold{i + 1}" for i in range(k)] + ["mean"])
-        cols = [[""] * len(names) if p is None else list(map(repr, p.scores.tolist())) for p in profiles]
-        cols.append(list(map(repr, mean.tolist())))
-        for i in order.tolist():
-            writer.writerow([names[i], *(c[i] for c in cols)])
-
-
-def _write_heatmap_csv(path: str, table: HeatmapTable) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["feature"] + list(table.column_labels))
-        for name, row in zip(table.feature_names, table.cells):
-            writer.writerow([name, *map(repr, row.tolist())])
-
-
-def _read_heatmap_csv(path: str) -> HeatmapTable:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or len(rows[0]) < 2:
-        raise ValidationError(f"{path}: not a heatmap table")
-    labels = rows[0][1:]
-    names = [r[0] for r in rows[1:]]
-    try:
-        cells = np.array([[float(v) for v in r[1:]] for r in rows[1:]], dtype=np.float64)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    return HeatmapTable(feature_names=names, column_labels=labels, cells=cells)
+    cols = [[""] * len(names) if p is None else list(map(repr, p.scores.tolist())) for p in profiles]
+    cols.append(list(map(repr, mean.tolist())))
+    header = ["feature"] + [f"fold{i + 1}" for i in range(len(profiles))] + ["mean"]
+    return header, [[names[i], *(c[i] for c in cols)] for i in order.tolist()]
 
 
 def _summary_payload(cfg: RunConfig, ds, results: dict[str, CvResult]) -> dict:
     models = {}
     for name, res in results.items():
         s = res.summary
-        models[name] = {
-            "auroc": {"mean": s.auroc_mean, "std": s.auroc_std, "formatted": s.auroc_formatted},
-            "auprc": {"mean": s.auprc_mean, "std": s.auprc_std, "formatted": s.auprc_formatted},
-            "n_valid_folds": s.n_valid_folds,
-            "folds": [
-                {
-                    "fold": m.fold,
-                    "n_test": m.n_test,
-                    "n_pos": m.n_pos,
-                    "auroc": m.auroc,
-                    "auprc": m.auprc,
-                    "error": m.error,
-                }
-                for m in s.folds
-            ],
-        }
+        entry = models[name] = {key: getattr(s, key) for key in _MODEL_KEYS}
+        for metric, stat in _METRIC_STATS:
+            entry.setdefault(metric, {})[stat] = getattr(s, f"{metric}_{stat}")
+        entry["folds"] = [{key: getattr(m, key) for key in _FOLD_KEYS} for m in s.folds]
     any_summary = next(iter(results.values())).summary
     return {
-        "k": cfg.k,
-        "seed": cfg.seed,
+        **{key: getattr(any_summary, key) for key in _RUN_KEYS},
         "clusters_k": cfg.clusters_k,
-        "baseline": any_summary.baseline,
         "n_rows": ds.n_rows,
         "n_features": len(ds.columns),
         "models": models,
@@ -276,12 +254,12 @@ def _emit_model_artifacts(cfg: RunConfig, model: str, result: CvResult) -> None:
     mdir = os.path.join(cfg.out, model)
     os.makedirs(mdir, exist_ok=True)
     for m in result.summary.folds:
-        _write_points_csv(os.path.join(mdir, f"roc_fold{m.fold + 1}.csv"), ("fpr", "tpr"), m.roc_points)
-        _write_points_csv(
-            os.path.join(mdir, f"pr_fold{m.fold + 1}.csv"), ("recall", "precision"), m.pr_points
-        )
+        for curve, points, header in _CURVES:
+            rows = ([repr(float(a)), repr(float(b))] for a, b in getattr(m, points))
+            write_table(os.path.join(mdir, f"{curve}_fold{m.fold + 1}.csv"), header, rows)
     if any(p is not None for p in result.importances):
-        _write_importance_csv(os.path.join(mdir, f"importance_{model}.csv"), result.importances)
+        header, rows = _importance_rows(result.importances)
+        write_table(os.path.join(mdir, f"importance_{model}.csv"), header, rows)
     pairs = [
         (p, r) for p, r in zip(result.importances, result.cluster_reports)
         if p is not None and r is not None
@@ -289,7 +267,9 @@ def _emit_model_artifacts(cfg: RunConfig, model: str, result: CvResult) -> None:
     heatmap = None
     if pairs:
         heatmap = build_heatmap([p for p, _ in pairs], [r for _, r in pairs])
-        _write_heatmap_csv(os.path.join(mdir, f"heatmap_{model}.csv"), heatmap)
+        header = ["feature", *heatmap.column_labels]
+        rows = ([n, *map(repr, r.tolist())] for n, r in zip(heatmap.feature_names, heatmap.cells))
+        write_table(os.path.join(mdir, f"heatmap_{model}.csv"), header, rows)
     for m, attr in zip(result.summary.folds, result.attributions):
         if attr is not None:
             attribution_to_csv(attr, os.path.join(mdir, f"shap_fold{m.fold + 1}.csv"))
@@ -359,7 +339,7 @@ def _cmd_impute(args) -> int:
         "score_rows": [dataclasses.asdict(r) for r in model.score_rows],
         "warnings": list(model.warnings),
     }
-    _write_json(os.path.join(cfg.out, "impute_report.json"), report)
+    write_json(os.path.join(cfg.out, "impute_report.json"), report)
     print(f"wrote {path}")
     return 0
 
@@ -372,7 +352,7 @@ def _cmd_pipeline(args) -> int:
     prepped = apply_preprocess(ds, plan)
     results, work = _run_models(cfg, prepped)
     os.makedirs(cfg.out, exist_ok=True)
-    _write_json(os.path.join(cfg.out, "summary.json"), _summary_payload(cfg, work, results))
+    write_json(os.path.join(cfg.out, "summary.json"), _summary_payload(cfg, work, results))
     for model, result in results.items():
         _emit_model_artifacts(cfg, model, result)
     _write_meta(cfg, args.command, results)
@@ -396,38 +376,29 @@ def _cmd_report(args) -> int:
     panels = []
     try:
         for model, entry in sorted(payload["models"].items()):
+            if model not in MODELS:
+                raise ParseError(f"{spath}: unknown model {model!r}")
             mdir = os.path.join(cfg.out, model)
-            folds = []
-            for frow in entry["folds"]:
-                i = frow["fold"]
-                metrics = FoldMetrics(
-                    fold=i,
-                    n_test=frow["n_test"],
-                    n_pos=frow["n_pos"],
-                    auroc=frow["auroc"],
-                    auprc=frow["auprc"],
-                    error=frow["error"],
-                )
-                if metrics.error is None:
-                    metrics.roc_points = _read_points_csv(os.path.join(mdir, f"roc_fold{i + 1}.csv"))
-                    metrics.pr_points = _read_points_csv(os.path.join(mdir, f"pr_fold{i + 1}.csv"))
-                folds.append(metrics)
+            folds = [FoldMetrics(**{key: row[key] for key in _FOLD_KEYS}) for row in entry["folds"]]
+            for m in folds:
+                if m.error is None:
+                    for curve, points, header in _CURVES:
+                        path = os.path.join(mdir, f"{curve}_fold{m.fold + 1}.csv")
+                        cells = _read_float_table(path, header)[2]
+                        setattr(m, points, list(map(tuple, cells.tolist())))
             summary = CvSummary(
                 model=model,
-                k=payload["k"],
-                seed=payload["seed"],
-                baseline=payload["baseline"],
                 folds=folds,
-                n_valid_folds=entry["n_valid_folds"],
-                auroc_mean=entry["auroc"]["mean"],
-                auroc_std=entry["auroc"]["std"],
-                auroc_formatted=entry["auroc"]["formatted"],
-                auprc_mean=entry["auprc"]["mean"],
-                auprc_std=entry["auprc"]["std"],
-                auprc_formatted=entry["auprc"]["formatted"],
+                **{key: payload[key] for key in _RUN_KEYS},
+                **{key: entry[key] for key in _MODEL_KEYS},
+                **{f"{metric}_{stat}": entry[metric][stat] for metric, stat in _METRIC_STATS},
             )
+            heatmap = None
             hpath = os.path.join(mdir, f"heatmap_{model}.csv")
-            panels.append((summary, _read_heatmap_csv(hpath) if os.path.exists(hpath) else None, mdir))
+            if os.path.exists(hpath):
+                labels, names, cells = _read_float_table(hpath, ["feature"], keyed=True)
+                heatmap = HeatmapTable(feature_names=names, column_labels=labels, cells=cells)
+            panels.append((summary, heatmap, mdir))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ParseError(f"{spath}: missing or malformed entry: {exc!r}") from None
     for summary, heatmap, mdir in panels:

@@ -1,8 +1,9 @@
 """Columnar dataset model for tabular binary-outcome CSV files.
 
 Conventions, fixed across the toolkit:
-  * CSV dialect: UTF-8, comma separated, header row required, empty field =
-    missing value.
+  * CSV dialect: UTF-8, comma separated, LF line ends, header row required,
+    empty field = missing value.  Every table is written by `write_table`,
+    every JSON artifact by `write_json`.
   * Numeric columns are float64; a column is numeric iff every non-missing
     cell parses as a finite float.
   * Categorical columns store dense integer codes (0..n_codes-1) assigned by
@@ -115,10 +116,6 @@ class PreprocessPlan:
             raise ValidationError("rename map is not injective")
         if self.label in self.exclude:
             raise ValidationError("label column cannot be excluded")
-
-    def to_json(self) -> str:
-        payload = {"exclude": list(self.exclude), "rename": dict(self.rename), "label": self.label}
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def preset_plan(name: str) -> PreprocessPlan:
@@ -243,6 +240,21 @@ def load_csv(path: str, label_column: str | None = None) -> Dataset:
     return ds
 
 
+def write_table(path: str, header: list[str], rows) -> None:
+    """Write `header`, then each row of `rows`, in the CSV dialect above."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path: str, payload: dict) -> None:
+    """Write `payload` as JSON: indent 2, sorted keys, a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_csv(ds: Dataset, path: str) -> None:
     """Write features (in column order) plus the label column, if any, last.
 
@@ -252,9 +264,8 @@ def write_csv(ds: Dataset, path: str) -> None:
     header = ds.feature_names()
     if ds.labels is not None:
         header = header + [ds.label_name or DEFAULT_LABEL_COLUMN]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+
+    def rows():
         for i in range(ds.n_rows):
             rec = []
             for c in ds.columns:
@@ -266,7 +277,9 @@ def write_csv(ds: Dataset, path: str) -> None:
                     rec.append(ds.code_maps[c.name][int(ds.values[c.name][i])])
             if ds.labels is not None:
                 rec.append(str(int(ds.labels[i])))
-            writer.writerow(rec)
+            yield rec
+
+    write_table(path, header, rows())
 
 
 def apply_preprocess(ds: Dataset, plan: PreprocessPlan) -> Dataset:

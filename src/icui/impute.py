@@ -324,8 +324,16 @@ def _entries(
 
 
 def _fitted_entry(ds, target, algorithm, groups, boost, min_rows, seed) -> ColumnImputer:
-    """`target`'s `algorithm` entry, each of its models a lone `fit_boosted_matrix` call."""
-    entry = _entries(ds, target, groups, min_rows, seed, seed)[algorithm]
+    """`target`'s `algorithm` entry, each of its models a lone `fit_boosted_matrix` call.
+
+    Only a3 is built with the other entries; a1 and a2 are built alone, which
+    with one seed for both is what `_entries` would make of them.
+    """
+    if algorithm == "a3":
+        entry = _entries(ds, target, groups, min_rows, seed, seed)["a3"]
+    else:
+        siblings = _siblings(ds, target, groups) if algorithm == "a2" else []
+        entry = _model_entry(ds, target, algorithm, siblings, min_rows, seed)
     _fit([entry.predictor, entry.predictor_grouped], boost, batch=False)
     return entry
 

@@ -111,33 +111,37 @@ def _valid_folds(summary: CvSummary, attr: str):
     return folds
 
 
-def roc_svg(summary: CvSummary) -> str:
-    folds = _valid_folds(summary, "roc_points")
-    subtitle = f"AUROC {summary.auroc_formatted}" if summary.auroc_formatted else None
+def _curve_svg(summary: CvSummary, points: str, metric: str, labels, reference: str, y0, y1) -> str:
+    """A curve panel of each valid fold's `points`, subtitled with `metric`'s summary.
+
+    `labels` are the x label, y label and title; the dashed reference line
+    carries the attributes `reference` and runs from (0, y0) to (1, y1).
+    """
+    folds = _valid_folds(summary, points)
+    formatted = getattr(summary, f"{metric}_formatted")
+    subtitle = f"{metric.upper()} {formatted}" if formatted else None
+    xlabel, ylabel, title = labels
     parts = _head(PANEL_W, PANEL_H)
-    parts += _axes("False positive rate", "True positive rate", f"ROC: {summary.model}", subtitle)
+    parts += _axes(xlabel, ylabel, f"{title}: {summary.model}", subtitle)
     parts.append(
-        f'<line class="chance" x1="{_px(_x(0))}" y1="{_px(_y(0))}" x2="{_px(_x(1))}" '
-        f'y2="{_px(_y(1))}" stroke="#999999" stroke-dasharray="5,4"/>'
+        f'<line {reference} x1="{_px(_x(0))}" y1="{_px(_y(y0))}" x2="{_px(_x(1))}" '
+        f'y2="{_px(_y(y1))}" stroke="#999999" stroke-dasharray="5,4"/>'
     )
     parts += _fold_polylines(folds)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def roc_svg(summary: CvSummary) -> str:
+    labels = ("False positive rate", "True positive rate", "ROC")
+    return _curve_svg(summary, "roc_points", "auroc", labels, 'class="chance"', 0, 1)
 
 
 def pr_svg(summary: CvSummary) -> str:
-    folds = _valid_folds(summary, "pr_points")
-    subtitle = f"AUPRC {summary.auprc_formatted}" if summary.auprc_formatted else None
-    parts = _head(PANEL_W, PANEL_H)
-    parts += _axes("Recall", "Precision", f"Precision-recall: {summary.model}", subtitle)
     b = summary.baseline
-    parts.append(
-        f'<line class="baseline" data-baseline="{b!r}" x1="{_px(_x(0))}" y1="{_px(_y(b))}" '
-        f'x2="{_px(_x(1))}" y2="{_px(_y(b))}" stroke="#999999" stroke-dasharray="5,4"/>'
-    )
-    parts += _fold_polylines(folds)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    reference = f'class="baseline" data-baseline="{b!r}"'
+    labels = ("Recall", "Precision", "Precision-recall")
+    return _curve_svg(summary, "pr_points", "auprc", labels, reference, b, b)
 
 
 def _fold_spans(labels: list[str]) -> list[tuple[str, int, int]]:
@@ -208,18 +212,14 @@ def emit_plots(
     """Write roc/pr (and heatmap, when given) SVGs for one model."""
     os.makedirs(out_dir, exist_ok=True)
     model = summary.model
+    panels = [(f"roc_{model}.svg", roc_svg(summary)), (f"pr_{model}.svg", pr_svg(summary))]
+    if heatmap is not None:
+        title = f"Cluster importance: {model}"
+        panels.append((f"heatmap_{model}.svg", heatmap_svg(heatmap, title=title)))
     written = []
-    for name, text in (
-        (f"roc_{model}.svg", roc_svg(summary)),
-        (f"pr_{model}.svg", pr_svg(summary)),
-    ):
+    for name, text in panels:
         path = os.path.join(out_dir, name)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        written.append(path)
-    if heatmap is not None:
-        path = os.path.join(out_dir, f"heatmap_{model}.svg")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(heatmap_svg(heatmap, title=f"Cluster importance: {model}"))
         written.append(path)
     return written

@@ -11,7 +11,6 @@ often; the systematic draw makes it a guarantee.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -19,7 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boost import sigmoid
-from .data import CATEGORICAL, DEFAULT_LABEL_COLUMN, NUMERIC, ColumnSpec, Dataset, write_csv
+from .data import (
+    CATEGORICAL,
+    DEFAULT_LABEL_COLUMN,
+    NUMERIC,
+    ColumnSpec,
+    Dataset,
+    write_csv,
+    write_json,
+)
 from .errors import ValidationError
 from .rng import make_rng
 
@@ -196,7 +203,5 @@ def write_synth(spec: SynthSpec, out_dir: str) -> tuple[str, str]:
     csv_path = os.path.join(out_dir, "synth.csv")
     truth_path = os.path.join(out_dir, "truth.json")
     write_csv(ds, csv_path)
-    with open(truth_path, "w", encoding="utf-8") as fh:
-        json.dump(truth, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(truth_path, truth)
     return csv_path, truth_path

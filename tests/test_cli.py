@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from icui.cli import cli_main, load_run_config
-from icui.data import PreprocessPlan, load_csv
+from icui.data import load_csv
 from icui.errors import ValidationError
 
 
@@ -165,17 +165,18 @@ def test_drop_equals_impute_on_complete_data(tmp_path, complete_csv):
 
 
 def test_report_rebuilds_identical_svgs(tmp_path, synth_csv):
-    cfg = _write_cfg(tmp_path, model="boosted")
-    out = tmp_path / "out"
-    assert cli_main(["run-all", "--config", cfg, "--input", synth_csv, "--out", str(out)]) == 0
-    svgs = sorted((out / "boosted").glob("*.svg"))
-    assert len(svgs) == 3
-    originals = {p.name: p.read_bytes() for p in svgs}
-    for p in svgs:
-        p.unlink()
-    assert cli_main(["report", "--out", str(out)]) == 0
-    for p in svgs:
-        assert p.read_bytes() == originals[p.name], f"{p.name} changed after report"
+    for model, n_models in (("boosted", 1), ("both", 2)):
+        cfg = _write_cfg(tmp_path, model=model)
+        out = tmp_path / model
+        assert cli_main(["run-all", "--config", cfg, "--input", synth_csv, "--out", str(out)]) == 0
+        svgs = sorted(out.glob("*/*.svg"))
+        assert len(svgs) == 3 * n_models
+        originals = {p: p.read_bytes() for p in svgs}
+        for p in svgs:
+            p.unlink()
+        assert cli_main(["report", "--out", str(out)]) == 0
+        for p in svgs:
+            assert p.read_bytes() == originals[p], f"{p.name} changed after report"
 
 
 @pytest.fixture(scope="module")
@@ -204,12 +205,38 @@ def _break_roc_cell(out):
     path.write_text(path.read_text().replace("\n0.0,", "\nzero,", 1))
 
 
+def _shorten_heatmap_rows(out):
+    # every row one cell shorter than the header
+    path = out / "rf" / "heatmap_rf.csv"
+    head, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([head] + [r.rsplit(",", 1)[0] for r in rows]) + "\n")
+
+
+def _nan_pr_cell(out):
+    path = out / "rf" / "pr_fold3.csv"
+    path.write_text(path.read_text().replace("\n0.0,", "\nnan,", 1))
+
+
+def _empty_roc_table(out):
+    (out / "boosted" / "roc_fold1.csv").write_text("")
+
+
+def _model_outside_out(out):
+    payload = json.loads((out / "summary.json").read_text())
+    payload["models"]["../evil"] = payload["models"]["rf"]
+    (out / "summary.json").write_text(json.dumps(payload))
+
+
 @pytest.mark.parametrize(
     "corrupt, named",
     [
         (_break_summary_json, "summary.json"),
         (_drop_summary_models, "summary.json"),
         (_break_roc_cell, "roc_fold2.csv"),
+        (_shorten_heatmap_rows, "heatmap_rf.csv"),
+        (_nan_pr_cell, "pr_fold3.csv"),
+        (_empty_roc_table, "roc_fold1.csv"),
+        (_model_outside_out, "summary.json"),
     ],
 )
 def test_report_on_bad_input_exits_1_before_writing(tmp_path, capsys, report_dir, corrupt, named):
@@ -235,7 +262,7 @@ def test_flag_overrides_config(tmp_path, complete_csv):
 
 def test_prep_applies_plan_file(tmp_path, complete_csv):
     plan_path = tmp_path / "plan.json"
-    plan_path.write_text(PreprocessPlan(exclude=["n01"], label="icu_death").to_json())
+    plan_path.write_text(json.dumps({"exclude": ["n01"], "label": "icu_death"}))
     out = tmp_path / "prepped"
     rc = cli_main(["prep", "--input", complete_csv, "--plan", str(plan_path), "--out", str(out)])
     assert rc == 0

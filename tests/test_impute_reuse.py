@@ -133,6 +133,15 @@ def test_final_a3_fit_shares_a1_model_without_siblings(monkeypatch):
     assert log == [("fit_boosted_matrix", 1)] * 3  # spo2: one shared model; hr_min: a1 and a2
 
 
+@pytest.mark.parametrize("algorithm, builds", [("a1", 1), ("a2", 1), ("a3", 2)])
+def test_final_fit_builds_only_the_predictors_it_fits(monkeypatch, algorithm, builds):
+    # hr_min has the sibling hr_max, so its a1 and a2 predictors differ
+    calls = _counting(monkeypatch, "_new_predictor")
+    params = ImputeParams(algorithm=algorithm, min_rows=10, boost=FAST_BOOST)
+    impute_mod.fit_imputation(_grouped_dataset(), params)
+    assert [args[1] for args in calls].count("hr_min") == builds
+
+
 @pytest.mark.parametrize("algorithm", ["a1", "a2", "a3", "select"])
 @pytest.mark.parametrize("categorical", [False, True])
 def test_final_fits_are_lone_calls_and_selection_fits_are_batched(monkeypatch, algorithm, categorical):
