@@ -1,6 +1,6 @@
 """Command-line front end for the full pipeline.
 
-Subcommands: synth, prep, impute, train, explain, report, run-all.  One JSON
+Subcommands: synth, prep, impute, report, run-all.  One JSON
 config file drives everything; any flag overrides its config key, unknown
 keys are rejected.  Exit codes: 0 success, 1 bad input or usage, 2 runtime
 failure.  The single wall-clock timestamp lives in run_meta.json so every
@@ -82,34 +82,41 @@ class RunConfig:
         return list(MODELS) if self.model == "both" else [self.model]
 
 
+def _typed(cls, values: dict, where: str, error=ValidationError) -> dict:
+    """`values`, each checked against the annotated type of `cls`'s field of that name.
+
+    An int passes for a float; of a generic such as `list[str]`, only the
+    container is checked.  A mismatch raises `error` naming `where` and the key.
+    """
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)
+    for key, value in values.items():
+        union = typing.get_origin(hints[key]) in (typing.Union, types.UnionType)
+        options = typing.get_args(hints[key]) if union else (hints[key],)
+        allowed = tuple(typing.get_origin(t) or t for t in options)
+        allowed += (int,) if float in allowed else ()
+        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+            raise error(f"{where}: {key} must be {fields[key].type}, got {value!r}")
+    return values
+
+
 def _section(base, data, where: str):
     """`base` (a params dataclass) with the keys of the JSON object `data` replaced.
 
     Keys absent from `data` keep `base`'s values, so a partial section keeps
     the documented defaults.  Each value must match its field's annotated
-    type (an int passes for a float; of a generic such as `list[str]`, only
-    the container is checked); a field that is itself a params dataclass is
-    merged the same way, one level down.
+    type (see `_typed`); a field that is itself a params dataclass is merged
+    the same way, one level down.
     """
     if not isinstance(data, dict):
         raise ValidationError(f"{where}: expected an object")
-    fields = {f.name: f for f in dataclasses.fields(base)}
-    unknown = sorted(set(data) - set(fields))
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(base)})
     if unknown:
         raise ValidationError(f"{where}: unknown keys {unknown}")
     hints = typing.get_type_hints(type(base))
-    values = {}
-    for key, value in data.items():
-        hint = hints[key]
-        if dataclasses.is_dataclass(hint):
-            value = _section(getattr(base, key), value, f"{where}.{key}")
-        else:
-            union = typing.get_origin(hint) in (typing.Union, types.UnionType)
-            allowed = tuple(typing.get_origin(t) or t for t in (typing.get_args(hint) if union else (hint,)))
-            allowed += (int,) if float in allowed else ()
-            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
-                raise ValidationError(f"{where}: {key} must be {fields[key].type}, got {value!r}")
-        values[key] = value
+    nested = {key for key in data if dataclasses.is_dataclass(hints[key])}
+    values = _typed(type(base), {k: v for k, v in data.items() if k not in nested}, where)
+    values.update({key: _section(getattr(base, key), data[key], f"{where}.{key}") for key in nested})
     try:
         return dataclasses.replace(base, **values)
     except ValidationError as exc:
@@ -160,9 +167,9 @@ def _load_input(cfg: RunConfig):
     return ds, plan
 
 
-def _write_meta(cfg: RunConfig, command: str, results: dict[str, CvResult]) -> None:
+def _write_meta(cfg: RunConfig, results: dict[str, CvResult]) -> None:
     meta = {
-        "command": command,
+        "command": "run-all",
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
         "config": dataclasses.asdict(cfg),
@@ -345,7 +352,7 @@ def _cmd_impute(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    """train, explain and run-all: one pipeline, recorded under the command's name."""
+    """run-all: prep, impute or drop, cross-validate, explain and plot in one pass."""
     cfg = _config_from_args(args)
     _require(cfg, "out")
     ds, plan = _load_input(cfg)
@@ -355,7 +362,7 @@ def _cmd_pipeline(args) -> int:
     write_json(os.path.join(cfg.out, "summary.json"), _summary_payload(cfg, work, results))
     for model, result in results.items():
         _emit_model_artifacts(cfg, model, result)
-    _write_meta(cfg, args.command, results)
+    _write_meta(cfg, results)
     for model, result in results.items():
         s = result.summary
         print(f"{model}: AUROC {s.auroc_formatted} AUPRC {s.auprc_formatted} "
@@ -379,20 +386,22 @@ def _cmd_report(args) -> int:
             if model not in MODELS:
                 raise ParseError(f"{spath}: unknown model {model!r}")
             mdir = os.path.join(cfg.out, model)
-            folds = [FoldMetrics(**{key: row[key] for key in _FOLD_KEYS}) for row in entry["folds"]]
+            folds = [
+                FoldMetrics(**_typed(FoldMetrics, {key: row[key] for key in _FOLD_KEYS}, spath, ParseError))
+                for row in entry["folds"]
+            ]
             for m in folds:
                 if m.error is None:
                     for curve, points, header in _CURVES:
                         path = os.path.join(mdir, f"{curve}_fold{m.fold + 1}.csv")
                         cells = _read_float_table(path, header)[2]
                         setattr(m, points, list(map(tuple, cells.tolist())))
-            summary = CvSummary(
-                model=model,
-                folds=folds,
+            fields = {
                 **{key: payload[key] for key in _RUN_KEYS},
                 **{key: entry[key] for key in _MODEL_KEYS},
                 **{f"{metric}_{stat}": entry[metric][stat] for metric, stat in _METRIC_STATS},
-            )
+            }
+            summary = CvSummary(model=model, folds=folds, **_typed(CvSummary, fields, spath, ParseError))
             heatmap = None
             hpath = os.path.join(mdir, f"heatmap_{model}.csv")
             if os.path.exists(hpath):
@@ -449,8 +458,6 @@ def build_parser() -> _Parser:
     for name, func, blurb in (
         ("prep", _cmd_prep, "apply a preprocess plan and write prepped.csv"),
         ("impute", _cmd_impute, "fit imputers on the whole table and write imputed.csv"),
-        ("train", _cmd_pipeline, "same pipeline and artifacts as run-all"),
-        ("explain", _cmd_pipeline, "same pipeline and artifacts as run-all"),
         ("report", _cmd_report, "re-render SVG panels from an output directory"),
         ("run-all", _cmd_pipeline, "prep, impute, train, explain, report in one pass"),
     ):

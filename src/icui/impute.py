@@ -17,18 +17,22 @@ inner splits over the target-observed rows; mean squared error for numeric
 targets, accuracy for categorical) and picks the best, ties toward the lower
 algorithm id.
 
-One builder makes a column's a0..a3 entries with unfitted predictors, each
-distinct one once: a3 is assembled from a1 and a2, and a2 takes a1's
-predictor when the target has no sibling (its predictors are then exactly
-a1's).  One step then fits them.  Selection builds the entries of every
-cell of a column and fits them in one batch per predictor list, and each
-cell predicts its held-out rows once per distinct model; a final
-per-column fit makes each model with a lone `fit_boosted_matrix` call.
+Imputers are fitted on a table: the rows of a dataset they learn from (all
+of them, or a selection cell's fit rows) and each column's a0 statistic over
+those rows, computed once per table.  One builder makes a column's a0..a3
+entries with unfitted predictors, each distinct one once (a3 routes between
+a1's and a2's; a2 takes a1's when the target has no sibling).  An unfitted
+predictor only describes its inputs, which are built when it is fitted.
+Selection fits the entries of every cell of a column in one batch per
+predictor list, and each cell predicts its held-out rows once per distinct
+model; a final per-column fit makes each model with a lone
+`fit_boosted_matrix` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +45,7 @@ from .boost import (
     fit_boosted_matrix,
     predict_margin,
 )
-from .data import CATEGORICAL, NUMERIC, Dataset, split_folds, take_rows
+from .data import CATEGORICAL, NUMERIC, Dataset, split_folds
 from .errors import ValidationError
 from .rng import stable_seed
 
@@ -89,8 +93,10 @@ class ScoreRow:
 class _Predictor:
     """Boosted model(s) of one target over `feature_names`.
 
-    Made unfitted: `jobs` holds the (x, y, seed) of each model to fit, and
-    `_fit` puts the models in place and drops the jobs.
+    Made unfitted, as a description of its inputs: `source` holds the
+    dataset and the target-observed rows it trains on, `jobs` the (y, seed)
+    of each model.  `_fit` builds the input matrix, puts the models in place
+    and drops the description.
     """
 
     feature_names: list[str]
@@ -98,17 +104,13 @@ class _Predictor:
     target_kind: str
     kinds: list[str]
     objective: str
+    source: tuple[Dataset, np.ndarray] | None  # None once fitted
     jobs: list | None  # None once fitted
     regressor: BoostedModel | None = None
     classifiers: list[tuple[int, BoostedModel | float | None]] | None = None  # (code, model or const margin)
 
     def predict(self, ds: Dataset, rows: np.ndarray) -> np.ndarray:
-        x = np.empty((rows.size, len(self.feature_names)), dtype=np.float64)
-        for j, name in enumerate(self.feature_names):
-            col = ds.values[name][rows].astype(np.float64)
-            gap = ds.missing[name][rows]
-            col[gap] = self.fallbacks[name]
-            x[:, j] = col
+        x = _filled(ds, rows, self.feature_names, self.fallbacks)
         if self.target_kind == NUMERIC:
             return predict_margin(self.regressor, x)
         margins = np.empty((rows.size, len(self.classifiers)), dtype=np.float64)
@@ -167,77 +169,104 @@ def derive_groups(names) -> dict[str, str]:
     return out
 
 
-def _a0_stat(ds: Dataset, name: str) -> float:
-    spec = ds.column(name)
-    observed = ds.values[name][~ds.missing[name]]
-    if observed.size == 0:
+class _Stats(dict):
+    """Column name -> a0 statistic; a column without observed values has none."""
+
+    def __missing__(self, name):
         raise ValidationError(f"column {name!r} has no observed values; cannot impute")
-    if spec.kind == NUMERIC:
-        ordered = np.sort(observed)
-        return float(ordered[(ordered.size - 1) // 2])
-    counts = np.bincount(observed.astype(np.int64))
-    return float(np.argmax(counts))
+
+
+def _a0_stats(ds: Dataset, rows: np.ndarray) -> _Stats:
+    """Each column's a0 statistic over `rows`; reading a column with none raises."""
+    stats = _Stats()
+    for spec in ds.columns:
+        observed = ds.values[spec.name][rows][~ds.missing[spec.name][rows]]
+        if observed.size == 0:
+            continue
+        if spec.kind == NUMERIC:
+            stats[spec.name] = float(np.sort(observed)[(observed.size - 1) // 2])
+        else:
+            stats[spec.name] = float(np.argmax(np.bincount(observed.astype(np.int64))))
+    return stats
+
+
+class _Table(NamedTuple):
+    """The rows of `ds` an imputer is fitted on, and every column's a0 statistic over them."""
+
+    ds: Dataset
+    rows: np.ndarray
+    stats: _Stats
+
+
+def _table(ds: Dataset, rows: np.ndarray | None = None) -> _Table:
+    """`ds` restricted to `rows` (all rows when None), its a0 statistics computed once."""
+    rows = np.arange(ds.n_rows) if rows is None else rows
+    return _Table(ds, rows, _a0_stats(ds, rows))
+
+
+def _filled(ds: Dataset, rows: np.ndarray, names: list[str], fallbacks: dict) -> np.ndarray:
+    """The `names` columns over `rows` as floats, each gap filled with its column's fallback."""
+    x = np.empty((rows.size, len(names)), dtype=np.float64)
+    for j, name in enumerate(names):
+        x[:, j] = ds.values[name][rows]
+        x[ds.missing[name][rows], j] = fallbacks[name]
+    return x
 
 
 def fit_algorithm0(ds: Dataset) -> ImputationModel:
     """Median/mode entries for every feature column."""
-    groups = derive_groups(ds.feature_names())
-    columns = {}
-    for spec in ds.columns:
-        columns[spec.name] = ColumnImputer(
-            column=spec.name, kind=spec.kind, algorithm="a0", fallback=_a0_stat(ds, spec.name)
-        )
-    return ImputationModel(columns=columns, groups=groups)
+    table = _table(ds)
+    columns = {spec.name: _fallback_entry(table, spec.name) for spec in ds.columns}
+    return ImputationModel(columns=columns, groups=derive_groups(ds.feature_names()))
 
 
-def _new_predictor(ds: Dataset, target: str, feature_names: list[str], seed: int) -> _Predictor:
-    """An unfitted predictor of `target` from `feature_names`, trained on the target-observed rows."""
-    spec = ds.column(target)
-    observed_rows = np.flatnonzero(~ds.missing[target])
-    fallbacks = {name: _a0_stat(ds, name) for name in feature_names}
-    x = np.empty((observed_rows.size, len(feature_names)), dtype=np.float64)
-    kinds = []
-    for j, name in enumerate(feature_names):
-        col = ds.values[name][observed_rows].astype(np.float64)
-        gap = ds.missing[name][observed_rows]
-        col[gap] = fallbacks[name]
-        x[:, j] = col
-        kinds.append(ds.column(name).kind)
-    y = ds.values[target][observed_rows].astype(np.float64)
-    if spec.kind == NUMERIC:
-        return _Predictor(feature_names, fallbacks, NUMERIC, kinds, OBJECTIVE_SQUARED, [(x, y, seed)])
+def _new_predictor(table: _Table, target: str, feature_names: list[str], seed: int) -> _Predictor:
+    """An unfitted predictor of `target` from `feature_names`, on the table's target-observed rows."""
+    ds = table.ds
+    rows = table.rows[~ds.missing[target][table.rows]]
+    fallbacks = {name: table.stats[name] for name in feature_names}
+    kinds = [ds.column(name).kind for name in feature_names]
+    y = ds.values[target][rows].astype(np.float64)
+    source = (ds, rows)
+    if ds.column(target).kind == NUMERIC:
+        return _Predictor(feature_names, fallbacks, NUMERIC, kinds, OBJECTIVE_SQUARED, source, [(y, seed)])
 
     classifiers: list[tuple[int, BoostedModel | float | None]] = []
     jobs = []
-    n = y.size
     for code in np.flatnonzero(np.bincount(y.astype(np.int64))):  # the distinct codes, as np.unique
         indicator = (y == code).astype(np.float64)
         mean = float(indicator.mean())
         if mean <= 0.0 or mean >= 1.0:
             # degenerate one-vs-rest target: constant margin from a
             # pseudo-count-smoothed prevalence
-            p = (indicator.sum() + 1.0) / (n + 2.0)
+            p = (indicator.sum() + 1.0) / (y.size + 2.0)
             classifiers.append((int(code), float(np.log(p / (1.0 - p)))))
             continue
         classifiers.append((int(code), None))
-        jobs.append((x, indicator, stable_seed(seed, "ovr", int(code))))
+        jobs.append((indicator, stable_seed(seed, "ovr", int(code))))
     return _Predictor(
-        feature_names, fallbacks, CATEGORICAL, kinds, OBJECTIVE_LOGISTIC, jobs, classifiers=classifiers
+        feature_names, fallbacks, CATEGORICAL, kinds, OBJECTIVE_LOGISTIC, source, jobs,
+        classifiers=classifiers,
     )
 
 
-def _fit(predictors, boost: BoostParams | None, batch: bool) -> None:
-    """Fit every distinct unfitted predictor in `predictors` (None entries are skipped).
+def _fit(entries, boost: BoostParams | None, batch: bool) -> None:
+    """Fit every distinct unfitted predictor of `entries`.
 
     Predictors over one feature list share one `fit_boosted_many` call when
-    `batch`; otherwise each model is a lone `fit_boosted_matrix` call.
+    `batch`; otherwise each model is a lone `fit_boosted_matrix` call.  Each
+    predictor's input matrix is built just before its feature list is fitted.
     """
     by_features: dict[tuple[str, ...], list[_Predictor]] = {}
-    for p in {id(p): p for p in predictors if p is not None and p.jobs is not None}.values():
+    predictors = [p for e in entries for p in (e.predictor, e.predictor_grouped) if p is not None]
+    for p in {id(p): p for p in predictors if p.jobs is not None}.values():
         by_features.setdefault(tuple(p.feature_names), []).append(p)
     boost = boost or _DEFAULT_IMPUTER_BOOST
     for items in by_features.values():
-        jobs = [job for p in items for job in p.jobs]
+        jobs = []
+        for p in items:
+            x = _filled(*p.source, p.feature_names, p.fallbacks)
+            jobs += [(x, y, seed) for y, seed in p.jobs]
         kinds, objective, names = items[0].kinds, items[0].objective, items[0].feature_names
         if batch:
             models = iter(fit_boosted_many(jobs, kinds, names, boost, objective))
@@ -248,93 +277,75 @@ def _fit(predictors, boost: BoostParams | None, batch: bool) -> None:
                 p.regressor = next(models)
             else:
                 p.classifiers = [(c, next(models) if m is None else m) for c, m in p.classifiers]
-            p.jobs = None
+            p.source = p.jobs = None
 
 
-def _fallback_entry(ds: Dataset, target: str, note: str | None = None) -> ColumnImputer:
-    spec = ds.column(target)
-    return ColumnImputer(
-        column=target, kind=spec.kind, algorithm="a0", fallback=_a0_stat(ds, target), note=note
-    )
+def _fallback_entry(table: _Table, target: str, note: str | None = None) -> ColumnImputer:
+    kind, fallback = table.ds.column(target).kind, table.stats[target]
+    return ColumnImputer(column=target, kind=kind, algorithm="a0", fallback=fallback, note=note)
 
 
-def _model_entry(
-    ds: Dataset,
-    target: str,
-    algorithm: str,
-    siblings: list[str],
-    min_rows: int,
-    seed: int,
-    predictor: _Predictor | None = None,
-) -> ColumnImputer:
-    """The unfitted a1 or a2 entry for `target`, with `predictor` or a new one.
+def _model_predictor(table: _Table, target, algorithm, siblings, min_rows, seed, predictor=None):
+    """(predictor, None) for `target`'s unfitted a1 or a2 model, or (None, why it falls back to a0).
 
-    Its predictors are every other column but `siblings` (a1 passes none).
+    The predictor is `predictor` or a new one over every other column but
+    `siblings` (a1 passes none).
     """
-    spec = ds.column(target)
-    n_obs = int((~ds.missing[target]).sum())
+    n_obs = int((~table.ds.missing[target][table.rows]).sum())
     if n_obs < min_rows:
-        return _fallback_entry(
-            ds, target, note=f"{algorithm} -> a0: {n_obs} complete cases < min_rows={min_rows}"
-        )
-    features = [c.name for c in ds.columns if c.name != target and c.name not in siblings]
+        return None, f"{algorithm} -> a0: {n_obs} complete cases < min_rows={min_rows}"
+    features = [c.name for c in table.ds.columns if c.name != target and c.name not in siblings]
     if not features:
         reason = "no predictor columns" if algorithm == "a1" else "no out-of-group predictors"
-        return _fallback_entry(ds, target, note=f"{algorithm} -> a0: {reason}")
-    predictor = predictor or _new_predictor(ds, target, features, seed)
-    grouped = algorithm == "a2"
-    return ColumnImputer(
-        column=target,
-        kind=spec.kind,
-        algorithm=algorithm,
-        fallback=_a0_stat(ds, target),
-        predictor=None if grouped else predictor,
-        predictor_grouped=predictor if grouped else None,
-        siblings=siblings,
-    )
+        return None, f"{algorithm} -> a0: {reason}"
+    return predictor or _new_predictor(table, target, features, seed), None
 
 
 def _entries(
-    ds: Dataset, target: str, groups: dict[str, str], min_rows: int, seed_a1: int, seed_a2: int
+    table: _Table, target: str, groups: dict[str, str], min_rows: int, seed_a1: int, seed_a2: int
 ) -> dict[str, ColumnImputer]:
     """The unfitted a0..a3 entries for one column, each distinct predictor made once.
 
-    a3 is assembled from the a1 and a2 entries.  Without a same-group
+    a3 routes between the a1 and a2 predictors.  Without a same-group
     sibling, a2's predictors are exactly a1's, so a2 takes a1's predictor;
     when no subsampling is configured the seed is unused and that model is
-    the one a separate fit would return.
+    the one a separate fit would return.  An entry left without a predictor
+    falls back to a0, noting why.
     """
-    a1 = _model_entry(ds, target, "a1", [], min_rows, seed_a1)
-    siblings = _siblings(ds, target, groups)
-    a2 = _model_entry(ds, target, "a2", siblings, min_rows, seed_a2, None if siblings else a1.predictor)
-    if a1.algorithm == "a0" and a2.algorithm == "a0":
-        a3 = _fallback_entry(ds, target, note=a1.note)
-    else:
-        a3 = ColumnImputer(
+    group = groups.get(target, target)
+    siblings = [
+        c.name for c in table.ds.columns if c.name != target and groups.get(c.name, c.name) == group
+    ]
+    p1, note1 = _model_predictor(table, target, "a1", [], min_rows, seed_a1)
+    reused = None if siblings else p1
+    p2, note2 = _model_predictor(table, target, "a2", siblings, min_rows, seed_a2, reused)
+
+    def entry(algorithm, predictor, grouped, note):
+        if predictor is None and grouped is None:
+            return _fallback_entry(table, target, note)
+        return ColumnImputer(
             column=target,
-            kind=a1.kind,
-            algorithm="a3",
-            fallback=a1.fallback,
-            predictor=a1.predictor,
-            predictor_grouped=a2.predictor_grouped,
-            siblings=a2.siblings,
-            note=a1.note or a2.note,
+            kind=table.ds.column(target).kind,
+            algorithm=algorithm,
+            fallback=table.stats[target],
+            predictor=predictor,
+            predictor_grouped=grouped,
+            siblings=[] if grouped is None else siblings,
+            note=note,
         )
-    return {"a0": _fallback_entry(ds, target), "a1": a1, "a2": a2, "a3": a3}
+
+    return {
+        "a0": _fallback_entry(table, target),
+        "a1": entry("a1", p1, None, note1),
+        "a2": entry("a2", None, p2, note2),
+        "a3": entry("a3", p1, p2, note1 or note2),
+    }
 
 
-def _fitted_entry(ds, target, algorithm, groups, boost, min_rows, seed) -> ColumnImputer:
-    """`target`'s `algorithm` entry, each of its models a lone `fit_boosted_matrix` call.
-
-    Only a3 is built with the other entries; a1 and a2 are built alone, which
-    with one seed for both is what `_entries` would make of them.
-    """
-    if algorithm == "a3":
-        entry = _entries(ds, target, groups, min_rows, seed, seed)["a3"]
-    else:
-        siblings = _siblings(ds, target, groups) if algorithm == "a2" else []
-        entry = _model_entry(ds, target, algorithm, siblings, min_rows, seed)
-    _fit([entry.predictor, entry.predictor_grouped], boost, batch=False)
+def _fitted_entry(table, target, algorithm, groups, boost, min_rows, seed) -> ColumnImputer:
+    """`target`'s `algorithm` entry, each of its models a lone `fit_boosted_matrix` call."""
+    entry = _entries(table, target, groups, min_rows, seed, seed)[algorithm]
+    _fit([entry], boost, batch=False)
     return entry
 
 
@@ -346,7 +357,7 @@ def fit_algorithm1(
     seed: int = 0,
 ) -> ColumnImputer:
     """Boosted predictor of `target` from every other feature column."""
-    return _fitted_entry(ds, target, "a1", {}, boost, min_rows, seed)
+    return _fitted_entry(_table(ds), target, "a1", {}, boost, min_rows, seed)
 
 
 def fit_algorithm2(
@@ -359,14 +370,7 @@ def fit_algorithm2(
 ) -> ColumnImputer:
     """Like a1, but predictors exclude the target's same-group siblings."""
     groups = groups or derive_groups(ds.feature_names())
-    return _fitted_entry(ds, target, "a2", groups, boost, min_rows, seed)
-
-
-def _siblings(ds: Dataset, target: str, groups: dict[str, str]) -> list[str]:
-    my_group = groups.get(target, target)
-    return [
-        c.name for c in ds.columns if c.name != target and groups.get(c.name, c.name) == my_group
-    ]
+    return _fitted_entry(_table(ds), target, "a2", groups, boost, min_rows, seed)
 
 
 def _predicted(predictor: _Predictor, ds: Dataset, rows: np.ndarray, shared: dict) -> np.ndarray:
@@ -437,16 +441,10 @@ def select_imputer(
         for i in range(params.inner_k):
             fit_rows = train_obs[inner.fold_of_row != i]
             val_rows = train_obs[inner.fold_of_row == i]
-            if fit_rows.size == 0 or val_rows.size == 0:
-                continue
             seeds = [stable_seed(params.seed, "select", target, a, o, i) for a in ("a1", "a2")]
-            entries = _entries(take_rows(ds, fit_rows), target, groups, params.min_rows, *seeds)
+            entries = _entries(_table(ds, fit_rows), target, groups, params.min_rows, *seeds)
             cells.append((entries, val_rows))
-    _fit(
-        [p for entries, _ in cells for e in entries.values() for p in (e.predictor, e.predictor_grouped)],
-        params.boost,
-        batch=True,
-    )
+    _fit([e for entries, _ in cells for e in entries.values()], params.boost, batch=True)
 
     scores: dict[str, list[float]] = {a: [] for a in ALGORITHMS}
     for entries, val_rows in cells:
@@ -459,17 +457,9 @@ def select_imputer(
             else:
                 scores[alg].append(float(np.mean(pred == truth)))
 
-    means = {a: float(np.mean(scores[a])) for a in ALGORITHMS if scores[a]}
-    if not means:
-        return "a0", []
-    chosen = "a0"
-    for alg in ALGORITHMS:
-        if metric == "mse":
-            if means[alg] < means[chosen]:
-                chosen = alg
-        else:
-            if means[alg] > means[chosen]:
-                chosen = alg
+    means = {a: float(np.mean(scores[a])) for a in ALGORITHMS}
+    # the first best algorithm, as a strict-improvement scan in id order finds it
+    chosen = (min if metric == "mse" else max)(ALGORITHMS, key=means.__getitem__)
     rows = [
         ScoreRow(column=target, algorithm=a, metric=metric, mean_score=means[a], chosen=a == chosen)
         for a in ALGORITHMS
@@ -487,6 +477,7 @@ def fit_imputation(ds: Dataset, params: ImputeParams | None = None) -> Imputatio
     params = params or ImputeParams()
     groups = params.groups or derive_groups(ds.feature_names())
     model = ImputationModel(columns={}, groups=groups)
+    table = _table(ds)
     for spec in ds.columns:
         name = spec.name
         chosen = params.algorithm if ds.missing[name].any() else "a0"
@@ -498,10 +489,10 @@ def fit_imputation(ds: Dataset, params: ImputeParams | None = None) -> Imputatio
                     f"{name}: too few observed rows for nested-CV selection; using a0"
                 )
         if chosen == "a0":
-            entry = _fallback_entry(ds, name)
+            entry = _fallback_entry(table, name)
         else:
             seed = stable_seed(params.seed, "impute", name)
-            entry = _fitted_entry(ds, name, chosen, groups, params.boost, params.min_rows, seed)
+            entry = _fitted_entry(table, name, chosen, groups, params.boost, params.min_rows, seed)
         if entry.note:
             model.warnings.append(f"{name}: {entry.note}")
         model.columns[name] = entry

@@ -227,6 +227,12 @@ def _model_outside_out(out):
     (out / "summary.json").write_text(json.dumps(payload))
 
 
+def _string_baseline(out):
+    payload = json.loads((out / "summary.json").read_text())
+    payload["baseline"] = "x"
+    (out / "summary.json").write_text(json.dumps(payload))
+
+
 @pytest.mark.parametrize(
     "corrupt, named",
     [
@@ -237,6 +243,7 @@ def _model_outside_out(out):
         (_nan_pr_cell, "pr_fold3.csv"),
         (_empty_roc_table, "roc_fold1.csv"),
         (_model_outside_out, "summary.json"),
+        (_string_baseline, "summary.json: baseline must be float"),
     ],
 )
 def test_report_on_bad_input_exits_1_before_writing(tmp_path, capsys, report_dir, corrupt, named):
@@ -253,11 +260,11 @@ def test_flag_overrides_config(tmp_path, complete_csv):
     cfg = _write_cfg(tmp_path, model="rf", seed=3)
     out = tmp_path / "out"
     rc = cli_main([
-        "train", "--config", cfg, "--input", complete_csv, "--out", str(out), "--seed", "5",
+        "run-all", "--config", cfg, "--input", complete_csv, "--out", str(out), "--seed", "5",
     ])
     assert rc == 0
     assert json.loads((out / "summary.json").read_text())["seed"] == 5
-    assert json.loads((out / "run_meta.json").read_text())["command"] == "train"
+    assert json.loads((out / "run_meta.json").read_text())["command"] == "run-all"
 
 
 def test_prep_applies_plan_file(tmp_path, complete_csv):
@@ -303,7 +310,7 @@ def test_missing_input_exits_1_naming_path(tmp_path, capsys):
 def test_unknown_config_key_rejected(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"modle": "rf"}))
-    rc = cli_main(["train", "--config", str(path), "--input", "x.csv", "--out", "y"])
+    rc = cli_main(["run-all", "--config", str(path), "--input", "x.csv", "--out", "y"])
     assert rc == 1
     assert "modle" in capsys.readouterr().err
 
@@ -336,14 +343,14 @@ def test_help_exits_0(capsys):
 
 
 def test_missing_out_rejected(tmp_path, capsys, complete_csv):
-    rc = cli_main(["train", "--input", complete_csv])
+    rc = cli_main(["run-all", "--input", complete_csv])
     assert rc == 1
     assert "out" in capsys.readouterr().err
 
 
 def test_preset_and_plan_conflict(tmp_path, capsys, complete_csv):
     rc = cli_main([
-        "train", "--input", complete_csv, "--out", str(tmp_path / "o"),
+        "run-all", "--input", complete_csv, "--out", str(tmp_path / "o"),
         "--preset", "dataset1", "--plan", "p.json",
     ])
     assert rc == 1

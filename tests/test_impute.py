@@ -9,6 +9,7 @@ from icui.errors import ValidationError
 from icui.impute import (
     ImputeParams,
     _new_predictor,
+    _table,
     derive_groups,
     fit_algorithm0,
     fit_algorithm1,
@@ -71,6 +72,32 @@ def test_a0_requires_observed_values():
     ds = build_dataset(numeric={"x": [np.nan, np.nan]}, missing={"x": [True, True]})
     with pytest.raises(ValidationError, match="no observed"):
         fit_algorithm0(ds)
+
+
+def _all_missing_feature_dataset(target_observed):
+    rng = np.random.default_rng(2)
+    n = 40
+    t_miss = np.arange(n) >= target_observed
+    return build_dataset(
+        numeric={"t": rng.standard_normal(n), "p": rng.standard_normal(n), "dead": np.full(n, np.nan)},
+        missing={"t": t_miss, "dead": np.ones(n, dtype=bool)},
+    )
+
+
+def test_model_entry_needs_the_statistics_of_its_predictors():
+    ds = _all_missing_feature_dataset(target_observed=30)
+    with pytest.raises(ValidationError, match="column 'dead' has no observed values; cannot impute"):
+        fit_algorithm1(ds, "t", boost=FAST_BOOST, min_rows=10)
+
+
+def test_a0_fallback_reads_only_the_target_statistic():
+    # under min_rows no predictor is made, so the all-missing column is never read
+    ds = _all_missing_feature_dataset(target_observed=5)
+    entry = fit_algorithm1(ds, "t", boost=FAST_BOOST, min_rows=10)
+    assert entry.algorithm == "a0" and entry.predictor is None
+    assert entry.note == "a1 -> a0: 5 complete cases < min_rows=10"
+    observed = ds.values["t"][:5]
+    assert entry.fallback == np.sort(observed)[2]
 
 
 def test_a0_impute_fills_and_leaves_observed_bits_alone():
@@ -205,7 +232,7 @@ def test_one_vs_rest_classifiers_cover_the_distinct_observed_codes():
         categorical={"g": (codes, list("pqrstu"))},
         missing={"g": gap},
     )
-    predictor = _new_predictor(ds, "g", ["a"], seed=0)
+    predictor = _new_predictor(_table(ds), "g", ["a"], seed=0)
     assert [c for c, _ in predictor.classifiers] == np.unique(codes[~gap]).tolist() == [0, 3, 5]
     assert all(model is None for _, model in predictor.classifiers)  # made unfitted
     assert len(predictor.jobs) == 3

@@ -124,6 +124,16 @@ def test_select_fits_each_distinct_model_once_per_cell(monkeypatch, target, fits
     assert [name for name, _ in log] == ["fit_boosted_many"] * fits_per_cell
 
 
+@pytest.mark.parametrize("target", ["spo2", "hr_min"])
+def test_select_computes_a0_statistics_once_per_cell(monkeypatch, target):
+    calls = _counting(monkeypatch, "_a0_stats")
+    params = ImputeParams(algorithm="select", min_rows=10, boost=FAST_BOOST)
+    select_imputer(_grouped_dataset(), target, params=params)
+    assert len(calls) == params.outer_k * params.inner_k
+    # one table per cell, each over its own fit rows
+    assert len({args[1].tobytes() for args in calls}) == len(calls)
+
+
 def test_final_a3_fit_shares_a1_model_without_siblings(monkeypatch):
     log = _fit_log(monkeypatch)
     ds = _grouped_dataset()
@@ -135,11 +145,13 @@ def test_final_a3_fit_shares_a1_model_without_siblings(monkeypatch):
 
 @pytest.mark.parametrize("algorithm, builds", [("a1", 1), ("a2", 1), ("a3", 2)])
 def test_final_fit_builds_only_the_predictors_it_fits(monkeypatch, algorithm, builds):
-    # hr_min has the sibling hr_max, so its a1 and a2 predictors differ
-    calls = _counting(monkeypatch, "_new_predictor")
+    # hr_min has the sibling hr_max, so its a1 and a2 predictors differ; its
+    # predictors are the ones not reading hr_min, and fitting (no imputing
+    # here) is the only step that builds a predictor's input matrix
+    calls = _counting(monkeypatch, "_filled")
     params = ImputeParams(algorithm=algorithm, min_rows=10, boost=FAST_BOOST)
     impute_mod.fit_imputation(_grouped_dataset(), params)
-    assert [args[1] for args in calls].count("hr_min") == builds
+    assert sum("hr_min" not in names for _, _, names, _ in calls) == builds
 
 
 @pytest.mark.parametrize("algorithm", ["a1", "a2", "a3", "select"])
