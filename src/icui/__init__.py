@@ -7,18 +7,14 @@ __version__ = "0.1.0"
 from .attribution import (
     AttributionMatrix,
     global_shap_importance,
-    shapley_bruteforce,
     tree_shap,
 )
 from .boost import (
     BoostedModel,
     BoostParams,
     fit_boosted,
-    leaf_weight,
-    logistic_grad_hess,
     predict_margin,
     predict_proba_boosted,
-    split_gain,
 )
 from .cluster import (
     ClusterModel,

@@ -13,36 +13,33 @@ Forests are attributed in probability space (the ensemble output is a mean of
 leaf fractions), boosted models in margin space; either way the per-tree games
 add, so attributions are computed tree by tree and summed.
 
-`shapley_bruteforce` enumerates every subset against the definition above and
-is the oracle; `tree_shap` decomposes each tree over its leaves.  For a leaf L
-with value v, path features P, per-feature pass probabilities r_j (product of
-child fractions over the path's splits on j) and per-row indicators d_j (does
-x satisfy all of the path's conditions on j), the leaf's game is
-v * prod_j (d_j if j in S else r_j), whose Shapley values have a closed form
-in elementary symmetric polynomials of the r_j.  Rows share a leaf's
-closed form when they share its d-pattern, so the form is evaluated once per
-distinct (leaf, pattern) pair, all pairs of one path length in one vectorized
-pass.  Both routes agree to float precision.
+The oracle, `shapley_bruteforce` in tests/shap_oracle.py, enumerates every
+subset against the definition above; `tree_shap` decomposes each tree over its
+leaves.  For a leaf L with value v, path features P, per-feature pass
+probabilities r_j (product of child fractions over the path's splits on j) and
+per-row indicators d_j (does x satisfy all of the path's conditions on j), the
+leaf's game is v * prod_j (d_j if j in S else r_j), whose Shapley values have
+a closed form in elementary symmetric polynomials of the r_j.  Rows share a
+leaf's closed form when they share its d-pattern, so the form is evaluated
+once per distinct (leaf, pattern) pair, all pairs of one path length in one
+vectorized pass.  Both routes agree to float precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .boost import BoostedModel, predict_margin
+from .boost import BoostedModel
 from .data import write_table
 from .errors import ValidationError
-from .forest import ForestModel, ImportanceProfile, predict_proba_forest
+from .forest import ForestModel, ImportanceProfile, normalized_profile
 from .trees import LEAF, Tree, _check_matrix
 
 OUTPUT_PROBABILITY = "probability"
 OUTPUT_MARGIN = "margin"
-
-BRUTEFORCE_MAX_FEATURES = 20
 
 
 @dataclass
@@ -62,123 +59,6 @@ def _ensemble_views(model) -> tuple[list[tuple[Tree, float]], float, str, list[s
         eta = model.params.eta
         return [(t, eta) for t in model.trees], model.base_score, OUTPUT_MARGIN, model.feature_names
     raise ValidationError(f"unsupported model type {type(model).__name__}")
-
-
-def model_output(model, x) -> np.ndarray:
-    """The quantity attributions decompose: probability (forest) or margin."""
-    if isinstance(model, ForestModel):
-        return predict_proba_forest(model, x)
-    if isinstance(model, BoostedModel):
-        return predict_margin(model, x)
-    raise ValidationError(f"unsupported model type {type(model).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# brute force (oracle)
-
-
-def subset_weight_table(n_features: int) -> list[Fraction]:
-    """Exact Shapley subset weights by |S|, for S within F minus one player."""
-    if n_features < 1:
-        raise ValidationError("need at least one feature")
-    nf = math.factorial(n_features)
-    return [
-        Fraction(math.factorial(s) * math.factorial(n_features - s - 1), nf)
-        for s in range(n_features)
-    ]
-
-
-def coalition_value(model, row, subset) -> float:
-    """Definitional f(S) at one row: weighted descent with S's features fixed."""
-    views, offset, _, names = _ensemble_views(model)
-    x = np.asarray(row, dtype=np.float64)
-    if x.shape != (len(names),):
-        raise ValidationError(f"row must have {len(names)} values")
-    fixed = set(int(j) for j in subset)
-
-    def walk(tree: Tree, node: int, weight: float) -> float:
-        if tree.feature[node] == LEAF:
-            return weight * tree.value[node]
-        f = int(tree.feature[node])
-        thr = tree.threshold[node]
-        lo, hi = int(tree.left[node]), int(tree.right[node])
-        if f in fixed:
-            go_left = (x[f] == thr) if tree.categorical[node] else (x[f] <= thr)
-            return walk(tree, lo if go_left else hi, weight)
-        n_p = tree.n_samples[node]
-        acc = walk(tree, lo, weight * (tree.n_samples[lo] / n_p))
-        acc += walk(tree, hi, weight * (tree.n_samples[hi] / n_p))
-        return acc
-
-    total = offset
-    for tree, scale in views:
-        total += scale * walk(tree, 0, 1.0)
-    return float(total)
-
-
-def _all_subset_values(model, row) -> np.ndarray:
-    """f(S) for every subset, S encoded as a bitmask index.
-
-    Performs the same definitional descent as `coalition_value`, batched over
-    all subsets at once: the recursion carries a weight vector indexed by
-    subset, split at each node into the in-S branch-following part and the
-    out-of-S weighted-descent part.
-    """
-    views, offset, _, names = _ensemble_views(model)
-    n_features = len(names)
-    x = np.asarray(row, dtype=np.float64)
-    n_subsets = 1 << n_features
-    bit = (np.arange(n_subsets, dtype=np.int64)[:, None] >> np.arange(n_features)) & 1
-    f_values = np.full(n_subsets, offset, dtype=np.float64)
-
-    def walk(tree: Tree, node: int, weight: np.ndarray, scale: float) -> None:
-        if tree.feature[node] == LEAF:
-            f_values[:] += scale * tree.value[node] * weight
-            return
-        f = int(tree.feature[node])
-        thr = tree.threshold[node]
-        lo, hi = int(tree.left[node]), int(tree.right[node])
-        go_left = (x[f] == thr) if tree.categorical[node] else (x[f] <= thr)
-        has = bit[:, f] == 1
-        n_p = tree.n_samples[node]
-        w_left = weight * np.where(has, 1.0 if go_left else 0.0, tree.n_samples[lo] / n_p)
-        w_right = weight * np.where(has, 0.0 if go_left else 1.0, tree.n_samples[hi] / n_p)
-        walk(tree, lo, w_left, scale)
-        walk(tree, hi, w_right, scale)
-
-    ones = np.ones(n_subsets, dtype=np.float64)
-    for tree, scale in views:
-        walk(tree, 0, ones, scale)
-    return f_values
-
-
-def shapley_bruteforce(model, row) -> tuple[np.ndarray, float]:
-    """Exact Shapley values by full subset enumeration (guarded to 20 features).
-
-    Subset weights are exact rationals; per-feature sums are accumulated with
-    compensated summation.
-    """
-    _, _, _, names = _ensemble_views(model)
-    n_features = len(names)
-    if n_features > BRUTEFORCE_MAX_FEATURES:
-        raise ValidationError(
-            f"brute force is limited to {BRUTEFORCE_MAX_FEATURES} features, got {n_features}"
-        )
-    f_values = _all_subset_values(model, row)
-    masks = np.arange(1 << n_features, dtype=np.int64)
-    sizes = np.zeros(masks.size, dtype=np.int64)
-    for j in range(n_features):
-        sizes += (masks >> j) & 1
-    weights = subset_weight_table(n_features)
-    phi = np.zeros(n_features, dtype=np.float64)
-    for i in range(n_features):
-        without = np.flatnonzero((masks >> i) & 1 == 0)
-        terms = [
-            float(weights[int(sizes[s])]) * (f_values[s | (1 << i)] - f_values[s])
-            for s in without
-        ]
-        phi[i] = math.fsum(terms)
-    return phi, float(f_values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +184,9 @@ def _pattern_phi(d: np.ndarray, r: np.ndarray, v: np.ndarray) -> np.ndarray:
 def tree_shap(model, x) -> AttributionMatrix:
     """Shapley attributions for every row, polynomial in tree size.
 
-    Exactly matches `shapley_bruteforce` (up to float error): each leaf's
-    product game is solved in closed form and games add over leaves and trees.
+    Exactly matches `shapley_bruteforce` in tests/shap_oracle.py (up to float
+    error): each leaf's product game is solved in closed form and games add
+    over leaves and trees.
     The closed form is evaluated once per path length m, for every distinct
     (leaf, d-pattern) pair of that length across all trees at once.
     """
@@ -361,10 +242,7 @@ def global_shap_importance(attr: AttributionMatrix) -> ImportanceProfile:
     if attr.phi.ndim != 2 or attr.phi.shape[0] == 0:
         raise ValidationError("attribution matrix must have at least one row")
     raw = np.abs(attr.phi).mean(axis=0)
-    total = float(raw.sum())
-    if total > 0.0:
-        return ImportanceProfile(names=list(attr.feature_names), scores=raw / total, normalized=True)
-    return ImportanceProfile(names=list(attr.feature_names), scores=raw, normalized=False)
+    return normalized_profile(attr.feature_names, raw)
 
 
 def attribution_to_csv(attr: AttributionMatrix, path: str) -> None:

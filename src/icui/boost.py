@@ -79,42 +79,13 @@ def sigmoid(m):
     return out
 
 
-def logistic_grad_hess(margin: float, y: float) -> tuple[float, float]:
-    """Gradient and hessian of the logistic loss at one example."""
-    if y not in (0, 1):
-        raise ValidationError("y must be 0 or 1")
-    p = float(sigmoid(np.array([margin]))[0])
-    return p - y, p * (1.0 - p)
-
-
-def leaf_weight(grad_sum: float, hess_sum: float, reg_lambda: float) -> float:
-    denom = hess_sum + reg_lambda
-    if denom <= 0:
-        raise ValidationError("hessian sum plus lambda must be positive")
-    return -grad_sum / denom
-
-
-def split_gain(
-    g_left: float,
-    h_left: float,
-    g_right: float,
-    h_right: float,
-    reg_lambda: float,
-    gamma: float = 0.0,
-) -> float:
-    s_l = g_left * g_left / (h_left + reg_lambda)
-    s_r = g_right * g_right / (h_right + reg_lambda)
-    g_p = g_left + g_right
-    s_p = g_p * g_p / (h_left + h_right + reg_lambda)
-    return 0.5 * (s_l + s_r - s_p) - gamma
-
-
 def _newton_gains(g_l, h_l, g_t, h_t, s_parent, *, lam, gamma, mcw):
     """split_gain of splits whose left child sums to (g_l, h_l) in a node summing to (g_t, h_t).
 
-    s_parent is the node's G^2/(H+lambda).  The operands are flat candidate
-    arrays, so split_gain's arithmetic runs in place, in the same order: every
-    temporary would add to a fit's peak memory.
+    `split_gain` is the scalar form in tests/boost_oracle.py.  s_parent is the
+    node's G^2/(H+lambda).  The operands are flat candidate arrays, so
+    split_gain's arithmetic runs in place, in the same order: every temporary
+    would add to a fit's peak memory.
     """
     g_r = g_t - g_l
     h_r = h_t - h_l

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .attribution import attribution_to_csv
 from .boost import BoostParams
-from .cluster import HeatmapTable, build_heatmap
+from .cluster import HeatmapTable, build_heatmap, fold_mean_order
 from .data import (
     PreprocessPlan,
     apply_preprocess,
@@ -167,11 +167,22 @@ def _load_input(cfg: RunConfig):
     return ds, plan
 
 
+def _cpu_dispatch() -> list[str]:
+    """numpy's SIMD dispatch targets on this CPU; they choose the np.exp kernel boosted outputs depend on."""
+    if int(np.__version__.split(".")[0]) >= 2:
+        from numpy._core import _multiarray_umath as umath
+    else:
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
 def _write_meta(cfg: RunConfig, results: dict[str, CvResult]) -> None:
     meta = {
         "command": "run-all",
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
+        "numpy_version": np.__version__,
+        "numpy_cpu_dispatch": _cpu_dispatch(),
         "config": dataclasses.asdict(cfg),
         # per model and fold, the k the importance clustering ran with: at most
         # clusters_k, fewer when a fold's profile has fewer distinct scores
@@ -228,11 +239,7 @@ def _importance_rows(profiles: list) -> tuple[list[str], list]:
     """Header and rows of per-fold normalized scores plus their mean, descending on the mean."""
     valid = [p for p in profiles if p is not None]
     names = list(valid[0].names)
-    mean = np.zeros(len(names))
-    for p in valid:
-        mean += p.scores
-    mean /= len(valid)
-    order = np.lexsort((np.arange(len(names)), -mean))
+    mean, order = fold_mean_order(valid)
     cols = [[""] * len(names) if p is None else list(map(repr, p.scores.tolist())) for p in profiles]
     cols.append(list(map(repr, mean.tolist())))
     header = ["feature"] + [f"fold{i + 1}" for i in range(len(profiles))] + ["mean"]

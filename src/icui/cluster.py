@@ -172,6 +172,15 @@ def cluster_importance(
     return model, ClusterReport(k=model.k, ranks=ranks, feature_names=list(profile.names))
 
 
+def fold_mean_order(profiles: list[ImportanceProfile]) -> tuple[np.ndarray, np.ndarray]:
+    """Each feature's mean score over the profiles, and the features by descending mean, ties by index."""
+    mean = np.zeros(len(profiles[0].names), dtype=np.float64)
+    for p in profiles:
+        mean += p.scores
+    mean /= len(profiles)
+    return mean, np.lexsort((np.arange(mean.size), -mean))
+
+
 def build_heatmap(profiles: list[ImportanceProfile], reports: list[ClusterReport]) -> HeatmapTable:
     """Fold-major membership-weighted importance table.
 
@@ -187,15 +196,9 @@ def build_heatmap(profiles: list[ImportanceProfile], reports: list[ClusterReport
     for p in profiles:
         if list(p.names) != names:
             raise ValidationError("importance profiles disagree on feature names")
-    n_folds = len(profiles)
     ks = [r.k for r in reports]
     width = sum(ks)
-
-    mean_importance = np.zeros(n_features, dtype=np.float64)
-    for p in profiles:
-        mean_importance += p.scores
-    mean_importance /= n_folds
-    row_order = np.lexsort((np.arange(n_features), -mean_importance))
+    _, row_order = fold_mean_order(profiles)
 
     cells = np.zeros((n_features, width), dtype=np.float64)
     labels: list[str] = []

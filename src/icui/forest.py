@@ -65,6 +65,14 @@ class ImportanceProfile:
     normalized: bool
 
 
+def normalized_profile(names, raw: np.ndarray) -> ImportanceProfile:
+    """raw divided by its total when the total is positive, else raw left unnormalized."""
+    total = float(raw.sum())
+    if total > 0.0:
+        return ImportanceProfile(names=list(names), scores=raw / total, normalized=True)
+    return ImportanceProfile(names=list(names), scores=raw, normalized=False)
+
+
 def gini(counts) -> float:
     """Gini impurity 1 - sum(p_k^2) of a two-class count vector."""
     c = np.asarray(counts, dtype=np.float64)
@@ -375,8 +383,5 @@ def forest_importance(model: ForestModel, normalize: bool = True) -> ImportanceP
     raw = acc / len(model.trees)
     if not normalize:
         return ImportanceProfile(names=list(model.feature_names), scores=raw, normalized=False)
-    total = float(raw.sum())
-    if total > 0.0:
-        return ImportanceProfile(names=list(model.feature_names), scores=raw / total, normalized=True)
-    return ImportanceProfile(names=list(model.feature_names), scores=raw, normalized=False)
+    return normalized_profile(model.feature_names, raw)
 

@@ -415,6 +415,11 @@ def select_imputer(
     is the mean over all cells.  Lower MSE wins for numeric targets, higher
     accuracy for categorical; ties break toward the lower algorithm id.
 
+    Both the outer and the inner splits are unstratified seeded shuffles of
+    the target-observed rows (`split_folds` without labels).  Stratifying a
+    categorical target by its code would change which rows each cell holds,
+    and so the chosen algorithms and every imputed byte.
+
     Every cell's entries are built unfitted first; the models of all cells
     are then fitted in one `fit_boosted_many` call per feature list, and each
     cell predicts its held-out rows once per distinct model.

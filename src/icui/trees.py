@@ -5,21 +5,18 @@ Routing convention at an internal node:
   * categorical feature: row goes left iff code == threshold (one-vs-rest)
 
 Node ids are preorder (root 0, left subtree before right), which makes tree
-construction and serialization order deterministic.
+construction deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 
 LEAF = -1
-
-MODEL_FORMAT = "icui-model"
-MODEL_VERSION = 1
 
 
 @dataclass
@@ -95,32 +92,3 @@ def leaf_ids(tree: Tree, x: np.ndarray) -> np.ndarray:
 def predict_value(tree: Tree, x: np.ndarray) -> np.ndarray:
     """Leaf `value` for every row of `x`."""
     return tree.value[leaf_ids(tree, x)]
-
-
-def tree_to_dict(tree: Tree) -> dict:
-    out = {
-        "feature": tree.feature.tolist(),
-        "threshold": tree.threshold.tolist(),
-        "categorical": tree.categorical.astype(int).tolist(),
-        "left": tree.left.tolist(),
-        "right": tree.right.tolist(),
-        "n_samples": tree.n_samples.tolist(),
-        "value": tree.value.tolist(),
-        "gain": tree.gain.tolist(),
-    }
-    if tree.class_counts is not None:
-        out["class_counts"] = tree.class_counts.tolist()
-    return out
-
-
-def model_to_dict(model, kind: str) -> dict:
-    """A fitted forest or boosted model as JSON-ready data: a header, then its fields."""
-    out = {"format": MODEL_FORMAT, "version": MODEL_VERSION, "kind": kind}
-    for f in fields(model):
-        value = getattr(model, f.name)
-        if f.name == "trees":
-            value = [tree_to_dict(t) for t in value]
-        elif is_dataclass(value):
-            value = asdict(value)
-        out[f.name] = value
-    return out

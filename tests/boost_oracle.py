@@ -1,6 +1,12 @@
-"""Test-only reference: the depth-first boosted grower and its split scanners.
+"""Test-only references: Newton boosting's scalar formulas, and the depth-first
+boosted grower with its split scanners.
 
-These are `icui.boost`'s tree grower and `icui.split`'s per-node scanners as
+`logistic_grad_hess`, `leaf_weight` and `split_gain` are the per-example
+gradient and hessian, the leaf weight and the split score of `icui.boost`'s
+docstring, one scalar at a time; `icui.boost._newton_gains` is `split_gain`
+over whole candidate arrays.
+
+The grower and scanners are `icui.boost`'s tree grower and `icui.split`'s per-node scanners as
 they were before boosting grew the trees of many fits level by level over
 presorted columns; their bodies are kept unchanged, except that
 `_fit_round_tree` calls this module's `best_split`.  `fit_boosted_matrix`
@@ -22,12 +28,41 @@ from icui.boost import (
     OBJECTIVE_SQUARED,
     BoostedModel,
     BoostParams,
-    leaf_weight,
     sigmoid,
 )
 from icui.errors import ValidationError
 from icui.rng import make_rng
 from icui.trees import predict_value
+
+
+def logistic_grad_hess(margin: float, y: float) -> tuple[float, float]:
+    """Gradient and hessian of the logistic loss at one example."""
+    if y not in (0, 1):
+        raise ValidationError("y must be 0 or 1")
+    p = float(sigmoid(np.array([margin]))[0])
+    return p - y, p * (1.0 - p)
+
+
+def leaf_weight(grad_sum: float, hess_sum: float, reg_lambda: float) -> float:
+    denom = hess_sum + reg_lambda
+    if denom <= 0:
+        raise ValidationError("hessian sum plus lambda must be positive")
+    return -grad_sum / denom
+
+
+def split_gain(
+    g_left: float,
+    h_left: float,
+    g_right: float,
+    h_right: float,
+    reg_lambda: float,
+    gamma: float = 0.0,
+) -> float:
+    s_l = g_left * g_left / (h_left + reg_lambda)
+    s_r = g_right * g_right / (h_right + reg_lambda)
+    g_p = g_left + g_right
+    s_p = g_p * g_p / (h_left + h_right + reg_lambda)
+    return 0.5 * (s_l + s_r - s_p) - gamma
 
 
 def scan_numeric(x, rows, features, s1, s2, score):

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+from dataclasses import asdict, fields, is_dataclass
+
 import numpy as np
 import pytest
 
 from icui.data import CATEGORICAL, NUMERIC, ColumnSpec, Dataset
 from icui.errors import ValidationError
 from icui.trees import LEAF, Tree
+
+MODEL_FORMAT = "icui-model"
+MODEL_VERSION = 1
 
 
 def build_dataset(
@@ -139,3 +144,32 @@ class TreeBuilder:
             gain=np.array(self.gain, dtype=np.float64),
             class_counts=counts,
         )
+
+
+def tree_to_dict(tree: Tree) -> dict:
+    out = {
+        "feature": tree.feature.tolist(),
+        "threshold": tree.threshold.tolist(),
+        "categorical": tree.categorical.astype(int).tolist(),
+        "left": tree.left.tolist(),
+        "right": tree.right.tolist(),
+        "n_samples": tree.n_samples.tolist(),
+        "value": tree.value.tolist(),
+        "gain": tree.gain.tolist(),
+    }
+    if tree.class_counts is not None:
+        out["class_counts"] = tree.class_counts.tolist()
+    return out
+
+
+def model_to_dict(model, kind: str) -> dict:
+    """A fitted forest or boosted model as JSON-ready data: a header, then its fields."""
+    out = {"format": MODEL_FORMAT, "version": MODEL_VERSION, "kind": kind}
+    for f in fields(model):
+        value = getattr(model, f.name)
+        if f.name == "trees":
+            value = [tree_to_dict(t) for t in value]
+        elif is_dataclass(value):
+            value = asdict(value)
+        out[f.name] = value
+    return out

@@ -1,6 +1,11 @@
-"""Test-only reference: TreeSHAP solved one (leaf, pattern) pair at a time.
+"""Test-only references for `icui.attribution.tree_shap`.
 
-This is the per-pattern algorithm `icui.attribution.tree_shap` used before it
+`shapley_bruteforce` enumerates every feature subset against the definition
+of the path-dependent game in `icui.attribution`'s docstring: exact rational
+subset weights, and each f(S) by a weighted descent of every tree.
+
+`tree_shap_oracle` solves TreeSHAP one (leaf, pattern) pair at a time.  It is
+the per-pattern algorithm `icui.attribution.tree_shap` used before it
 solved every pair of one path length in a single vectorized pass; the bodies of
 `_sym_poly`, `_leaf_pattern_phi` and the per-leaf loop are kept unchanged.
 The leaf decomposition (`_tree_leaves`, `_eval_cond`) and the Shapley weight
@@ -8,6 +13,9 @@ row are shared with the package.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -19,7 +27,133 @@ from icui.attribution import (
     _tree_leaves,
     _weight_row,
 )
-from icui.trees import _check_matrix
+from icui.boost import BoostedModel, predict_margin
+from icui.errors import ValidationError
+from icui.forest import ForestModel, predict_proba_forest
+from icui.trees import LEAF, Tree, _check_matrix
+
+BRUTEFORCE_MAX_FEATURES = 20
+
+
+def model_output(model, x) -> np.ndarray:
+    """The quantity attributions decompose: probability (forest) or margin."""
+    if isinstance(model, ForestModel):
+        return predict_proba_forest(model, x)
+    if isinstance(model, BoostedModel):
+        return predict_margin(model, x)
+    raise ValidationError(f"unsupported model type {type(model).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# brute force (oracle)
+
+
+def subset_weight_table(n_features: int) -> list[Fraction]:
+    """Exact Shapley subset weights by |S|, for S within F minus one player."""
+    if n_features < 1:
+        raise ValidationError("need at least one feature")
+    nf = math.factorial(n_features)
+    return [
+        Fraction(math.factorial(s) * math.factorial(n_features - s - 1), nf)
+        for s in range(n_features)
+    ]
+
+
+def coalition_value(model, row, subset) -> float:
+    """Definitional f(S) at one row: weighted descent with S's features fixed."""
+    views, offset, _, names = _ensemble_views(model)
+    x = np.asarray(row, dtype=np.float64)
+    if x.shape != (len(names),):
+        raise ValidationError(f"row must have {len(names)} values")
+    fixed = set(int(j) for j in subset)
+
+    def walk(tree: Tree, node: int, weight: float) -> float:
+        if tree.feature[node] == LEAF:
+            return weight * tree.value[node]
+        f = int(tree.feature[node])
+        thr = tree.threshold[node]
+        lo, hi = int(tree.left[node]), int(tree.right[node])
+        if f in fixed:
+            go_left = (x[f] == thr) if tree.categorical[node] else (x[f] <= thr)
+            return walk(tree, lo if go_left else hi, weight)
+        n_p = tree.n_samples[node]
+        acc = walk(tree, lo, weight * (tree.n_samples[lo] / n_p))
+        acc += walk(tree, hi, weight * (tree.n_samples[hi] / n_p))
+        return acc
+
+    total = offset
+    for tree, scale in views:
+        total += scale * walk(tree, 0, 1.0)
+    return float(total)
+
+
+def _all_subset_values(model, row) -> np.ndarray:
+    """f(S) for every subset, S encoded as a bitmask index.
+
+    Performs the same definitional descent as `coalition_value`, batched over
+    all subsets at once: the recursion carries a weight vector indexed by
+    subset, split at each node into the in-S branch-following part and the
+    out-of-S weighted-descent part.
+    """
+    views, offset, _, names = _ensemble_views(model)
+    n_features = len(names)
+    x = np.asarray(row, dtype=np.float64)
+    n_subsets = 1 << n_features
+    bit = (np.arange(n_subsets, dtype=np.int64)[:, None] >> np.arange(n_features)) & 1
+    f_values = np.full(n_subsets, offset, dtype=np.float64)
+
+    def walk(tree: Tree, node: int, weight: np.ndarray, scale: float) -> None:
+        if tree.feature[node] == LEAF:
+            f_values[:] += scale * tree.value[node] * weight
+            return
+        f = int(tree.feature[node])
+        thr = tree.threshold[node]
+        lo, hi = int(tree.left[node]), int(tree.right[node])
+        go_left = (x[f] == thr) if tree.categorical[node] else (x[f] <= thr)
+        has = bit[:, f] == 1
+        n_p = tree.n_samples[node]
+        w_left = weight * np.where(has, 1.0 if go_left else 0.0, tree.n_samples[lo] / n_p)
+        w_right = weight * np.where(has, 0.0 if go_left else 1.0, tree.n_samples[hi] / n_p)
+        walk(tree, lo, w_left, scale)
+        walk(tree, hi, w_right, scale)
+
+    ones = np.ones(n_subsets, dtype=np.float64)
+    for tree, scale in views:
+        walk(tree, 0, ones, scale)
+    return f_values
+
+
+def shapley_bruteforce(model, row) -> tuple[np.ndarray, float]:
+    """Exact Shapley values by full subset enumeration (guarded to 20 features).
+
+    Subset weights are exact rationals; per-feature sums are accumulated with
+    compensated summation.
+    """
+    _, _, _, names = _ensemble_views(model)
+    n_features = len(names)
+    if n_features > BRUTEFORCE_MAX_FEATURES:
+        raise ValidationError(
+            f"brute force is limited to {BRUTEFORCE_MAX_FEATURES} features, got {n_features}"
+        )
+    f_values = _all_subset_values(model, row)
+    masks = np.arange(1 << n_features, dtype=np.int64)
+    sizes = np.zeros(masks.size, dtype=np.int64)
+    for j in range(n_features):
+        sizes += (masks >> j) & 1
+    weights = subset_weight_table(n_features)
+    phi = np.zeros(n_features, dtype=np.float64)
+    for i in range(n_features):
+        without = np.flatnonzero((masks >> i) & 1 == 0)
+        terms = [
+            float(weights[int(sizes[s])]) * (f_values[s | (1 << i)] - f_values[s])
+            for s in without
+        ]
+        phi[i] = math.fsum(terms)
+    return phi, float(f_values[0])
+
+
+# ---------------------------------------------------------------------------
+# per-pattern TreeSHAP
 
 
 def _sym_poly(values: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import TreeBuilder
-from icui.attribution import model_output, shapley_bruteforce, tree_shap
+from icui.attribution import tree_shap
 from icui.boost import BoostParams, fit_boosted
 from icui.cli import cli_main
 from icui.cluster import kmeans_1d
@@ -32,6 +32,7 @@ from icui.evaluate import ModelSpec, auprc, auroc, run_cv
 from icui.forest import ForestModel, ForestParams, fit_forest, forest_importance, gini, impurity_decrease
 from icui.impute import ImputeParams, fit_algorithm0, fit_algorithm2, fit_imputation, impute, select_imputer
 from icui.synth import SynthSpec, generate
+from shap_oracle import model_output, shapley_bruteforce
 
 # frozen pipeline settings for the big synthetic run (criteria 6 and 8)
 RF_PARAMS = dict(n_trees=50, max_depth=16, min_samples_leaf=20)

@@ -12,17 +12,14 @@ from icui.attribution import (
     OUTPUT_MARGIN,
     OUTPUT_PROBABILITY,
     attribution_to_csv,
-    coalition_value,
     global_shap_importance,
-    model_output,
-    shapley_bruteforce,
-    subset_weight_table,
     tree_shap,
 )
 from icui.boost import BoostParams, fit_boosted_matrix, predict_margin
 from icui.data import CATEGORICAL, NUMERIC, design_matrix
 from icui.errors import ValidationError
 from icui.forest import ForestModel, ForestParams, fit_forest, predict_proba_forest
+from shap_oracle import coalition_value, model_output, shapley_bruteforce, subset_weight_table
 
 ASSETS = Path(__file__).parent / "assets"
 

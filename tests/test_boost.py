@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import TreeBuilder, build_dataset
+from boost_oracle import leaf_weight, logistic_grad_hess, split_gain
+from conftest import TreeBuilder, build_dataset, model_to_dict
 from icui.boost import (
     OBJECTIVE_LOGISTIC,
     OBJECTIVE_SQUARED,
@@ -15,16 +16,13 @@ from icui.boost import (
     BoostParams,
     fit_boosted,
     fit_boosted_matrix,
-    leaf_weight,
-    logistic_grad_hess,
     predict_margin,
     predict_proba_boosted,
     sigmoid,
-    split_gain,
 )
 from icui.data import CATEGORICAL, NUMERIC, design_matrix
 from icui.errors import ValidationError
-from icui.trees import LEAF, model_to_dict, predict_value
+from icui.trees import LEAF, predict_value
 
 NUM = "numeric"
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import boost_oracle
+from conftest import tree_to_dict
 from icui import boost as boost_mod
 from icui.boost import (
     OBJECTIVE_LOGISTIC,
@@ -24,7 +25,6 @@ from icui.boost import (
 )
 from icui.data import CATEGORICAL, NUMERIC
 from icui.errors import ValidationError
-from icui.trees import tree_to_dict
 
 KINDS = [NUMERIC, CATEGORICAL, NUMERIC, NUMERIC, CATEGORICAL, NUMERIC]
 NAMES = ["tied", "few", "wide", "const", "many", "dup"]

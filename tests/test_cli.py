@@ -106,6 +106,7 @@ def test_run_all_layout(tmp_path, synth_csv):
     meta = json.loads((out / "run_meta.json").read_text())
     assert meta["command"] == "run-all"
     assert "timestamp" in meta and meta["config"]["seed"] == 0
+    assert isinstance(meta["numpy_cpu_dispatch"], list) and all(isinstance(t, str) for t in meta["numpy_cpu_dispatch"])
 
 
 def test_run_meta_records_reduced_cluster_k(tmp_path, complete_csv):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import TreeBuilder, build_dataset, validate_tree
+from conftest import TreeBuilder, build_dataset, model_to_dict, validate_tree
 from forest_oracle import _fit_tree_matrix
 from icui.data import CATEGORICAL, NUMERIC, design_matrix, take_rows
 from icui.errors import ValidationError
@@ -22,7 +22,7 @@ from icui.forest import (
     predict_proba_forest,
 )
 from icui.rng import make_rng
-from icui.trees import LEAF, leaf_ids, model_to_dict, predict_value
+from icui.trees import LEAF, leaf_ids, predict_value
 
 
 def fit_tree(rows, ds, params, rng):

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import build_dataset
+from conftest import build_dataset, model_to_dict
 from icui.boost import (
     OBJECTIVE_SQUARED,
     BoostParams,
@@ -30,7 +30,6 @@ from icui.boost import (
 )
 from icui.data import design_matrix
 from icui.forest import ForestParams, fit_forest
-from icui.trees import model_to_dict
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "assets", "model_digests.json")
 
