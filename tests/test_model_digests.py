@@ -102,6 +102,12 @@ def _forest_mtry3():
     return model_to_dict(fit_forest(_table(), params, seed=4), "forest")
 
 
+def _forest_mtry_all():
+    """mtry equals the column count, so no node draws: the trees do not depend on growth order."""
+    params = ForestParams(n_trees=5, min_samples_leaf=2, mtry=7)
+    return model_to_dict(fit_forest(_table(), params, seed=4), "forest")
+
+
 def _forest_no_bootstrap():
     params = ForestParams(n_trees=3, max_depth=5, min_samples_leaf=1, mtry=2, bootstrap=False)
     return model_to_dict(fit_forest(_table(), params, seed=9), "forest")
@@ -120,6 +126,7 @@ CASES = {
     "boosted-squared": _boosted_squared,
     "forest-mtry1-depth4": _forest_mtry1_depth4,
     "forest-mtry3": _forest_mtry3,
+    "forest-mtry-all": _forest_mtry_all,
     "forest-no-bootstrap": _forest_no_bootstrap,
 }
 
