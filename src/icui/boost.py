@@ -26,7 +26,7 @@ from . import split
 from .data import Dataset, design_matrix
 from .errors import ValidationError
 from .rng import make_rng
-from .trees import LEAF, Tree, _check_matrix, predict_value, preorder_trees
+from .trees import LEAF, Tree, _check_matrix, level_order_trees, predict_value
 
 OBJECTIVE_LOGISTIC = "logistic"
 OBJECTIVE_SQUARED = "squared"
@@ -192,7 +192,7 @@ def _grow_round(x, g, h, is_cat, params: BoostParams, block, starts, allowed):
             threshold[splits] = thresholds[f, np.arange(n_seg)][splits]
             gain[splits] = best[splits]
         levels.append({
-            "job": seg_job, "parent": seg_parent, "is_left": seg_left, "n_samples": (ends - starts).astype(np.float64),
+            "tree": seg_job, "parent": seg_parent, "is_left": seg_left, "n_samples": (ends - starts).astype(np.float64),
             "value": -gs / denom, "feature": feature, "threshold": threshold, "gain": gain,
             "categorical": splits & is_cat[feature],
         })
@@ -217,21 +217,7 @@ def _grow_round(x, g, h, is_cat, params: BoostParams, block, starts, allowed):
         seg_job = np.concatenate([seg_job[sp], seg_job[sp]])
         seg_parent = np.concatenate([ids[sp], ids[sp]])
         seg_left = np.repeat([True, False], sp.size)
-    nodes = {k: np.concatenate([lv[k] for lv in levels]) for k in levels[0]}
-    job, parent, is_left = nodes.pop("job"), nodes.pop("parent"), nodes.pop("is_left")
-    bounds = np.cumsum([0] + [lv["job"].size for lv in levels]).tolist()
-    below_roots = list(zip(bounds[1:-1], bounds[2:]))  # each level's span of node ids
-    size = np.ones(job.size, dtype=np.int64)  # subtree sizes, deepest level first
-    for a, b in reversed(below_roots):
-        np.add.at(size, parent[a:b], size[a:b])
-    pre = np.zeros(job.size, dtype=np.int64)  # preorder id within the job's tree
-    for a, b in below_roots:
-        p = parent[a:b]
-        # a right child comes after its parent and its left sibling's subtree
-        pre[a:b] = np.where(is_left[a:b], pre[p] + 1, pre[p] + size[p] - size[a:b])
-    pre_parent = np.where(parent == LEAF, LEAF, pre[parent])
-    trees = preorder_trees(job, pre, pre_parent, is_left, size[:n_jobs], nodes)
-    return trees, nodes["value"][leaf]
+    return level_order_trees(levels), np.concatenate([lv["value"] for lv in levels])[leaf]
 
 
 # Numeric cells (rows x numeric columns) a batch of jobs may hold.  Jobs are

@@ -16,6 +16,7 @@ feature and averaged over trees, where each node contributes
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -26,7 +27,7 @@ from . import split
 from .data import Dataset, design_matrix
 from .errors import ValidationError
 from .rng import make_rng
-from .trees import LEAF, Tree, _check_matrix, predict_value, preorder_trees
+from .trees import LEAF, Tree, _check_matrix, level_order_trees, predict_value
 
 
 @dataclass
@@ -129,8 +130,9 @@ def _gini_gains(n_l, p_l, n, pos, i_parent, *, msl):
     `_split_gain`'s arithmetic runs in place on the flat candidate arrays,
     each operation on the same operands in the same order.  Written as plain
     expressions it raises a fit's peak RSS by about 0.9 MB at 1600 x 66 (300
-    trees) and 4.5 MB at 16,000 x 66 (50 trees, depth 16), where each root
-    fills a step alone.
+    trees) and 4.5 MB at 16,000 x 66 (50 trees, depth 16).  The largest step
+    sets that peak: at 16,000 rows it is one root, scanned alone, since a
+    root's cells exceed `_STEP_CELLS`.
     """
     n_r = n - n_l
     p_r = pos - p_l
@@ -163,150 +165,138 @@ def _gini_gains(n_l, p_l, n, pos, i_parent, *, msl):
 # A forest's trees grow in consecutive batches.  A batch stacks about 30
 # bytes of per-tree statistics per tree and row, so it holds at most
 # _BATCH_ROWS rows all told (trees x rows), but never fewer than eight trees:
-# a step of one or two trees pays the scanner's fixed work for every node,
+# a depth of one or two trees pays the scanner's fixed work for few nodes,
 # and past 4096 rows eight trees' statistics (4 MB at 16,000 rows) stay
 # below the fit's own x and rank table (13 MB at 16,000 x 66).  Each step
-# scores nodes of the batch, taken in turn, up to _STEP_CELLS cells (node
-# rows x sorted numeric lines), which bounds the scanner's arrays; a node
-# bigger than that fills a step alone.
+# scores consecutive splittable nodes of one depth up to _STEP_CELLS cells
+# (node rows x sorted numeric lines), which bounds the scanner's arrays; a
+# node bigger than that fills a step alone.
 _BATCH_ROWS = 1 << 15
 _STEP_CELLS = 1 << 14
 
 
 def _grow_batch(x, y, is_cat, rank, params: ForestParams, mtry, rngs, weights) -> list[Tree]:
-    """One CART tree per rng of `rngs` and row of `weights`, all grown together.
+    """One CART tree per rng of `rngs` and row of `weights`, all grown together one depth at a time.
 
-    `weights` are per-row counts (bootstrap duplicates).  Every tree grows
-    depth-first from its own stack.  Each step takes the trees whose turn it
-    is, in rotation: from each it pops the leading leaves, which are only
-    recorded, together with its next splittable node, until that node would
-    overflow `_STEP_CELLS`.  One `split.scan` scores the step's splittable
-    nodes as segments of one block, so a step scans at most one node of a
-    tree.  A node's weight and positive weight are known when it is pushed
-    (integer counts: a child's are its parent's less its sibling's, exact),
-    and with them whether it is a leaf.  Tree b's row r has id b * n + r, so
-    the trees' statistics are stacked while x is shared.  A tree's nodes are
-    numbered and its `mtry` draws taken in its own preorder, as if it were
-    grown alone.
+    `weights` are per-row counts (bootstrap duplicates).  Tree b's row r has
+    id b * n + r, so the trees' statistics are stacked while x is shared.  A
+    depth lists the nodes of every tree breadth-first: children in their
+    parents' order, a left child before its right sibling.  Each splittable
+    node draws its `mtry` features from its tree's stream in that order, and
+    `split.scan` scores consecutive splittable nodes as segments of one
+    block, in steps of at most `_STEP_CELLS` cells.  A node's weight and
+    positive weight are integer counts, so a child's are its parent's less
+    its sibling's, exactly, and whether it is splittable is known when its
+    parent splits.  Only splittable nodes keep their rows, in one buffer that
+    each depth's children overwrite in place.
     """
     n, n_features = x.shape
     msl = float(params.min_samples_leaf)
     score = partial(_gini_gains, msl=msl)
     num = np.flatnonzero(~is_cat)
     cat = np.flatnonzero(is_cat)
-    row = np.tile(np.arange(n), len(rngs))
+    row = np.tile(np.arange(n, dtype=np.int32), len(rngs))  # id -> row of x; int32 like `rank`
     wy = weights * y
 
     def splittable(nw, pos, depth):
         ok = (pos != 0.0) & (pos != nw) & ~(nw < 2 * msl)
         return ok & (depth < params.max_depth) if params.max_depth is not None else ok
 
-    # a stack entry: (rows, weight, positive weight, depth, parent id, is left, splittable)
-    root_n, root_pos = weights.sum(axis=1), wy.sum(axis=1)
-    root_ok = splittable(root_n, root_pos, 0)
+    # a depth's nodes: tree, parent record, is left, weight, positive weight, splittable
+    tree, parent, is_left = np.arange(len(rngs)), np.full(len(rngs), LEAF), np.zeros(len(rngs), dtype=bool)
+    nw, pos = weights.sum(axis=1), wy.sum(axis=1)
+    ok = splittable(nw, pos, 0)
+    # the splittable nodes' rows, node by node, each node's ascending
+    line, sizes = np.flatnonzero(weights), np.count_nonzero(weights, axis=1)
+    line, sizes = line[ok.repeat(sizes)], sizes[ok]
     w, wy = weights.ravel(), wy.ravel()
-    stacks = [
-        [(np.flatnonzero(weights[b]) + b * n, root_n[b], root_pos[b], 0, LEAF, False, root_ok[b])]
-        for b in range(len(rngs))
-    ]
-    n_nodes = [0] * len(rngs)
-    steps = []
     width = max(1, min(mtry, num.size))  # sorted lines per node row, at most
-    queue = list(range(len(rngs)))  # trees with pending nodes, in turn
-    while queue:
-        popped, trees, ids, scanned = [], [], [], []
-        take = cells = 0
-        for b in queue:
-            stack = stacks[b]
-            while stack and not stack[-1][-1]:
-                popped.append(stack.pop())
-                trees.append(b)
-                ids.append(n_nodes[b])
-                n_nodes[b] += 1
-            if stack:
-                cells += stack[-1][0].size * width
-                if scanned and cells > _STEP_CELLS:
-                    break
-                scanned.append(len(popped))
-                popped.append(stack.pop())
-                trees.append(b)
-                ids.append(n_nodes[b])
-                n_nodes[b] += 1
-            take += 1
-        active, queue = queue[:take], queue[take:]
-        rows, nw, pos, depth, parent, is_left, _ = zip(*popped)
-        nw, pos = np.array(nw), np.array(pos)
-        node = {
-            "tree": np.array(trees), "id": np.array(ids), "parent": np.array(parent),
-            "is_left": np.array(is_left), "n": nw, "pos": pos, "feature": np.full(len(popped), LEAF),
-            "threshold": np.zeros(len(popped)), "gain": np.zeros(len(popped)),
+    levels, first = [], 0  # first: the depth's first record id
+    for depth in itertools.count():
+        level = {
+            "tree": tree, "parent": parent, "is_left": is_left, "n_samples": nw, "value": pos / nw,
+            "class_counts": np.stack((nw - pos, pos), axis=1), "feature": np.full(tree.size, LEAF),
+            "threshold": np.zeros(tree.size), "categorical": np.zeros(tree.size, dtype=bool), "gain": np.zeros(tree.size),
         }
-        steps.append(node)
-        if scanned:
-            seg = np.array(scanned)
-            tree = node["tree"][seg]
-            sizes = np.array([rows[i].size for i in scanned])
-            line = np.concatenate([rows[i] for i in scanned])
-            starts = np.cumsum(sizes) - sizes
-            lines, drawn = num, None
-            if mtry < n_features:
-                feats = np.sort([rngs[b].choice(n_features, size=mtry, replace=False) for b in tree], axis=1)
-                drawn = np.zeros((n_features, seg.size), dtype=bool)
-                drawn[feats.T, np.arange(seg.size)] = True
-                # each segment's drawn numeric features, ascending, padded
-                # with a feature whose gains the drawn mask discards
-                ranked = np.sort(np.where(is_cat[feats], n_features, feats), axis=1)
-                ranked = ranked[:, : int((~is_cat[feats]).sum(axis=1).max())].T
-                lines = np.where(ranked == n_features, num[0] if num.size else 0, ranked)
-            block = _step_block(line, sizes, lines, rank, row)
-            nn, pp = nw[seg], pos[seg]
-            seg_cat = cat if drawn is None else cat[drawn[cat].any(axis=1)]
-            gains, thresholds = split.scan(
-                x, block, starts, lines, seg_cat, w, wy, _gini2(nn - pp, pp), score, row=row
-            )
+        levels.append(level)
+        if not ok.any():
+            break
+        seg = np.flatnonzero(ok)
+        nn, pp, starts = nw[seg], pos[seg], np.cumsum(sizes) - sizes
+        i_parent = _gini2(nn - pp, pp)
+        drawn = None
+        if mtry < n_features:
+            feats = np.sort([rngs[b].choice(n_features, size=mtry, replace=False) for b in tree[seg].tolist()], axis=1)
+            drawn = np.zeros((n_features, seg.size), dtype=bool)
+            drawn[feats.T, np.arange(seg.size)] = True
+            # each node's drawn numeric features, ascending, padded with a
+            # feature whose gains the drawn mask discards
+            n_drawn = (~is_cat[feats]).sum(axis=1)
+            ranked = np.sort(np.where(is_cat[feats], n_features, feats), axis=1).T
+            ranked[ranked == n_features] = num[0] if num.size else 0
+        f, thr, gain = np.zeros(seg.size, dtype=np.int64), np.zeros(seg.size), np.zeros(seg.size)
+        n_l, p_l, rows_l = np.zeros(seg.size), np.zeros(seg.size), np.zeros(seg.size, dtype=np.int64)
+        split_ok, kids = np.zeros(seg.size, dtype=bool), np.zeros((seg.size, 2), dtype=bool)
+        out = 0  # the children's rows written so far
+        for a, b in _steps((sizes * width).tolist()):
+            lines, seg_cat = num, cat
             if drawn is not None:
-                gains[~drawn] = -np.inf
-            f, best = split.winners(gains)
-            thr = thresholds[f, np.arange(seg.size)]
-            fr = f.repeat(sizes)
-            vals = x[row[line], fr]
-            go_left = np.where(is_cat[fr], vals == thr.repeat(sizes), vals <= thr.repeat(sizes))
-            p_l = np.add.reduceat(np.where(go_left, wy[line], 0.0), starts)
-            n_l = np.add.reduceat(np.where(go_left, w[line], 0.0), starts)
-            n_r, p_r = nn - n_l, pp - p_l
+                lines = ranked[: n_drawn[a:b].max(), a:b]
+                seg_cat = cat[drawn[cat, a:b].any(axis=1)]
+            part, sz, st = line[starts[a] : starts[b - 1] + sizes[b - 1]], sizes[a:b], starts[a:b] - starts[a]
+            block = _step_block(part, sz, lines, rank, row)
+            gains, thresholds = split.scan(x, block, st, lines, seg_cat, w, wy, i_parent[a:b], score, row=row)
+            if drawn is not None:
+                gains[~drawn[:, a:b]] = -np.inf
+            f[a:b], best = split.winners(gains)
+            thr[a:b] = thresholds[f[a:b], np.arange(b - a)]
+            fr = f[a:b].repeat(sz)
+            vals = x[row[part], fr]
+            left = np.where(is_cat[fr], vals == thr[a:b].repeat(sz), vals <= thr[a:b].repeat(sz))
+            p_l[a:b] = np.add.reduceat(np.where(left, wy[part], 0.0), st)
+            n_l[a:b] = np.add.reduceat(np.where(left, w[part], 0.0), st)
+            rows_l[a:b] = np.add.reduceat(left, st, dtype=np.int64)
+            n_r, p_r = nn[a:b] - n_l[a:b], pp[a:b] - p_l[a:b]
             # Recompute the stored gain in `impurity_decrease`'s arithmetic; the
             # scanner mirrors it, so the two agree bit-for-bit on integer counts.
             with np.errstate(divide="ignore", invalid="ignore"):
-                gain = _split_gain(n_l - p_l, p_l, n_r - p_r, p_r)
-            split_ok = (best > 0.0) & (gain > 0.0)
-            at = seg[split_ok]
-            node["feature"][at] = f[split_ok]
-            node["threshold"][at] = thr[split_ok]
-            node["gain"][at] = gain[split_ok]
-            child = np.array(depth)[seg] + 1
-            ok_l = splittable(n_l, p_l, child).tolist()
-            ok_r = splittable(n_r, p_r, child).tolist()
-            ends = starts + sizes
-            for i in np.flatnonzero(split_ok).tolist():
-                b, d, pid = trees[scanned[i]], depth[scanned[i]] + 1, ids[scanned[i]]
-                part = line[starts[i] : ends[i]]
-                left = go_left[starts[i] : ends[i]]
-                # right pushed first so the left child is built (and numbered) first
-                stacks[b].append((part[~left], n_r[i], p_r[i], d, pid, False, ok_r[i]))
-                stacks[b].append((part[left], n_l[i], p_l[i], d, pid, True, ok_l[i]))
-        queue += [b for b in active if stacks[b]]
-    rec = {k: np.concatenate([step[k] for step in steps]) for k in steps[0]}
-    nw, pos, feature = rec["n"], rec["pos"], rec["feature"]
-    fields = {
-        "feature": feature,
-        "threshold": rec["threshold"],
-        "categorical": (feature != LEAF) & is_cat[feature],
-        "n_samples": nw,
-        "value": pos / nw,
-        "gain": rec["gain"],
-        "class_counts": np.stack((nw - pos, pos), axis=1),
-    }
-    return preorder_trees(rec["tree"], rec["id"], rec["parent"], rec["is_left"], n_nodes, fields)
+                gain[a:b] = _split_gain(n_l[a:b] - p_l[a:b], p_l[a:b], n_r - p_r, p_r)
+            split_ok[a:b] = (best > 0.0) & (gain[a:b] > 0.0)
+            kids[a:b, 0] = split_ok[a:b] & splittable(n_l[a:b], p_l[a:b], depth + 1)
+            kids[a:b, 1] = split_ok[a:b] & splittable(n_r, p_r, depth + 1)
+            # the splittable children's rows, in their parents' order, left before
+            # right, over the rows already scanned
+            keep = np.where(left, kids[a:b, 0].repeat(sz), kids[a:b, 1].repeat(sz))
+            side = 2 * np.arange(b - a).repeat(sz)[keep] + ~left[keep]
+            kept = part[keep][np.argsort(side, kind="stable")]
+            line[out : out + kept.size] = kept
+            out += kept.size
+        at = seg[split_ok]
+        level["feature"][at] = f[split_ok]
+        level["threshold"][at] = thr[split_ok]
+        level["gain"][at] = gain[split_ok]
+        level["categorical"][at] = is_cat[f[split_ok]]
+        line = line[:out]
+        ok = kids[split_ok].ravel()
+        sizes = np.stack((rows_l, sizes - rows_l), axis=1)[split_ok].ravel()[ok]
+        nw = np.stack((n_l, nn - n_l), axis=1)[split_ok].ravel()
+        pos = np.stack((p_l, pp - p_l), axis=1)[split_ok].ravel()
+        tree = tree[at].repeat(2)
+        parent = (first + at).repeat(2)
+        is_left = np.tile([True, False], at.size)
+        first += level["tree"].size
+    return level_order_trees(levels)
+
+
+def _steps(cells):
+    """Consecutive (first, stop) spans of `cells` summing to at most `_STEP_CELLS`, or one entry alone."""
+    spans, a, total = [], 0, 0
+    for i, c in enumerate(cells):
+        if i > a and total + c > _STEP_CELLS:
+            spans.append((a, i))
+            a, total = i, 0
+        total += c
+    return spans + [(a, len(cells))]
 
 
 def _step_block(line, sizes, lines, rank, row):
@@ -324,8 +314,11 @@ def fit_forest(ds: Dataset, params: ForestParams | None = None, seed: int = 0) -
     """Fit a bootstrap ensemble; tree t draws from the stream (seed, "tree", t).
 
     Each numeric column is sorted once, stably; a row's rank in that order
-    sorts every node of every tree.  Trees are grown in lockstep, in
-    consecutive batches of at most `_BATCH_ROWS` rows or else eight trees.
+    sorts every node of every tree.  Trees are grown in consecutive batches
+    of at most `_BATCH_ROWS` rows or else eight trees, a batch one depth at a
+    time.  Tree t draws its bootstrap sample, then one `mtry` subset per
+    splittable node in breadth-first order, so its arrays do not depend on
+    the batching.
     """
     params = params or ForestParams()
     if ds.labels is None:
@@ -370,8 +363,13 @@ def predict_proba_forest(model: ForestModel, x) -> np.ndarray:
     return acc / len(model.trees)
 
 
-def forest_importance(model: ForestModel, normalize: bool = True) -> ImportanceProfile:
-    """Per-feature mean of (N_n / N) * delta_i_n over trees (globally normalized)."""
+def forest_importance(model: ForestModel) -> ImportanceProfile:
+    """`_mean_importance` normalized to sum to 1 (left raw when every feature scores 0)."""
+    return normalized_profile(model.feature_names, _mean_importance(model))
+
+
+def _mean_importance(model: ForestModel) -> np.ndarray:
+    """Per-feature mean of (N_n / N) * delta_i_n over trees."""
     n_features = len(model.feature_names)
     acc = np.zeros(n_features, dtype=np.float64)
     for tree in model.trees:
@@ -380,8 +378,4 @@ def forest_importance(model: ForestModel, normalize: bool = True) -> ImportanceP
         per_tree = np.zeros(n_features, dtype=np.float64)
         np.add.at(per_tree, tree.feature[internal], contrib)
         acc += per_tree
-    raw = acc / len(model.trees)
-    if not normalize:
-        return ImportanceProfile(names=list(model.feature_names), scores=raw, normalized=False)
-    return normalized_profile(model.feature_names, raw)
-
+    return acc / len(model.trees)

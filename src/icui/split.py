@@ -1,11 +1,11 @@
 """Exact greedy split search shared by the forest and boosting.
 
-The search scores a *block*: boosting's nodes of one tree depth, or the
-forest's next node of several trees, laid side by side as segments of an
-int array of row ids, never padded.  Line 0 of the block holds each segment's
-rows in ascending order; line 1 + j holds the same rows stably sorted by
-numeric feature `num[j]`, one feature shared by every segment, or `num[j, s]`
-in segment s when each node draws its own features.  Two per-row statistics,
+The search scores a *block*: nodes of one tree depth, of one or several
+trees, laid side by side as segments of an int array of row ids, never
+padded.  Line 0 of the block holds each segment's rows in ascending order;
+line 1 + j holds the same rows stably sorted by numeric feature `num[j]`,
+one feature shared by every segment, or `num[j, s]` in segment s when each
+node draws its own features.  Two per-row statistics,
 indexed by row id, are accumulated down every sorted line of every segment:
 (w, w*y) for the forest's Gini decrease, (g, h) for boosting's Newton gain.
 Every boundary between consecutive distinct sorted values is a candidate,

@@ -36,22 +36,37 @@ class Tree:
         return int(self.feature.size)
 
 
-def preorder_trees(tree, pre, parent, is_left, n_nodes, fields) -> list[Tree]:
-    """One Tree per entry of `n_nodes`, from node records in any order.
+def level_order_trees(levels) -> list[Tree]:
+    """One Tree per root, with node ids in preorder, from node records listed depth by depth.
 
-    Record i is node `pre[i]`, a preorder id, of tree `tree[i]`.  Its parent
-    is node `parent[i]` of the same tree (LEAF at a root), whose left child
-    it is iff `is_left[i]`.  `fields` holds every other Tree array per record.
+    levels[d] holds, as equal-length arrays, the records of the nodes at
+    depth d: "tree", "parent", "is_left" and every Tree field but the child
+    ids.  levels[0] holds the roots of trees 0, 1, ... in order.  Records are
+    numbered through all levels in turn; below the roots, record i is a node
+    of tree `tree[i]` whose parent is record `parent[i]`, and it is that
+    node's left child iff `is_left[i]`.
     """
-    n_nodes = np.asarray(n_nodes)
+    fields = {k: np.concatenate([level[k] for level in levels]) for k in levels[0]}
+    tree, parent, is_left = fields.pop("tree"), fields.pop("parent"), fields.pop("is_left")
+    bounds = np.cumsum([0] + [level["tree"].size for level in levels]).tolist()
+    n_trees = bounds[1]
+    below_roots = list(zip(bounds[1:-1], bounds[2:]))  # each level's span of records
+    size = np.ones(tree.size, dtype=np.int64)  # subtree sizes, deepest level first
+    for a, b in reversed(below_roots):
+        np.add.at(size, parent[a:b], size[a:b])
+    pre = np.zeros(tree.size, dtype=np.int64)  # preorder id within the record's tree
+    for a, b in below_roots:
+        p = parent[a:b]
+        # a right child comes after its parent and its left sibling's subtree
+        pre[a:b] = np.where(is_left[a:b], pre[p] + 1, pre[p] + size[p] - size[a:b])
+    n_nodes = size[:n_trees]
     offset = np.cumsum(n_nodes) - n_nodes
     slot = offset[tree] + pre
     arrays = {"left": np.full(slot.size, LEAF), "right": np.full(slot.size, LEAF)}
-    child = parent != LEAF
-    at = offset[tree[child]] + parent[child]
-    left = is_left[child]
-    arrays["left"][at[left]] = pre[child][left]
-    arrays["right"][at[~left]] = pre[child][~left]
+    at = slot[parent[n_trees:]]
+    left = is_left[n_trees:]
+    arrays["left"][at[left]] = pre[n_trees:][left]
+    arrays["right"][at[~left]] = pre[n_trees:][~left]
     for k, v in fields.items():
         arrays[k] = np.empty_like(v)
         arrays[k][slot] = v

@@ -81,6 +81,19 @@ def validate_tree(tree: Tree) -> None:
             raise ValidationError(f"node {node}: negative split gain")
 
 
+def digest_changes(old: dict, new: dict) -> list[str]:
+    """For each name whose digest differs: "changed", "added" or "removed", then the name."""
+    lines = []
+    for name in sorted(set(old) | set(new)):
+        if name not in old:
+            lines.append(f"added {name}")
+        elif name not in new:
+            lines.append(f"removed {name}")
+        elif old[name] != new[name]:
+            lines.append(f"changed {name}")
+    return lines
+
+
 @pytest.fixture
 def tmp_csv(tmp_path):
     def write(text: str, name: str = "data.csv") -> str:

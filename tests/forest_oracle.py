@@ -1,13 +1,17 @@
 """Test-only reference: the forest's one-tree, one-node-at-a-time grower.
 
-`_fit_tree_matrix` is the grower `icui.forest.fit_forest` called once per
-tree before it grew all trees in lockstep; its body is kept unchanged, with
-`split` standing for tests/split_oracle.py, which holds the one-node search.
+`_fit_tree_matrix` grows one tree alone, breadth-first: it takes nodes from a
+queue, a left child before its right sibling, and each splittable node draws
+its `mtry` features from the tree's stream in that order, as
+`icui.forest.fit_forest` draws them while it grows all trees of a batch one
+depth at a time.  The built tree is renumbered to preorder.  `split` stands
+for tests/split_oracle.py, which holds the one-node search.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from functools import partial
 
 import numpy as np
@@ -15,7 +19,7 @@ import numpy as np
 import split_oracle as split
 from conftest import TreeBuilder
 from icui.forest import ForestParams, _gini2, _gini_gains, _split_gain
-from icui.trees import Tree
+from icui.trees import LEAF, Tree
 
 
 def _fit_tree_matrix(x, y, kinds, params: ForestParams, rng, weights) -> Tree:
@@ -30,9 +34,9 @@ def _fit_tree_matrix(x, y, kinds, params: ForestParams, rng, weights) -> Tree:
 
     wy_all = weights * y
     rows0 = np.flatnonzero(weights > 0)
-    stack = [(rows0, 0, -1, "left")]
-    while stack:
-        rows, depth, parent, side = stack.pop()
+    queue = deque([(rows0, 0, -1, "left")])
+    while queue:
+        rows, depth, parent, side = queue.popleft()
         w = weights[rows]
         wy = wy_all[rows]
         pos = float(wy.sum())
@@ -65,7 +69,23 @@ def _fit_tree_matrix(x, y, kinds, params: ForestParams, rng, weights) -> Tree:
         if not gain > 0.0:
             continue
         builder.set_split(node, f, thr, cat, gain)
-        # right pushed first so the left child is built (and numbered) first
-        stack.append((rows[~go_left], depth + 1, node, "right"))
-        stack.append((rows[go_left], depth + 1, node, "left"))
-    return builder.build()
+        queue.append((rows[go_left], depth + 1, node, "left"))
+        queue.append((rows[~go_left], depth + 1, node, "right"))
+    return preorder(builder.build())
+
+
+def preorder(tree: Tree) -> Tree:
+    """`tree` with its nodes renumbered in preorder: root 0, a left subtree before the right."""
+    order, todo = [], [0]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        if tree.left[node] != LEAF:
+            todo += [tree.right[node], tree.left[node]]
+    order = np.array(order, dtype=np.int64)
+    new_id = np.empty_like(order)
+    new_id[order] = np.arange(order.size)
+    arrays = {k: v[order] for k, v in vars(tree).items()}
+    for k in ("left", "right"):
+        arrays[k] = np.where(arrays[k] == LEAF, LEAF, new_id[arrays[k]])
+    return Tree(**arrays)

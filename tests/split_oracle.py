@@ -5,10 +5,11 @@ and boosting used before `icui.split` scanned every numeric feature of a node
 in one 2-D pass.  Each scores one feature column `v` of a node and returns
 (gain, threshold) or None.
 
-`node_block` and `best_split` are the one-node search the forest used before
-it grew its trees in lockstep (tests/forest_oracle.py): the node's rows are
-sorted on their own and scanned as a block of one segment.  All bodies are
-kept unchanged.
+`node_block` and `best_split` are the one-node search of the forest's
+one-tree oracle (tests/forest_oracle.py), which grows one node at a time,
+as the forest did before it grew several trees together: the node's rows
+are sorted on their own and scanned as a block of one segment.  All bodies
+are kept unchanged.
 """
 
 from __future__ import annotations

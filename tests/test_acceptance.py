@@ -29,7 +29,15 @@ from icui.data import (
     summarize,
 )
 from icui.evaluate import ModelSpec, auprc, auroc, run_cv
-from icui.forest import ForestModel, ForestParams, fit_forest, forest_importance, gini, impurity_decrease
+from icui.forest import (
+    ForestModel,
+    ForestParams,
+    _mean_importance,
+    fit_forest,
+    forest_importance,
+    gini,
+    impurity_decrease,
+)
 from icui.impute import ImputeParams, fit_algorithm0, fit_algorithm2, fit_imputation, impute, select_imputer
 from icui.synth import SynthSpec, generate
 from shap_oracle import model_output, shapley_bruteforce
@@ -149,8 +157,8 @@ def test_criterion_3_impurity_fixtures():
     with _verdict(3, "impurity and importance fixtures"):
         assert gini([1, 3]) == 0.375
         assert impurity_decrease([3, 1], [2, 0], [1, 1]) == 0.125
-        raw = forest_importance(_hand_forest(), normalize=False)
-        assert raw.scores.tolist() == [0.203125, 0.09375]
+        raw = _mean_importance(_hand_forest())
+        assert raw.tolist() == [0.203125, 0.09375]
         norm = forest_importance(_hand_forest())
         assert abs(norm.scores.sum() - 1.0) <= 1e-12
         assert norm.scores.tolist() == [13 / 19, 6 / 19]

@@ -14,6 +14,7 @@ from icui.forest import (
     ForestModel,
     ForestParams,
     _gini2,
+    _mean_importance,
     _split_gain,
     fit_forest,
     forest_importance,
@@ -485,10 +486,9 @@ def _hand_model():
 
 
 def test_forest_importance_two_tree_fixture_exact():
-    prof = forest_importance(_hand_model(), normalize=False)
+    raw = _mean_importance(_hand_model())
     # tree1: f0 (8/8)*0.28125, f1 (4/8)*0.375; tree2: f0 (8/8)*0.125
-    assert prof.scores.tolist() == [0.203125, 0.09375]
-    assert not prof.normalized
+    assert raw.tolist() == [0.203125, 0.09375]
 
 
 def test_forest_importance_normalized_sums_to_one():

@@ -1,9 +1,9 @@
-"""The lockstep forest grower against the one-tree oracle it replaced.
+"""The level-wise forest grower against the breadth-first one-tree oracle.
 
-`fit_forest` grows all trees of a batch together, one splittable node of
-each of several trees per step.  Every array of every tree must equal, with
-np.array_equal, the tree tests/forest_oracle.py grows alone from the same
-stream (seed, "tree", t).
+`fit_forest` grows all trees of a batch together, one depth at a time.
+Every array of every tree must equal, with np.array_equal and the same
+dtype, the tree tests/forest_oracle.py grows alone, breadth-first, from the
+same stream (seed, "tree", t).
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def _assert_same_forest(ds, params, seed):
     ],
     ids=["mtry1", "mtry-all", "mtry-over", "no-bootstrap", "depth0", "depth3", "depth3-msl5", "defaults"],
 )
-def test_lockstep_forest_equals_one_tree_oracle(params):
+def test_level_wise_forest_equals_breadth_first_oracle(params):
     for seed in (0, 3):
         _assert_same_forest(_table(), params, seed)
 
@@ -97,7 +97,7 @@ def test_mtry1_nodes_that_draw_a_categorical_feature_split_on_it():
     assert sum(int((~t.categorical & (t.feature != LEAF)).sum()) for t in trees) > 0
 
 
-def test_trees_that_finish_at_different_steps():
+def test_trees_that_finish_at_different_depths():
     trees = _assert_same_forest(_table(), ForestParams(n_trees=8, min_samples_leaf=2), 4)
     assert len({t.n_nodes for t in trees}) > 3
 
@@ -109,22 +109,23 @@ def test_constant_column_never_splits():
 
 @pytest.mark.parametrize("step_cells", [1, 300, 1 << 14])
 def test_batches_and_steps_of_any_size(monkeypatch, step_cells):
-    """Eleven trees in batches of eight and three; steps of one node, of a few, or of every tree's."""
+    """Eleven trees in batches of eight and three; steps of one node, of a few, or of a whole depth."""
     monkeypatch.setattr(forest, "_BATCH_ROWS", 1)
     monkeypatch.setattr(forest, "_STEP_CELLS", step_cells)
     scan = split.scan
-    segments = []
+    steps = []
 
-    def recording_scan(x, block, starts, *args, **kwargs):
-        segments.append(starts.size)
-        return scan(x, block, starts, *args, **kwargs)
+    def recording_scan(x, block, starts, num, *args, **kwargs):
+        steps.append((starts.size, block.shape[1] * max(1, num.shape[0])))  # segments, cells
+        return scan(x, block, starts, num, *args, **kwargs)
 
     monkeypatch.setattr(split, "scan", recording_scan)
     _assert_same_forest(_table(), ForestParams(n_trees=11, mtry=2, min_samples_leaf=1), 6)
+    assert all(segments == 1 or cells <= step_cells for segments, cells in steps)
     if step_cells == 1:
-        assert max(segments) == 1
+        assert max(segments for segments, _ in steps) == 1
     else:
-        assert 1 < max(segments) <= 8
+        assert max(segments for segments, _ in steps) > 1
 
 
 @pytest.mark.parametrize(
@@ -132,31 +133,34 @@ def test_batches_and_steps_of_any_size(monkeypatch, step_cells):
     [ForestParams(n_trees=9, min_samples_leaf=2), ForestParams(n_trees=9, mtry=6, min_samples_leaf=5)],
     ids=["msl2", "mtry-all-msl5"],
 )
-def test_each_step_scans_the_next_splittable_node_of_every_tree(monkeypatch, params):
-    """A step pops each tree's leading leaves together with its next splittable node.
-
-    With one batch and no step cap, every step scans one node of each tree
-    that has one left, so the fit takes as many scans as its largest
-    per-tree count of scanned nodes.
-    """
+def test_each_depth_with_a_splittable_node_is_one_scan(monkeypatch, params):
+    """With one batch and no step cap, the fit scans every splittable node of a depth, of all trees, at once."""
     monkeypatch.setattr(forest, "_STEP_CELLS", 1 << 62)
     ds = _table()
     scan = split.scan
     per_call = []
 
-    def recording_scan(x, block, starts, *args, row=None, **kwargs):
-        per_call.append((block[0, starts] // ds.n_rows).tolist())  # each segment's tree
-        return scan(x, block, starts, *args, row=row, **kwargs)
+    def recording_scan(x, block, starts, *args, **kwargs):
+        per_call.append(starts.size)
+        return scan(x, block, starts, *args, **kwargs)
 
     monkeypatch.setattr(split, "scan", recording_scan)
     trees = _assert_same_forest(ds, params, 4)
     msl = params.min_samples_leaf
     # the grower's stop tests: both classes present and room for two children
-    scanned = [int(((t.class_counts > 0).all(axis=1) & (t.n_samples >= 2 * msl)).sum()) for t in trees]
-    assert sum(t.n_nodes for t in trees) > sum(scanned)  # there are leaves to chain
-    assert all(len(set(trees_of_call)) == len(trees_of_call) for trees_of_call in per_call)
-    assert np.bincount(np.concatenate(per_call), minlength=len(trees)).tolist() == scanned
-    assert len(per_call) == max(scanned)
+    splittable = [((t.class_counts > 0).all(axis=1) & (t.n_samples >= 2 * msl)) for t in trees]
+    depths = [_depths(t) for t in trees]
+    per_depth = np.bincount(np.concatenate([d[s] for d, s in zip(depths, splittable)]))
+    assert per_call == per_depth[per_depth > 0].tolist()
+    assert len(per_call) == per_depth.size > 3
+
+
+def _depths(tree):
+    """Each node's depth; a preorder parent precedes its children."""
+    depth = np.zeros(tree.n_nodes, dtype=np.int64)
+    for i in np.flatnonzero(tree.feature != LEAF).tolist():
+        depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
+    return depth
 
 
 def test_all_categorical_and_single_row_tables():

@@ -7,7 +7,8 @@ purpose regenerates the manifest with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and names the cause in CHANGES.md.
+which prints, per case, each artifact it changed, added or removed; the
+cause goes into CHANGES.md.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import tempfile
 
 import pytest
 
+from conftest import digest_changes
 from icui.cli import cli_main
 
 MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "assets", "golden_manifest.json")
@@ -88,6 +90,11 @@ def test_run_all_matches_golden_manifest(name, tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         manifest = {name: run_case(name, work) for name in sorted(CASES)}
+    with open(MANIFEST, encoding="utf-8") as fh:
+        old = json.load(fh)
+    for case in sorted(set(old) | set(manifest)):
+        for line in digest_changes(old.get(case, {}), manifest.get(case, {})):
+            print(f"{case}: {line}")
     with open(MANIFEST, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

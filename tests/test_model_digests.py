@@ -8,7 +8,8 @@ alters fitted trees on purpose regenerates the digests with
 
     PYTHONPATH=src python tests/test_model_digests.py
 
-and names the cause in CHANGES.md.
+which prints each case whose digest it changed, added or removed; the cause
+goes into CHANGES.md.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import build_dataset, model_to_dict
+from conftest import build_dataset, digest_changes, model_to_dict
 from icui.boost import (
     OBJECTIVE_SQUARED,
     BoostParams,
@@ -145,7 +146,12 @@ def test_fitted_model_matches_recorded_digest(name):
 
 
 if __name__ == "__main__":
+    digests = {name: digest(name) for name in sorted(CASES)}
+    with open(DIGESTS, encoding="utf-8") as fh:
+        old = json.load(fh)
+    for line in digest_changes(old, digests):
+        print(line)
     with open(DIGESTS, "w", encoding="utf-8") as fh:
-        json.dump({name: digest(name) for name in sorted(CASES)}, fh, indent=2, sort_keys=True)
+        json.dump(digests, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {DIGESTS}", file=sys.stderr)

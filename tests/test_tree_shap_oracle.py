@@ -61,9 +61,11 @@ def test_deep_forest(table, deep_forest):
 
 @pytest.mark.parametrize("mtry", [1, 2])
 def test_forest_small_mtry(table, mtry):
-    # with few candidate features per node, paths often split a feature twice
+    # with few candidate features per node, paths often split a feature twice;
+    # seed 1 gives both kinds of double split at mtry 1 and 2 (seed 3 has no
+    # categorical one at mtry 2)
     ds, x = table
-    model = fit_forest(ds, ForestParams(n_trees=4, min_samples_leaf=1, mtry=mtry), seed=3)
+    model = fit_forest(ds, ForestParams(n_trees=4, min_samples_leaf=1, mtry=mtry), seed=1)
     conds = [cond for leaf in _leaves(model) for cond in leaf.conds]
     assert any(c[0] == _COND_CAT and _split_twice(c) for c in conds)
     assert any(c[0] == _COND_NUM and _split_twice(c) for c in conds)

@@ -4,7 +4,7 @@ from icui.boost import BoostParams, fit_boosted, fit_boosted_many
 from icui.data import design_matrix
 from icui.forest import ForestParams, fit_forest
 from icui.synth import SynthSpec, generate
-from icui.trees import LEAF, preorder_trees
+from icui.trees import LEAF, level_order_trees
 
 
 def _assert_preorder(tree):
@@ -23,17 +23,27 @@ def _assert_preorder(tree):
         assert tree.right[i] == i + 1 + size[i + 1]
 
 
-def test_preorder_trees_from_shuffled_records():
+def test_level_order_trees_from_shuffled_levels():
     # tree 0:  0 -> (1 -> (2, 3), 4);  tree 1: one leaf;  tree 2:  0 -> (1, 2 -> (3, 4))
     tree = np.array([0, 0, 0, 0, 0, 1, 2, 2, 2, 2, 2])
     pre = np.array([0, 1, 2, 3, 4, 0, 0, 1, 2, 3, 4])
-    parent = np.array([LEAF, 0, 1, 1, 0, LEAF, LEAF, 0, 0, 2, 2])
+    parent = np.array([LEAF, 0, 1, 1, 0, LEAF, LEAF, 0, 0, 2, 2])  # preorder ids
     is_left = np.array([False, True, True, False, False, False, False, True, False, True, False])
+    depth = np.array([0, 1, 2, 2, 1, 0, 0, 1, 1, 2, 2])
     feature = np.array([3, 1, LEAF, LEAF, LEAF, LEAF, 0, LEAF, 2, LEAF, LEAF])
     value = np.arange(11) / 10.0
     counts = np.stack((np.arange(11.0), 2 * np.arange(11.0)), axis=1)
-    order = np.random.default_rng(0).permutation(11)
-    fields = {
+    # the roots in tree order, then each deeper level in a random order
+    rng = np.random.default_rng(0)
+    order = np.concatenate([[0, 5, 6]] + [rng.permutation(np.flatnonzero(depth == d)) for d in (1, 2)])
+    record = np.empty(11, dtype=np.int64)
+    record[order] = np.arange(11)
+    pos = {(t, p): record[i] for i, (t, p) in enumerate(zip(tree.tolist(), pre.tolist()))}
+    parent_record = np.array([LEAF if p == LEAF else pos[t, p] for t, p in zip(tree[order], parent[order])])
+    records = {
+        "tree": tree[order],
+        "parent": parent_record,
+        "is_left": is_left[order],
         "feature": feature[order],
         "threshold": value[order] + 1.0,
         "categorical": (feature == 2)[order],
@@ -42,7 +52,8 @@ def test_preorder_trees_from_shuffled_records():
         "gain": value[order] + 3.0,
         "class_counts": counts[order],
     }
-    trees = preorder_trees(tree[order], pre[order], parent[order], is_left[order], [5, 1, 5], fields)
+    levels = [{k: v[a:b] for k, v in records.items()} for a, b in ((0, 3), (3, 7), (7, 11))]
+    trees = level_order_trees(levels)
     assert [t.n_nodes for t in trees] == [5, 1, 5]
     assert trees[0].left.tolist() == [1, 2, LEAF, LEAF, LEAF]
     assert trees[0].right.tolist() == [4, 3, LEAF, LEAF, LEAF]
