@@ -17,12 +17,12 @@ The oracle, `shapley_bruteforce` in tests/shap_oracle.py, enumerates every
 subset against the definition above; `tree_shap` decomposes each tree over its
 leaves.  For a leaf L with value v, path features P, per-feature pass
 probabilities r_j (product of child fractions over the path's splits on j) and
-per-row indicators d_j (does x satisfy all of the path's conditions on j), the
-leaf's game is v * prod_j (d_j if j in S else r_j), whose Shapley values have
-a closed form in elementary symmetric polynomials of the r_j.  Rows share a
-leaf's closed form when they share its d-pattern, so the form is evaluated
-once per distinct (leaf, pattern) pair, all pairs of one path length in one
-vectorized pass.  Both routes agree to float precision.
+per-row indicators d_j (does `trees.goes_left` send x the path's way at each
+of the path's splits on j), the leaf's game is v * prod_j (d_j if j in S else
+r_j), whose Shapley values have a closed form in elementary symmetric
+polynomials of the r_j.  Rows share a leaf's closed form when they share its
+d-pattern, so the form is evaluated once per distinct (leaf, pattern) pair,
+all pairs of one path length in one vectorized pass.  Both routes agree to float precision.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .boost import BoostedModel
 from .data import write_table
 from .errors import ValidationError
 from .forest import ForestModel, ImportanceProfile, normalized_profile
-from .trees import LEAF, Tree, _check_matrix
+from .trees import LEAF, Tree, _check_matrix, goes_left
 
 OUTPUT_PROBABILITY = "probability"
 OUTPUT_MARGIN = "margin"
@@ -64,9 +64,6 @@ def _ensemble_views(model) -> tuple[list[tuple[Tree, float]], float, str, list[s
 # ---------------------------------------------------------------------------
 # polynomial per-leaf algorithm
 
-_COND_NUM = 0
-_COND_CAT = 1
-
 
 @dataclass
 class _PathLeaf:
@@ -74,7 +71,7 @@ class _PathLeaf:
     frac: float       # training fraction reaching the leaf
     feats: np.ndarray  # distinct features on the path, first-encounter order
     r: np.ndarray      # per-feature pass probability
-    conds: list        # per-feature (_COND_NUM, lo, hi) or (_COND_CAT, required, excluded)
+    splits: list       # per feature: the path's (threshold, categorical, went_left) splits on it
 
 
 def _tree_leaves(tree: Tree, scale: float) -> list[_PathLeaf]:
@@ -82,49 +79,37 @@ def _tree_leaves(tree: Tree, scale: float) -> list[_PathLeaf]:
     root_n = tree.n_samples[0]
     stack: list[tuple[int, dict, dict]] = [(0, {}, {})]
     while stack:
-        node, conds, r = stack.pop()
+        node, splits, r = stack.pop()
         if tree.feature[node] == LEAF:
-            feats = list(conds.keys())
+            feats = list(splits.keys())
             out.append(
                 _PathLeaf(
                     value=float(tree.value[node]) * scale,
                     frac=float(tree.n_samples[node] / root_n),
                     feats=np.array(feats, dtype=np.int64),
                     r=np.array([r[f] for f in feats], dtype=np.float64),
-                    conds=[conds[f] for f in feats],
+                    splits=[splits[f] for f in feats],
                 )
             )
             continue
         f = int(tree.feature[node])
-        thr = tree.threshold[node]
-        lo, hi = int(tree.left[node]), int(tree.right[node])
+        thr, cat = tree.threshold[node], bool(tree.categorical[node])
         n_p = tree.n_samples[node]
-        if tree.categorical[node]:
-            base = conds.get(f, (_COND_CAT, None, frozenset()))
-            cond_l = (_COND_CAT, thr, base[2])
-            cond_r = (_COND_CAT, base[1], base[2] | {thr})
-        else:
-            base = conds.get(f, (_COND_NUM, -np.inf, np.inf))
-            cond_l = (_COND_NUM, base[1], min(base[2], thr))
-            cond_r = (_COND_NUM, max(base[1], thr), base[2])
-        for child, cond in ((hi, cond_r), (lo, cond_l)):
-            conds_c = dict(conds)
-            conds_c[f] = cond
+        for child, went_left in ((int(tree.right[node]), False), (int(tree.left[node]), True)):
+            splits_c = dict(splits)
+            splits_c[f] = splits.get(f, ()) + ((thr, cat, went_left),)
             r_c = dict(r)
             r_c[f] = r.get(f, 1.0) * (tree.n_samples[child] / n_p)
-            stack.append((child, conds_c, r_c))
+            stack.append((child, splits_c, r_c))
     return out
 
 
-def _eval_cond(cond, col: np.ndarray) -> np.ndarray:
-    if cond[0] == _COND_NUM:
-        return (col > cond[1]) & (col <= cond[2])
-    required, excluded = cond[1], cond[2]
-    if required is not None:
-        return col == required
+def _follows(splits, col: np.ndarray) -> np.ndarray:
+    """d_j per row: does `col` take the path's branch at each of its `splits` on feature j?"""
     out = np.ones(col.size, dtype=bool)
-    for code in excluded:
-        out &= col != code
+    for thr, cat, went_left in splits:
+        left = goes_left(col, thr, cat)
+        out &= left if went_left else ~left
     return out
 
 
@@ -202,14 +187,17 @@ def tree_shap(model, x) -> AttributionMatrix:
     sizes: dict[int, int] = {}
     scatter: list[tuple[np.ndarray, int, int, np.ndarray]] = []  # feats, m, first row, inverse
     for tree, scale in views:
+        seen = {}  # d_j per (feature, splits); sibling leaves share all but one
         for leaf in _tree_leaves(tree, scale):
             base += leaf.value * leaf.frac
             m = leaf.feats.size
             if m == 0:
                 continue
             d = np.empty((n, m), dtype=bool)
-            for j in range(m):
-                d[:, j] = _eval_cond(leaf.conds[j], x[:, leaf.feats[j]])
+            for j, key in enumerate(zip(leaf.feats.tolist(), leaf.splits)):
+                if key not in seen:
+                    seen[key] = _follows(key[1], x[:, key[0]])
+                d[:, j] = seen[key]
             if m <= 62:
                 codes = d @ (np.int64(1) << np.arange(m, dtype=np.int64))
                 uniq, inverse = np.unique(codes, return_inverse=True)

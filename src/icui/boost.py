@@ -26,7 +26,7 @@ from . import split
 from .data import Dataset, design_matrix
 from .errors import ValidationError
 from .rng import make_rng
-from .trees import LEAF, Tree, _check_matrix, level_order_trees, predict_value
+from .trees import LEAF, Tree, _check_matrix, goes_left, level_order_trees, predict_value
 
 OBJECTIVE_LOGISTIC = "logistic"
 OBJECTIVE_SQUARED = "squared"
@@ -202,7 +202,7 @@ def _grow_round(x, g, h, is_cat, params: BoostParams, block, starts, allowed):
             break
         sf = feature[seg]
         vals = x[rows, np.maximum(sf, 0)]
-        left = np.where(is_cat[sf], vals == threshold[seg], vals <= threshold[seg])
+        left = goes_left(vals, threshold[seg], is_cat[sf])
         side = np.zeros(g.size, dtype=np.int8)
         side[rows] = np.where(go, np.where(left, 1, 2), 0)
         lines = side[block]
@@ -258,14 +258,8 @@ def fit_boosted_many(
 
     trees: list[list[Tree]] = []
     width = max(1, int((~is_cat).sum()))
-    start = 0
-    while start < len(checked):
-        stop, cells = start + 1, checked[start][1].size * width
-        while stop < len(checked) and cells + checked[stop][1].size * width <= _BATCH_CELLS:
-            cells += checked[stop][1].size * width
-            stop += 1
-        trees += _fit_batch(checked[start:stop], is_cat, params, objective)
-        start = stop
+    for a, b in split.spans([y.size * width for _, y, _, _ in checked], _BATCH_CELLS):
+        trees += _fit_batch(checked[a:b], is_cat, params, objective)
     return [
         BoostedModel(
             trees=job_trees,

@@ -293,6 +293,9 @@ def _emit_model_artifacts(cfg: RunConfig, model: str, result: CvResult) -> None:
 def _run_models(cfg: RunConfig, ds) -> tuple[dict[str, CvResult], object]:
     if cfg.strategy == STRATEGY_DROP:
         work = drop_incomplete_rows(ds)
+        if work.n_rows < cfg.k:
+            raise ValidationError(f"strategy {STRATEGY_DROP!r} keeps {work.n_rows} of {ds.n_rows} rows, "
+                                  f"fewer than k={cfg.k} folds")
         impute_cfg = None
     else:
         work = ds

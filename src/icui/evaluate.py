@@ -50,15 +50,10 @@ def _check_scores_labels(scores, labels):
 def _midranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks, ties replaced by the mean rank of the tied block."""
     order = np.argsort(scores, kind="stable")
+    s = scores[order]
     ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j + 2) / 2.0  # mean of 1-based ranks i+1..j+1
-        i = j + 1
+    # a block tied at sorted positions i..j takes (i + 1 + j + 1) / 2
+    ranks[order] = (np.searchsorted(s, s, "left") + np.searchsorted(s, s, "right") + 1) / 2.0
     return ranks
 
 

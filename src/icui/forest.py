@@ -27,7 +27,7 @@ from . import split
 from .data import Dataset, design_matrix
 from .errors import ValidationError
 from .rng import make_rng
-from .trees import LEAF, Tree, _check_matrix, level_order_trees, predict_value
+from .trees import LEAF, Tree, _check_matrix, goes_left, level_order_trees, predict_value
 
 
 @dataclass
@@ -224,35 +224,29 @@ def _grow_batch(x, y, is_cat, rank, params: ForestParams, mtry, rngs, weights) -
         seg = np.flatnonzero(ok)
         nn, pp, starts = nw[seg], pos[seg], np.cumsum(sizes) - sizes
         i_parent = _gini2(nn - pp, pp)
-        drawn = None
-        if mtry < n_features:
-            feats = np.sort([rngs[b].choice(n_features, size=mtry, replace=False) for b in tree[seg].tolist()], axis=1)
-            drawn = np.zeros((n_features, seg.size), dtype=bool)
-            drawn[feats.T, np.arange(seg.size)] = True
-            # each node's drawn numeric features, ascending, padded with a
-            # feature whose gains the drawn mask discards
-            n_drawn = (~is_cat[feats]).sum(axis=1)
-            ranked = np.sort(np.where(is_cat[feats], n_features, feats), axis=1).T
-            ranked[ranked == n_features] = num[0] if num.size else 0
+        feats = np.sort([rngs[b].choice(n_features, size=mtry, replace=False) for b in tree[seg].tolist()], axis=1)
+        drawn = np.zeros((n_features, seg.size), dtype=bool)
+        drawn[feats.T, np.arange(seg.size)] = True
+        # each node's drawn numeric features, ascending, padded with a
+        # feature whose gains the drawn mask discards
+        n_drawn = (~is_cat[feats]).sum(axis=1)
+        ranked = np.sort(np.where(is_cat[feats], n_features, feats), axis=1).T
+        ranked[ranked == n_features] = num[0] if num.size else 0
         f, thr, gain = np.zeros(seg.size, dtype=np.int64), np.zeros(seg.size), np.zeros(seg.size)
         n_l, p_l, rows_l = np.zeros(seg.size), np.zeros(seg.size), np.zeros(seg.size, dtype=np.int64)
         split_ok, kids = np.zeros(seg.size, dtype=bool), np.zeros((seg.size, 2), dtype=bool)
         out = 0  # the children's rows written so far
-        for a, b in _steps((sizes * width).tolist()):
-            lines, seg_cat = num, cat
-            if drawn is not None:
-                lines = ranked[: n_drawn[a:b].max(), a:b]
-                seg_cat = cat[drawn[cat, a:b].any(axis=1)]
+        for a, b in split.spans((sizes * width).tolist(), _STEP_CELLS):
+            lines = ranked[: n_drawn[a:b].max(), a:b]
+            seg_cat = cat[drawn[cat, a:b].any(axis=1)]
             part, sz, st = line[starts[a] : starts[b - 1] + sizes[b - 1]], sizes[a:b], starts[a:b] - starts[a]
             block = _step_block(part, sz, lines, rank, row)
             gains, thresholds = split.scan(x, block, st, lines, seg_cat, w, wy, i_parent[a:b], score, row=row)
-            if drawn is not None:
-                gains[~drawn[:, a:b]] = -np.inf
+            gains[~drawn[:, a:b]] = -np.inf
             f[a:b], best = split.winners(gains)
             thr[a:b] = thresholds[f[a:b], np.arange(b - a)]
             fr = f[a:b].repeat(sz)
-            vals = x[row[part], fr]
-            left = np.where(is_cat[fr], vals == thr[a:b].repeat(sz), vals <= thr[a:b].repeat(sz))
+            left = goes_left(x[row[part], fr], thr[a:b].repeat(sz), is_cat[fr])
             p_l[a:b] = np.add.reduceat(np.where(left, wy[part], 0.0), st)
             n_l[a:b] = np.add.reduceat(np.where(left, w[part], 0.0), st)
             rows_l[a:b] = np.add.reduceat(left, st, dtype=np.int64)
@@ -286,17 +280,6 @@ def _grow_batch(x, y, is_cat, rank, params: ForestParams, mtry, rngs, weights) -
         is_left = np.tile([True, False], at.size)
         first += level["tree"].size
     return level_order_trees(levels)
-
-
-def _steps(cells):
-    """Consecutive (first, stop) spans of `cells` summing to at most `_STEP_CELLS`, or one entry alone."""
-    spans, a, total = [], 0, 0
-    for i, c in enumerate(cells):
-        if i > a and total + c > _STEP_CELLS:
-            spans.append((a, i))
-            a, total = i, 0
-        total += c
-    return spans + [(a, len(cells))]
 
 
 def _step_block(line, sizes, lines, rank, row):

@@ -153,6 +153,17 @@ def scan(x, block, starts, num, cat, s1, s2, parent, score, row=None):
     return gains, thresholds
 
 
+def spans(cells, cap):
+    """Consecutive (first, stop) spans of `cells` summing to at most `cap`, an entry over it alone."""
+    out, a, total = [], 0, 0
+    for i, c in enumerate(cells):
+        if i > a and total + c > cap:
+            out.append((a, i))
+            a, total = i, 0
+        total += c
+    return out + [(a, len(cells))] if cells else out
+
+
 def winners(gains):
     """Per segment: the first feature with the strictly greatest gain, and that gain."""
     f = gains.argmax(axis=0)

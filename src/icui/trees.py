@@ -1,11 +1,11 @@
 """Array-backed binary decision trees shared by the forest and boosting models.
 
-Routing convention at an internal node:
+Routing rule at an internal node, `goes_left`, the only place a row's value
+meets a split:
   * numeric feature: row goes left iff x <= threshold
   * categorical feature: row goes left iff code == threshold (one-vs-rest)
 
-Node ids are preorder (root 0, left subtree before right), which makes tree
-construction deterministic.
+Node ids are preorder (root 0, left subtree before right).
 """
 
 from __future__ import annotations
@@ -86,6 +86,11 @@ def _check_matrix(x, n_features: int) -> np.ndarray:
     return x
 
 
+def goes_left(vals, threshold, categorical):
+    """Does each value go to the left child of a split at `threshold`?  Arguments broadcast."""
+    return np.where(categorical, vals == threshold, vals <= threshold)
+
+
 def leaf_ids(tree: Tree, x: np.ndarray) -> np.ndarray:
     """Leaf node id for every row of `x` (2D float64)."""
     n = x.shape[0]
@@ -97,11 +102,9 @@ def leaf_ids(tree: Tree, x: np.ndarray) -> np.ndarray:
             return cur
         rows = np.flatnonzero(todo)
         f = feat[rows]
-        thr = tree.threshold[cur[rows]]
-        cat = tree.categorical[cur[rows]]
-        vals = x[rows, f]
-        go_left = np.where(cat, vals == thr, vals <= thr)
-        cur[rows] = np.where(go_left, tree.left[cur[rows]], tree.right[cur[rows]])
+        at = cur[rows]
+        left = goes_left(x[rows, f], tree.threshold[at], tree.categorical[at])
+        cur[rows] = np.where(left, tree.left[at], tree.right[at])
 
 
 def predict_value(tree: Tree, x: np.ndarray) -> np.ndarray:

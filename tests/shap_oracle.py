@@ -8,7 +8,7 @@ subset weights, and each f(S) by a weighted descent of every tree.
 the per-pattern algorithm `icui.attribution.tree_shap` used before it
 solved every pair of one path length in a single vectorized pass; the bodies of
 `_sym_poly`, `_leaf_pattern_phi` and the per-leaf loop are kept unchanged.
-The leaf decomposition (`_tree_leaves`, `_eval_cond`) and the Shapley weight
+The leaf decomposition (`_tree_leaves`, `_follows`) and the Shapley weight
 row are shared with the package.
 """
 
@@ -22,7 +22,7 @@ import numpy as np
 from icui.attribution import (
     AttributionMatrix,
     _ensemble_views,
-    _eval_cond,
+    _follows,
     _PathLeaf,
     _tree_leaves,
     _weight_row,
@@ -203,7 +203,7 @@ def tree_shap_oracle(model, x) -> AttributionMatrix:
                 continue
             d = np.empty((n, m), dtype=bool)
             for j in range(m):
-                d[:, j] = _eval_cond(leaf.conds[j], x[:, leaf.feats[j]])
+                d[:, j] = _follows(leaf.splits[j], x[:, leaf.feats[j]])
             if m <= 62:
                 codes = d @ (np.int64(1) << np.arange(m, dtype=np.int64))
                 uniq, inverse = np.unique(codes, return_inverse=True)

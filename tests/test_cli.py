@@ -126,6 +126,19 @@ def test_run_meta_records_reduced_cluster_k(tmp_path, complete_csv):
             assert k == len({float(row[1 + fold]) for row in rows}) < 50
 
 
+def test_drop_with_fewer_complete_rows_than_folds_is_a_validation_error(tmp_path, capsys):
+    # 40 rows, all but 3 missing a feature cell: drop keeps 3 rows for 5 folds
+    rows = ["a,b,icu_death"] + [f"{i},{'' if i >= 3 else i % 2},{i % 2}" for i in range(40)]
+    data = tmp_path / "sparse.csv"
+    data.write_text("\n".join(rows) + "\n")
+    cfg = _write_cfg(tmp_path, strategy="drop")
+    out = tmp_path / "out"
+    assert cli_main(["run-all", "--config", cfg, "--input", str(data), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: strategy 'drop' keeps 3 of 40 rows, fewer than k=5 folds" in err
+    assert not out.exists()
+
+
 def test_every_output_table_reparses(tmp_path, synth_csv):
     cfg = _write_cfg(tmp_path, model="rf")
     out = tmp_path / "out"

@@ -12,6 +12,7 @@ from icui.evaluate import (
     ModelSpec,
     aggregate,
     auprc,
+    _midranks,
     auroc,
     run_cv,
 )
@@ -30,6 +31,17 @@ def _concordance(scores, labels):
     diff = pos[:, None] - neg[None, :]
     wins = (diff > 0).sum() + 0.5 * (diff == 0).sum()
     return wins / (pos.size * neg.size)
+
+
+def test_midranks_match_the_mean_rank_of_each_tied_block():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 300):
+        scores = rng.integers(0, max(1, n // 10), size=n) / 4.0  # many ties
+        # definition: 1 + the count of smaller scores, plus half the count of other equal ones
+        smaller = (scores[None, :] < scores[:, None]).sum(axis=1)
+        equal = (scores[None, :] == scores[:, None]).sum(axis=1)
+        want = [1.0 + lo + (eq - 1) / 2.0 for lo, eq in zip(smaller.tolist(), equal.tolist())]
+        assert _midranks(scores).tolist() == want
 
 
 def test_auroc_worked_example():

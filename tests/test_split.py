@@ -211,3 +211,10 @@ def test_block_of_many_nodes_scores_each_node_as_alone(lam, mcw):
                 _assert_same(gains[f, s], thr[f, s], want)
                 checked += want is not None
     assert checked > 500
+
+
+def test_spans_are_greedy_and_give_an_entry_over_the_cap_its_own_span():
+    assert split.spans([], 10) == []
+    assert split.spans([3], 1) == [(0, 1)]
+    assert split.spans([4, 6, 1, 12, 2, 2], 10) == [(0, 2), (2, 3), (3, 4), (4, 6)]
+    assert split.spans([5, 5, 5], 100) == [(0, 3)]

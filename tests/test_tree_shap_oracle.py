@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import TreeBuilder
-from icui.attribution import _COND_CAT, _COND_NUM, _ensemble_views, _tree_leaves, tree_shap
+from icui.attribution import _ensemble_views, _tree_leaves, tree_shap
 from icui.boost import BoostParams, fit_boosted
 from icui.data import CATEGORICAL, NUMERIC, design_matrix
 from icui.forest import ForestModel, ForestParams, fit_forest
 from icui.synth import SynthSpec, generate
-from shap_oracle import tree_shap_oracle
+from shap_oracle import shapley_bruteforce, tree_shap_oracle
 
 
 @pytest.fixture(scope="module")
@@ -45,11 +45,19 @@ def _leaves(model):
     return [leaf for tree, scale in views for leaf in _tree_leaves(tree, scale)]
 
 
-def _split_twice(cond) -> bool:
-    """Does a leaf's condition on one feature come from two or more splits?"""
-    if cond[0] == _COND_CAT:
-        return len(cond[2]) + (cond[1] is not None) >= 2
-    return np.isfinite(cond[1]) and np.isfinite(cond[2])
+def _path_splits(model):
+    """Every leaf's per-feature tuples of (threshold, categorical, went_left) splits."""
+    return [splits for leaf in _leaves(model) for splits in leaf.splits]
+
+
+def _split_twice(splits) -> bool:
+    """Does a leaf's path split one feature two or more times?"""
+    return len(splits) >= 2
+
+
+def _both_ways(splits) -> bool:
+    """Does a leaf's path go both left and right at its splits on one feature (two or more)?"""
+    return {went_left for _, _, went_left in splits} == {True, False}
 
 
 def test_deep_forest(table, deep_forest):
@@ -66,9 +74,9 @@ def test_forest_small_mtry(table, mtry):
     # categorical one at mtry 2)
     ds, x = table
     model = fit_forest(ds, ForestParams(n_trees=4, min_samples_leaf=1, mtry=mtry), seed=1)
-    conds = [cond for leaf in _leaves(model) for cond in leaf.conds]
-    assert any(c[0] == _COND_CAT and _split_twice(c) for c in conds)
-    assert any(c[0] == _COND_NUM and _split_twice(c) for c in conds)
+    paths = _path_splits(model)
+    assert any(s[0][1] and _split_twice(s) for s in paths)
+    assert any(not s[0][1] and _both_ways(s) for s in paths)
     _assert_matches_oracle(model, x[:60])
 
 
@@ -109,9 +117,9 @@ def _hand_model():
 
 def test_hand_tree_with_repeated_categorical_and_numeric_splits():
     model = _hand_model()
-    conds = [cond for leaf in _leaves(model) for cond in leaf.conds]
-    assert any(c[0] == _COND_CAT and c[1] is None and len(c[2]) == 2 for c in conds)
-    assert any(c[0] == _COND_NUM and _split_twice(c) for c in conds)
+    paths = _path_splits(model)
+    assert ((1.0, True, False), (2.0, True, False)) in paths
+    assert any(not s[0][1] and _both_ways(s) for s in paths)
     grid = np.array([[f0, f1, 0.0] for f0 in (0.0, 1.0, 2.0, 3.0) for f1 in (-1.0, 0.0, 2.0, 3.0, 5.0)])
     _assert_matches_oracle(model, grid)
 
@@ -137,3 +145,38 @@ def test_one_row_and_rows_sharing_patterns(table):
     shared = _assert_matches_oracle(model, np.repeat(x[5:10], 30, axis=0))
     assert np.array_equal(shared.phi[60], one.phi[0])
     assert np.array_equal(shared.phi[::30], _assert_matches_oracle(model, x[5:10]).phi)
+
+
+def test_path_no_row_can_take_matches_brute_force():
+    """A path left on f0 == 1, then left on f0 == 2: no row reaches its leaf.
+
+    root: f0 == 1 ? (f0 == 2 ? A : B) : (f1 <= 0.5 ? C : D)
+
+    A fitted tree never grows it, since a node holding one code has no split
+    on that feature; d_j must still be false for every row at A.
+    """
+    bld = TreeBuilder(track_class_counts=True)
+    sizes = {"root": 40.0, "l1": 20.0, "A": 8.0, "B": 12.0, "r1": 20.0, "C": 9.0, "D": 11.0}
+    values = {"A": 1.0, "B": -0.5, "C": 0.25, "D": 0.75}
+    node = {name: bld.add_node(n, values.get(name, 0.0), (0.0, 0.0)) for name, n in sizes.items()}
+    for parent, feature, thr, cat, lo, hi in (
+        ("root", 0, 1.0, True, "l1", "r1"),
+        ("l1", 0, 2.0, True, "A", "B"),
+        ("r1", 1, 0.5, False, "C", "D"),
+    ):
+        bld.set_split(node[parent], feature, thr, cat, 1.0)
+        bld.link(node[parent], node[lo], node[hi])
+    model = ForestModel(
+        trees=[bld.build()],
+        params=ForestParams(n_trees=1),
+        feature_names=["f0", "f1", "f2"],
+        feature_kinds=[CATEGORICAL, NUMERIC, NUMERIC],
+        bootstrap_n=40,
+        seed=0,
+    )
+    grid = np.array([[f0, f1, 0.0] for f0 in (0.0, 1.0, 2.0, 3.0) for f1 in (0.0, 1.0)])
+    got = _assert_matches_oracle(model, grid)
+    for row, phi in zip(grid, got.phi):
+        want, base = shapley_bruteforce(model, row)
+        assert np.abs(phi - want).max() <= 1e-12
+        assert abs(got.base_value - base) <= 1e-12

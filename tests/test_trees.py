@@ -1,10 +1,11 @@
 import numpy as np
 
+from conftest import TreeBuilder
 from icui.boost import BoostParams, fit_boosted, fit_boosted_many
 from icui.data import design_matrix
 from icui.forest import ForestParams, fit_forest
 from icui.synth import SynthSpec, generate
-from icui.trees import LEAF, level_order_trees
+from icui.trees import LEAF, goes_left, leaf_ids, level_order_trees
 
 
 def _assert_preorder(tree):
@@ -83,3 +84,20 @@ def test_both_ensembles_store_trees_in_preorder():
     assert any(t.n_nodes > 7 for t in forest.trees) and any(t.n_nodes > 7 for t in boosted.trees)
     for t in trees:
         _assert_preorder(t)
+
+
+def test_goes_left_ties_and_one_vs_rest_codes_and_leaf_ids_agree():
+    vals = np.array([0.5, 1.0, 1.5, 2.0, 3.0])
+    assert goes_left(vals, 1.0, False).tolist() == [True, True, False, False, False]  # a tie goes left
+    assert goes_left(vals, 2.0, True).tolist() == [False, False, False, True, False]  # one code vs the rest
+    per_row = goes_left(vals, np.array([1.0, 1.0, 2.0, 2.0, 2.0]), np.array([True, False, True, False, True]))
+    assert per_row.tolist() == [False, True, False, True, False]
+    # root: f0 <= 1.0 ? A : (f1 == 2 ? B : C)
+    bld = TreeBuilder(track_class_counts=False)
+    root, a, rest, b, c = (bld.add_node(n, 0.0) for n in (10.0, 4.0, 6.0, 3.0, 3.0))
+    bld.set_split(root, 0, 1.0, False, 1.0)
+    bld.link(root, a, rest)
+    bld.set_split(rest, 1, 2.0, True, 1.0)
+    bld.link(rest, b, c)
+    x = np.array([[1.0, 2.0], [0.0, 0.0], [1.5, 2.0], [1.5, 3.0], [1.5, 1.0]])
+    assert leaf_ids(bld.build(), x).tolist() == [a, a, b, c, c]
