@@ -66,11 +66,8 @@ from .forest import (
 from .impute import (
     ImputationModel,
     ImputeParams,
-    apply_algorithm3,
     derive_groups,
-    fit_algorithm0,
-    fit_algorithm1,
-    fit_algorithm2,
+    fit_column,
     fit_imputation,
     impute,
     select_imputer,

@@ -30,6 +30,7 @@ from .data import (
     PreprocessPlan,
     apply_preprocess,
     drop_incomplete_rows,
+    exclude_and_rename,
     load_csv,
     preset_plan,
     summarize,
@@ -342,7 +343,8 @@ def _cmd_prep(args) -> int:
 def _cmd_impute(args) -> int:
     cfg = _config_from_args(args)
     _require(cfg, "out")
-    ds, _ = _load_input(cfg)
+    ds, plan = _load_input(cfg)
+    ds = exclude_and_rename(ds, plan)  # load_csv took out the label if there is one; imputing needs none
     model = fit_imputation(ds, cfg.impute)
     out_ds = impute(ds, model)
     os.makedirs(cfg.out, exist_ok=True)

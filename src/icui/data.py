@@ -283,15 +283,10 @@ def write_csv(ds: Dataset, path: str) -> None:
 
 
 def apply_preprocess(ds: Dataset, plan: PreprocessPlan) -> Dataset:
-    """Drop excluded columns, extract the label, then apply renames."""
-    present = set(ds.feature_names())
-    absent = [n for n in plan.exclude if n not in present]
-    if absent:
-        raise ValidationError(f"plan excludes columns absent from dataset: {absent}")
-
+    """Extract the label, then drop excluded columns and apply renames (`exclude_and_rename`)."""
     labels = ds.labels
     label_source = ds.label_name
-    if plan.label in present:
+    if plan.label in ds.feature_names():
         spec = ds.column(plan.label)
         mask = ds.missing[plan.label]
         if mask.any():
@@ -305,6 +300,15 @@ def apply_preprocess(ds: Dataset, plan: PreprocessPlan) -> Dataset:
         label_source = plan.label
     elif labels is None or plan.label != ds.label_name:
         raise ValidationError(f"label column {plan.label!r} not found")
+    return exclude_and_rename(replace(ds, labels=labels, label_name=label_source), plan)
+
+
+def exclude_and_rename(ds: Dataset, plan: PreprocessPlan) -> Dataset:
+    """`ds` without the plan's excluded columns and its label column, then renamed; labels pass through."""
+    present = set(ds.feature_names())
+    absent = [n for n in plan.exclude if n not in present]
+    if absent:
+        raise ValidationError(f"plan excludes columns absent from dataset: {absent}")
 
     drop = set(plan.exclude) | {plan.label}
     kept = [c for c in ds.columns if c.name not in drop]
@@ -329,8 +333,8 @@ def apply_preprocess(ds: Dataset, plan: PreprocessPlan) -> Dataset:
         values=values,
         missing=missing,
         n_rows=ds.n_rows,
-        labels=labels,
-        label_name=label_source,
+        labels=ds.labels,
+        label_name=ds.label_name,
         code_maps=code_maps,
     )
     out.check()

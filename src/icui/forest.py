@@ -243,7 +243,7 @@ def _grow_batch(x, y, is_cat, rank, params: ForestParams, mtry, rngs, weights) -
             block = _step_block(part, sz, lines, rank, row)
             gains, thresholds = split.scan(x, block, st, lines, seg_cat, w, wy, i_parent[a:b], score, row=row)
             gains[~drawn[:, a:b]] = -np.inf
-            f[a:b], best = split.winners(gains)
+            f[a:b], gain[a:b] = split.winners(gains)
             thr[a:b] = thresholds[f[a:b], np.arange(b - a)]
             fr = f[a:b].repeat(sz)
             left = goes_left(x[row[part], fr], thr[a:b].repeat(sz), is_cat[fr])
@@ -251,11 +251,7 @@ def _grow_batch(x, y, is_cat, rank, params: ForestParams, mtry, rngs, weights) -
             n_l[a:b] = np.add.reduceat(np.where(left, w[part], 0.0), st)
             rows_l[a:b] = np.add.reduceat(left, st, dtype=np.int64)
             n_r, p_r = nn[a:b] - n_l[a:b], pp[a:b] - p_l[a:b]
-            # Recompute the stored gain in `impurity_decrease`'s arithmetic; the
-            # scanner mirrors it, so the two agree bit-for-bit on integer counts.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gain[a:b] = _split_gain(n_l[a:b] - p_l[a:b], p_l[a:b], n_r - p_r, p_r)
-            split_ok[a:b] = (best > 0.0) & (gain[a:b] > 0.0)
+            split_ok[a:b] = gain[a:b] > 0.0
             kids[a:b, 0] = split_ok[a:b] & splittable(n_l[a:b], p_l[a:b], depth + 1)
             kids[a:b, 1] = split_ok[a:b] & splittable(n_r, p_r, depth + 1)
             # the splittable children's rows, in their parents' order, left before

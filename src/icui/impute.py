@@ -6,7 +6,8 @@ Four algorithms, identified a0..a3:
       most frequent code (lowest code on ties) for categorical ones.
   a1  boosted-tree prediction of the column from every other feature.
   a2  like a1, but predictors exclude columns in the target's variable group
-      (same measurement under different summary suffixes: _min/_max/_avg/_diff).
+      (same measurement under different summary suffixes: _min/_max/_avg/_diff),
+      always derived from the column names by `derive_groups`.
   a3  per-row routing: rows that are also missing a same-group sibling use the
       a2 model, all other rows use a1.
 
@@ -25,8 +26,10 @@ a1's and a2's; a2 takes a1's when the target has no sibling).  An unfitted
 predictor only describes its inputs, which are built when it is fitted.
 Selection fits the entries of every cell of a column in one batch per
 predictor list, and each cell predicts its held-out rows once per distinct
-model; a final per-column fit makes each model with a lone
-`fit_boosted_matrix` call.
+model.  `fit_column` fits one column's entry of any algorithm on the whole
+table, and `fit_imputation` every column's; there each model is a lone
+`fit_boosted_matrix` call.  `ColumnImputer.predict` is the one routing rule
+of every entry.
 """
 
 from __future__ import annotations
@@ -64,7 +67,6 @@ class ImputeParams:
     outer_k: int = 3
     inner_k: int = 3
     seed: int = 0
-    groups: dict[str, str] | None = None  # column -> group id; derived when None
     boost: BoostParams = field(default_factory=lambda: BoostParams(**vars(_DEFAULT_IMPUTER_BOOST)))
     fit_on_all: bool = False  # pipeline-level: fit the imputer once on the whole table
 
@@ -134,24 +136,31 @@ class ColumnImputer:
     def predict(self, ds: Dataset, rows: np.ndarray, shared: dict | None = None) -> np.ndarray:
         """Imputed values of `rows`.
 
-        `shared` maps id(predictor) to that predictor's values over the same
-        `rows`; entries predicting the same rows with one dict run each
-        predictor once.
+        A row takes the a2 model when it is routed there (every row under
+        a2, the rows missing a sibling under a3), else the a1 model; where
+        that model is absent, the fallback.  `shared` maps id(predictor) to
+        that predictor's values over the same `rows`; entries predicting the
+        same rows with one dict run each predictor once.
         """
         shared = {} if shared is None else shared
-        if self.algorithm == "a0":
-            return np.full(rows.size, self.fallback, dtype=np.float64)
-        if self.algorithm == "a1":
-            return _predicted(self.predictor, ds, rows, shared)
-        if self.algorithm == "a2":
-            return _predicted(self.predictor_grouped, ds, rows, shared)
-        return apply_algorithm3(ds, rows, self, shared)
+        grouped = np.full(rows.size, self.algorithm == "a2")
+        if self.algorithm == "a3":
+            for sib in self.siblings:
+                grouped |= ds.missing[sib][rows]
+        out = np.empty(rows.size, dtype=np.float64)
+        for mask, predictor in ((grouped, self.predictor_grouped), (~grouped, self.predictor)):
+            if predictor is None:
+                out[mask] = self.fallback
+            elif mask.any():
+                if id(predictor) not in shared:
+                    shared[id(predictor)] = predictor.predict(ds, rows)
+                out[mask] = shared[id(predictor)][mask]
+        return out
 
 
 @dataclass
 class ImputationModel:
     columns: dict[str, ColumnImputer]
-    groups: dict[str, str]
     score_rows: list[ScoreRow] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
@@ -211,13 +220,6 @@ def _filled(ds: Dataset, rows: np.ndarray, names: list[str], fallbacks: dict) ->
         x[:, j] = ds.values[name][rows]
         x[ds.missing[name][rows], j] = fallbacks[name]
     return x
-
-
-def fit_algorithm0(ds: Dataset) -> ImputationModel:
-    """Median/mode entries for every feature column."""
-    table = _table(ds)
-    columns = {spec.name: _fallback_entry(table, spec.name) for spec in ds.columns}
-    return ImputationModel(columns=columns, groups=derive_groups(ds.feature_names()))
 
 
 def _new_predictor(table: _Table, target: str, feature_names: list[str], seed: int) -> _Predictor:
@@ -301,8 +303,14 @@ def _model_predictor(table: _Table, target, algorithm, siblings, min_rows, seed,
     return predictor or _new_predictor(table, target, features, seed), None
 
 
+def _siblings(ds: Dataset, target: str) -> list[str]:
+    """The other columns of `target`'s variable group, in column order."""
+    groups = derive_groups(ds.feature_names())
+    return [name for name in groups if name != target and groups[name] == groups[target]]
+
+
 def _entries(
-    table: _Table, target: str, groups: dict[str, str], min_rows: int, seed_a1: int, seed_a2: int
+    table: _Table, target: str, siblings: list[str], min_rows: int, seed_a1: int, seed_a2: int
 ) -> dict[str, ColumnImputer]:
     """The unfitted a0..a3 entries for one column, each distinct predictor made once.
 
@@ -312,10 +320,6 @@ def _entries(
     the one a separate fit would return.  An entry left without a predictor
     falls back to a0, noting why.
     """
-    group = groups.get(target, target)
-    siblings = [
-        c.name for c in table.ds.columns if c.name != target and groups.get(c.name, c.name) == group
-    ]
     p1, note1 = _model_predictor(table, target, "a1", [], min_rows, seed_a1)
     reused = None if siblings else p1
     p2, note2 = _model_predictor(table, target, "a2", siblings, min_rows, seed_a2, reused)
@@ -342,71 +346,36 @@ def _entries(
     }
 
 
-def _fitted_entry(table, target, algorithm, groups, boost, min_rows, seed) -> ColumnImputer:
-    """`target`'s `algorithm` entry, each of its models a lone `fit_boosted_matrix` call."""
-    entry = _entries(table, target, groups, min_rows, seed, seed)[algorithm]
+def _entry(table: _Table, target: str, algorithm: str, min_rows: int, seed: int) -> ColumnImputer:
+    """`target`'s unfitted `algorithm` entry; an a0 entry reads no other column."""
+    if algorithm == "a0":
+        return _fallback_entry(table, target)
+    return _entries(table, target, _siblings(table.ds, target), min_rows, seed, seed)[algorithm]
+
+
+def fit_column(
+    ds: Dataset,
+    target: str,
+    algorithm: str,
+    boost: BoostParams | None = None,
+    min_rows: int = 50,
+    seed: int = 0,
+) -> ColumnImputer:
+    """`target`'s `algorithm` entry (a0..a3), fitted on the whole table.
+
+    Each model is a lone `fit_boosted_matrix` call.  An entry whose model
+    cannot be made (too few complete cases, no predictor columns) is an a0
+    entry noting why.
+    """
+    if algorithm not in ALGORITHMS:
+        raise ValidationError(f"unknown imputation algorithm {algorithm!r}")
+    entry = _entry(_table(ds), target, algorithm, min_rows, seed)
     _fit([entry], boost, batch=False)
     return entry
 
 
-def fit_algorithm1(
-    ds: Dataset,
-    target: str,
-    boost: BoostParams | None = None,
-    min_rows: int = 50,
-    seed: int = 0,
-) -> ColumnImputer:
-    """Boosted predictor of `target` from every other feature column."""
-    return _fitted_entry(_table(ds), target, "a1", {}, boost, min_rows, seed)
-
-
-def fit_algorithm2(
-    ds: Dataset,
-    target: str,
-    groups: dict[str, str] | None = None,
-    boost: BoostParams | None = None,
-    min_rows: int = 50,
-    seed: int = 0,
-) -> ColumnImputer:
-    """Like a1, but predictors exclude the target's same-group siblings."""
-    groups = groups or derive_groups(ds.feature_names())
-    return _fitted_entry(_table(ds), target, "a2", groups, boost, min_rows, seed)
-
-
-def _predicted(predictor: _Predictor, ds: Dataset, rows: np.ndarray, shared: dict) -> np.ndarray:
-    """predictor.predict(ds, rows), run once per `shared` dict."""
-    key = id(predictor)
-    if key not in shared:
-        shared[key] = predictor.predict(ds, rows)
-    return shared[key]
-
-
-def apply_algorithm3(
-    ds: Dataset, rows: np.ndarray, entry: ColumnImputer, shared: dict | None = None
-) -> np.ndarray:
-    """Route rows missing a same-group sibling to a2, the rest to a1.
-
-    Each predictor's values over all `rows` come from `shared` (see
-    `ColumnImputer.predict`), and the routed rows are picked out.
-    """
-    shared = {} if shared is None else shared
-    rows = np.asarray(rows, dtype=np.int64)
-    sibling_gap = np.zeros(rows.size, dtype=bool)
-    for sib in entry.siblings:
-        sibling_gap |= ds.missing[sib][rows]
-    out = np.empty(rows.size, dtype=np.float64)
-    for mask, predictor in ((sibling_gap, entry.predictor_grouped), (~sibling_gap, entry.predictor)):
-        if not mask.any():
-            continue
-        out[mask] = entry.fallback if predictor is None else _predicted(predictor, ds, rows, shared)[mask]
-    return out
-
-
 def select_imputer(
-    ds: Dataset,
-    target: str,
-    groups: dict[str, str] | None = None,
-    params: ImputeParams | None = None,
+    ds: Dataset, target: str, params: ImputeParams | None = None
 ) -> tuple[str, list[ScoreRow]]:
     """Nested-CV pick among a0..a3 for one column.
 
@@ -426,13 +395,13 @@ def select_imputer(
     """
     params = params or ImputeParams()
     spec = ds.column(target)
-    groups = groups or params.groups or derive_groups(ds.feature_names())
     observed = np.flatnonzero(~ds.missing[target])
     metric = "mse" if spec.kind == NUMERIC else "accuracy"
     if observed.size < params.outer_k * params.inner_k:
         return "a0", []
 
     cells = []
+    siblings = _siblings(ds, target)
     outer = split_folds(
         observed.size, params.outer_k, stable_seed(params.seed, "select", target, "outer")
     )
@@ -447,7 +416,7 @@ def select_imputer(
             fit_rows = train_obs[inner.fold_of_row != i]
             val_rows = train_obs[inner.fold_of_row == i]
             seeds = [stable_seed(params.seed, "select", target, a, o, i) for a in ("a1", "a2")]
-            entries = _entries(_table(ds, fit_rows), target, groups, params.min_rows, *seeds)
+            entries = _entries(_table(ds, fit_rows), target, siblings, params.min_rows, *seeds)
             cells.append((entries, val_rows))
     _fit([e for entries, _ in cells for e in entries.values()], params.boost, batch=True)
 
@@ -477,30 +446,28 @@ def fit_imputation(ds: Dataset, params: ImputeParams | None = None) -> Imputatio
 
     Columns with missing cells get the configured algorithm (or the nested-CV
     choice under "select"); complete columns get a0 entries so the model also
-    covers missingness that only appears at apply time.
+    covers missingness that only appears at apply time.  Every entry is
+    built on one table, then their models are fitted as `fit_column` fits
+    them.
     """
     params = params or ImputeParams()
-    groups = params.groups or derive_groups(ds.feature_names())
-    model = ImputationModel(columns={}, groups=groups)
+    model = ImputationModel(columns={})
     table = _table(ds)
     for spec in ds.columns:
         name = spec.name
         chosen = params.algorithm if ds.missing[name].any() else "a0"
         if chosen == SELECT:
-            chosen, rows = select_imputer(ds, name, groups, params)
+            chosen, rows = select_imputer(ds, name, params)
             model.score_rows.extend(rows)
             if not rows:
                 model.warnings.append(
                     f"{name}: too few observed rows for nested-CV selection; using a0"
                 )
-        if chosen == "a0":
-            entry = _fallback_entry(table, name)
-        else:
-            seed = stable_seed(params.seed, "impute", name)
-            entry = _fitted_entry(table, name, chosen, groups, params.boost, params.min_rows, seed)
+        entry = _entry(table, name, chosen, params.min_rows, stable_seed(params.seed, "impute", name))
         if entry.note:
             model.warnings.append(f"{name}: {entry.note}")
         model.columns[name] = entry
+    _fit(model.columns.values(), params.boost, batch=False)
     return model
 
 

@@ -9,8 +9,10 @@ node draws its own features.  Two per-row statistics,
 indexed by row id, are accumulated down every sorted line of every segment:
 (w, w*y) for the forest's Gini decrease, (g, h) for boosting's Newton gain.
 Every boundary between consecutive distinct sorted values is a candidate,
-with its threshold at the midpoint.  This is the exact greedy algorithm of
-XGBoost (Chen & Guestrin, KDD 2016) over presorted column blocks.
+with its threshold at the midpoint, or at the lower value where the
+midpoint rounds onto the upper one or overflows (see `midpoints`).  This
+is the exact greedy algorithm of XGBoost (Chen & Guestrin, KDD 2016) over
+presorted column blocks.
 Categorical features are split one-vs-rest on a single code.
 
 A model supplies one score function, score(l1, l2, t1, t2, parent): the gains
@@ -146,11 +148,24 @@ def scan(x, block, starts, num, cat, s1, s2, parent, score, row=None):
     vflat = vs.ravel()
     segs = np.arange(n_seg)
     gains[lines, segs] = top[:k].reshape(n_lines, n_seg)
-    thresholds[lines, segs] = ((vflat[nb] + vflat.take(nb + 1, mode="clip")) / 2.0).reshape(n_lines, n_seg)
+    thresholds[lines, segs] = midpoints(vflat[nb], vflat.take(nb + 1, mode="clip")).reshape(n_lines, n_seg)
     if n_cat:
         gains[cat] = top[k:].reshape(cat.size, n_seg)
         thresholds[cat] = ((best[k:] - n_num) % n_bins).reshape(cat.size, n_seg)
     return gains, thresholds
+
+
+def midpoints(lo, hi):
+    """Thresholds between the sorted values lo < hi: the midpoint, or lo where it is not in [lo, hi).
+
+    For adjacent doubles the midpoint can round onto hi, and near the
+    largest doubles lo + hi overflows to +-inf; either would send the rows
+    at hi to the same side as those at lo.  scikit-learn's splitter falls
+    back to lo the same way.
+    """
+    with np.errstate(over="ignore"):
+        mid = (lo + hi) / 2.0
+    return np.where((lo <= mid) & (mid < hi), mid, lo)
 
 
 def spans(cells, cap):

@@ -9,9 +9,11 @@ over whole candidate arrays.
 The grower and scanners are `icui.boost`'s tree grower and `icui.split`'s per-node scanners as
 they were before boosting grew the trees of many fits level by level over
 presorted columns; their bodies are kept unchanged, except that
-`_fit_round_tree` calls this module's `best_split`.  `fit_boosted_matrix`
-here fits one model, one node at a time, re-sorting every node's rows, and
-`icui.boost.fit_boosted_many` must return the same trees for every job.
+`_fit_round_tree` calls this module's `best_split` and `scan_numeric`
+places a threshold by the rule of `icui.split.midpoints`.
+`fit_boosted_matrix` here fits one model, one node at a time, re-sorting
+every node's rows, and `icui.boost.fit_boosted_many` must return the same
+trees for every job.
 """
 
 from __future__ import annotations
@@ -87,8 +89,11 @@ def scan_numeric(x, rows, features, s1, s2, score):
     gains[vs[:-1] == vs[1:]] = -np.inf
     best = np.argmax(gains, axis=0)
     cols = np.arange(gains.shape[1])
-    thresholds = (vs[best, cols] + vs[best + 1, cols]) / 2.0
-    return gains[best, cols], thresholds
+    lo, hi = vs[best, cols], vs[best + 1, cols]
+    with np.errstate(over="ignore"):
+        mid = (lo + hi) / 2.0
+    # the midpoint, or lo where it rounds onto hi or overflows (scikit-learn's rule)
+    return gains[best, cols], np.where((lo <= mid) & (mid < hi), mid, lo)
 
 
 def scan_categorical(col, s1, s2, score):

@@ -16,9 +16,7 @@ from icui.impute import (
     ColumnImputer,
     ImputeParams,
     ScoreRow,
-    derive_groups,
-    fit_algorithm1,
-    fit_algorithm2,
+    fit_column,
 )
 from icui.rng import stable_seed
 
@@ -34,9 +32,9 @@ def _a0_entry(ds, target, note=None) -> ColumnImputer:
     return ColumnImputer(column=target, kind=kind, algorithm="a0", fallback=fallback, note=note)
 
 
-def _fit_algorithm3(ds, target, groups, boost, min_rows, seed) -> ColumnImputer:
-    a1 = fit_algorithm1(ds, target, boost, min_rows, seed)
-    a2 = fit_algorithm2(ds, target, groups, boost, min_rows, seed)
+def _fit_algorithm3(ds, target, boost, min_rows, seed) -> ColumnImputer:
+    a1 = fit_column(ds, target, "a1", boost, min_rows, seed)
+    a2 = fit_column(ds, target, "a2", boost, min_rows, seed)
     if a1.algorithm == "a0" and a2.algorithm == "a0":
         return _a0_entry(ds, target, note=a1.note)
     return ColumnImputer(
@@ -51,20 +49,17 @@ def _fit_algorithm3(ds, target, groups, boost, min_rows, seed) -> ColumnImputer:
     )
 
 
-def _fit_by_id(ds, target, algorithm, groups, boost, min_rows, seed) -> ColumnImputer:
+def _fit_by_id(ds, target, algorithm, boost, min_rows, seed) -> ColumnImputer:
     if algorithm == "a0":
         return _a0_entry(ds, target)
-    if algorithm == "a1":
-        return fit_algorithm1(ds, target, boost, min_rows, seed)
-    if algorithm == "a2":
-        return fit_algorithm2(ds, target, groups, boost, min_rows, seed)
-    return _fit_algorithm3(ds, target, groups, boost, min_rows, seed)
+    if algorithm in ("a1", "a2"):
+        return fit_column(ds, target, algorithm, boost, min_rows, seed)
+    return _fit_algorithm3(ds, target, boost, min_rows, seed)
 
 
-def select_imputer_reference(ds, target, groups=None, params=None) -> tuple[str, list[ScoreRow]]:
+def select_imputer_reference(ds, target, params=None) -> tuple[str, list[ScoreRow]]:
     params = params or ImputeParams()
     spec = ds.column(target)
-    groups = groups or params.groups or derive_groups(ds.feature_names())
     observed = np.flatnonzero(~ds.missing[target])
     metric = "mse" if spec.kind == NUMERIC else "accuracy"
     if observed.size < params.outer_k * params.inner_k:
@@ -93,7 +88,6 @@ def select_imputer_reference(ds, target, groups=None, params=None) -> tuple[str,
                     fit_ds,
                     target,
                     alg,
-                    groups,
                     params.boost,
                     params.min_rows,
                     stable_seed(params.seed, "select", target, alg, o, i),

@@ -9,7 +9,8 @@ in one 2-D pass.  Each scores one feature column `v` of a node and returns
 one-tree oracle (tests/forest_oracle.py), which grows one node at a time,
 as the forest did before it grew several trees together: the node's rows
 are sorted on their own and scanned as a block of one segment.  All bodies
-are kept unchanged.
+are kept unchanged, except that the scanners place a threshold with
+`_threshold`, the rule `icui.split.midpoints` applies.
 """
 
 from __future__ import annotations
@@ -17,6 +18,13 @@ from __future__ import annotations
 import numpy as np
 
 from icui.split import categorical_mask, scan, winners  # categorical_mask: for forest_oracle
+
+
+def _threshold(lo, hi) -> float:
+    """The midpoint of lo < hi, or lo where it rounds onto hi or overflows (scikit-learn's rule)."""
+    with np.errstate(over="ignore"):
+        mid = (lo + hi) / 2.0
+    return float(mid if lo <= mid < hi else lo)
 
 
 def forest_scan_numeric(v, w, wy, n, pos, i_parent, msl):
@@ -46,8 +54,7 @@ def forest_scan_numeric(v, w, wy, n, pos, i_parent, msl):
     best = int(np.argmax(gains))
     if not gains[best] > 0.0:
         return None
-    thr = (vs[b[best]] + vs[b[best] + 1]) / 2.0
-    return float(gains[best]), float(thr)
+    return float(gains[best]), _threshold(vs[b[best]], vs[b[best] + 1])
 
 
 def boost_scan_numeric(v, g, h, lam, gamma, mcw, s_parent):
@@ -70,8 +77,7 @@ def boost_scan_numeric(v, g, h, lam, gamma, mcw, s_parent):
     best = int(np.argmax(gains))
     if not gains[best] > 0.0:
         return None
-    thr = (vs[b[best]] + vs[b[best] + 1]) / 2.0
-    return float(gains[best]), float(thr)
+    return float(gains[best]), _threshold(vs[b[best]], vs[b[best] + 1])
 
 
 def node_block(x, rows, num):

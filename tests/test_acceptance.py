@@ -38,7 +38,7 @@ from icui.forest import (
     gini,
     impurity_decrease,
 )
-from icui.impute import ImputeParams, fit_algorithm0, fit_algorithm2, fit_imputation, impute, select_imputer
+from icui.impute import ImputeParams, fit_column, fit_imputation, impute, select_imputer
 from icui.synth import SynthSpec, generate
 from shap_oracle import model_output, shapley_bruteforce
 
@@ -210,10 +210,11 @@ def _build(numeric, missing=None, categorical=None):
 
 def test_criterion_5_imputation_guarantees():
     with _verdict(5, "imputation guarantees"):
+        a0 = ImputeParams(algorithm="a0")
         ds = _build({"x": [3.0, 1.0, 2.0, 4.0]})
-        assert fit_algorithm0(ds).columns["x"].fallback == 2.0  # lower middle
+        assert fit_imputation(ds, a0).columns["x"].fallback == 2.0  # lower middle
         ds = _build({}, categorical={"c": ([0, 1, 0, 1, 2], ["u", "v", "w"])})
-        assert fit_algorithm0(ds).columns["c"].fallback == 0.0  # tie to lowest code
+        assert fit_imputation(ds, a0).columns["c"].fallback == 0.0  # tie to lowest code
 
         rng = np.random.default_rng(5)
         n = 80
@@ -231,7 +232,7 @@ def test_criterion_5_imputation_guarantees():
         from icui.impute import derive_groups
         groups = derive_groups(grouped.feature_names())
         for target in grouped.feature_names():
-            entry = fit_algorithm2(grouped, target, boost=small_boost, min_rows=10)
+            entry = fit_column(grouped, target, "a2", boost=small_boost, min_rows=10)
             if entry.algorithm != "a2":
                 continue
             same = {m for m in grouped.feature_names() if groups[m] == groups[target]}

@@ -4,10 +4,11 @@ import os
 import shutil
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from icui.cli import cli_main, load_run_config
-from icui.data import load_csv
+from icui.data import LEAKAGE_COLUMNS, load_csv
 from icui.errors import ValidationError
 
 
@@ -313,6 +314,45 @@ def test_impute_subcommand_fills_and_reports(tmp_path, synth_csv):
     report = json.loads((out / "impute_report.json").read_text())
     assert set(report["columns"]) == set(ds.feature_names())
     assert all(e["algorithm"] == "a0" for e in report["columns"].values())
+
+
+def _leaky_csv(path, labelled):
+    """30 rows: the four leakage columns, a grouped pair with gaps, and the label if `labelled`."""
+    rng = np.random.default_rng(3)
+    base = rng.standard_normal(30)
+    cols = {name: np.arange(30.0) for name in LEAKAGE_COLUMNS}
+    cols.update(a_min=base, a_max=base + 1.0, b=rng.standard_normal(30))
+    if labelled:
+        cols["icu_death"] = (base > 0).astype(float)
+    rows = [[repr(float(v)) for v in vals] for vals in zip(*cols.values())]
+    for i in range(0, 30, 4):
+        rows[i][len(LEAKAGE_COLUMNS)] = ""  # a gap in a_min
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([list(cols), *rows])
+    return str(path)
+
+
+@pytest.mark.parametrize("labelled", [True, False])
+def test_impute_applies_the_preset_before_fitting(tmp_path, labelled):
+    src = _leaky_csv(tmp_path / "in.csv", labelled)
+    cfg = _write_cfg(tmp_path, impute={"algorithm": "a1", "min_rows": 10, "boost": {"n_rounds": 2}})
+    out = tmp_path / "imp"
+    rc = cli_main(["impute", "--config", cfg, "--preset", "dataset2", "--input", src, "--out", str(out)])
+    assert rc == 0
+    with open(out / "imputed.csv", newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh))
+    assert header == ["a_min", "a_max", "b"] + (["icu_death"] if labelled else [])
+    report = json.loads((out / "impute_report.json").read_text())
+    assert sorted(report["columns"]) == ["a_max", "a_min", "b"]
+    assert report["columns"]["a_min"]["algorithm"] == "a1"
+
+
+def test_impute_groups_config_key_is_rejected(tmp_path, capsys, synth_csv):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"impute": {"groups": {}}}))
+    rc = cli_main(["impute", "--config", str(path), "--input", synth_csv, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "config.impute: unknown keys ['groups']" in capsys.readouterr().err
 
 
 def test_missing_input_exits_1_naming_path(tmp_path, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,17 +9,17 @@ from conftest import build_dataset
 from icui.boost import BoostParams, predict_margin
 from icui.errors import ValidationError
 from icui.impute import (
+    ALGORITHMS,
     ImputeParams,
     _new_predictor,
     _table,
     derive_groups,
-    fit_algorithm0,
-    fit_algorithm1,
-    fit_algorithm2,
+    fit_column,
     fit_imputation,
     impute,
     select_imputer,
 )
+from icui.rng import stable_seed
 
 FAST_BOOST = BoostParams(n_rounds=20, max_depth=2, eta=0.3)
 
@@ -49,7 +51,7 @@ def test_a0_median_is_lower_middle():
         numeric={"x": [3.0, 1.0, 2.0, 4.0]},
         missing={"x": [False, False, False, False]},
     )
-    model = fit_algorithm0(ds)
+    model = fit_imputation(ds, ImputeParams(algorithm="a0"))
     assert model.columns["x"].fallback == 2.0
 
 
@@ -58,20 +60,20 @@ def test_a0_median_odd_count_and_ignores_missing():
         numeric={"x": [5.0, 1.0, 9.0, 100.0]},
         missing={"x": [False, False, False, True]},
     )
-    model = fit_algorithm0(ds)
+    model = fit_imputation(ds, ImputeParams(algorithm="a0"))
     assert model.columns["x"].fallback == 5.0
 
 
 def test_a0_mode_prefers_lowest_code_on_tie():
     ds = build_dataset(categorical={"c": ([0, 1, 0, 1, 2], ["u", "v", "w"])})
-    model = fit_algorithm0(ds)
+    model = fit_imputation(ds, ImputeParams(algorithm="a0"))
     assert model.columns["c"].fallback == 0.0
 
 
 def test_a0_requires_observed_values():
     ds = build_dataset(numeric={"x": [np.nan, np.nan]}, missing={"x": [True, True]})
     with pytest.raises(ValidationError, match="no observed"):
-        fit_algorithm0(ds)
+        fit_imputation(ds, ImputeParams(algorithm="a0"))
 
 
 def _all_missing_feature_dataset(target_observed):
@@ -87,13 +89,13 @@ def _all_missing_feature_dataset(target_observed):
 def test_model_entry_needs_the_statistics_of_its_predictors():
     ds = _all_missing_feature_dataset(target_observed=30)
     with pytest.raises(ValidationError, match="column 'dead' has no observed values; cannot impute"):
-        fit_algorithm1(ds, "t", boost=FAST_BOOST, min_rows=10)
+        fit_column(ds, "t", "a1", boost=FAST_BOOST, min_rows=10)
 
 
 def test_a0_fallback_reads_only_the_target_statistic():
     # under min_rows no predictor is made, so the all-missing column is never read
     ds = _all_missing_feature_dataset(target_observed=5)
-    entry = fit_algorithm1(ds, "t", boost=FAST_BOOST, min_rows=10)
+    entry = fit_column(ds, "t", "a1", boost=FAST_BOOST, min_rows=10)
     assert entry.algorithm == "a0" and entry.predictor is None
     assert entry.note == "a1 -> a0: 5 complete cases < min_rows=10"
     observed = ds.values["t"][:5]
@@ -111,7 +113,7 @@ def test_a0_impute_fills_and_leaves_observed_bits_alone():
         categorical={"c": (codes, ["a", "b", "c"])},
         missing={"x": mask, "c": cmask},
     )
-    out = impute(ds, fit_algorithm0(ds))
+    out = impute(ds, fit_imputation(ds, ImputeParams(algorithm="a0")))
     assert not out.missing["x"].any() and not out.missing["c"].any()
     assert out.values["x"][~mask].tobytes() == vals[~mask].tobytes()
     assert out.values["c"][~cmask].tobytes() == codes[~cmask].astype(np.int64).tobytes()
@@ -139,14 +141,14 @@ def _grouped_dataset(n=80, seed=1, gap_rate=0.2):
 
 def test_a1_uses_every_other_column():
     ds = _grouped_dataset()
-    entry = fit_algorithm1(ds, "hr_min", boost=FAST_BOOST, min_rows=10)
+    entry = fit_column(ds, "hr_min", "a1", boost=FAST_BOOST, min_rows=10)
     assert entry.algorithm == "a1"
     assert entry.predictor.feature_names == ["hr_max", "spo2", "age"]
 
 
 def test_a1_falls_back_below_min_rows():
     ds = _grouped_dataset(n=30)
-    entry = fit_algorithm1(ds, "hr_min", boost=FAST_BOOST, min_rows=50)
+    entry = fit_column(ds, "hr_min", "a1", boost=FAST_BOOST, min_rows=50)
     assert entry.algorithm == "a0"
     assert "a1 -> a0" in entry.note
     assert "min_rows=50" in entry.note
@@ -154,7 +156,7 @@ def test_a1_falls_back_below_min_rows():
 
 def test_a2_excludes_same_group_columns():
     ds = _grouped_dataset()
-    entry = fit_algorithm2(ds, "hr_min", boost=FAST_BOOST, min_rows=10)
+    entry = fit_column(ds, "hr_min", "a2", boost=FAST_BOOST, min_rows=10)
     assert entry.algorithm == "a2"
     assert entry.predictor_grouped.feature_names == ["spo2", "age"]
     assert entry.siblings == ["hr_max"]
@@ -164,7 +166,7 @@ def test_a2_exclusion_holds_for_every_grouped_target():
     ds = _grouped_dataset()
     groups = derive_groups(ds.feature_names())
     for target in ds.feature_names():
-        entry = fit_algorithm2(ds, target, boost=FAST_BOOST, min_rows=10)
+        entry = fit_column(ds, target, "a2", boost=FAST_BOOST, min_rows=10)
         if entry.algorithm != "a2":
             continue
         used = set(entry.predictor_grouped.feature_names)
@@ -186,6 +188,45 @@ def test_a3_routes_rows_by_sibling_missingness():
     assert np.array_equal(got, np.where(sibling_gap, a2_pred, a1_pred))
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_fit_column_fits_each_algorithm_as_fit_imputation_does(algorithm):
+    ds = _grouped_dataset(n=100, seed=3, gap_rate=0.25)
+    seed = stable_seed(0, "impute", "hr_min")
+    entry = fit_column(ds, "hr_min", algorithm, boost=FAST_BOOST, min_rows=10, seed=seed)
+    assert entry.algorithm == algorithm and entry.note is None
+    models = {"a0": (False, False), "a1": (True, False), "a2": (False, True), "a3": (True, True)}
+    assert (entry.predictor is not None, entry.predictor_grouped is not None) == models[algorithm]
+    assert entry.siblings == (["hr_max"] if algorithm in ("a2", "a3") else [])
+    model = fit_imputation(ds, ImputeParams(algorithm=algorithm, min_rows=10, boost=FAST_BOOST))
+    rows = np.flatnonzero(ds.missing["hr_min"])
+    assert entry.fallback == model.columns["hr_min"].fallback
+    assert entry.predict(ds, rows).tobytes() == model.columns["hr_min"].predict(ds, rows).tobytes()
+
+
+def test_fit_column_rejects_an_unknown_algorithm():
+    with pytest.raises(ValidationError, match="unknown imputation algorithm 'select'"):
+        fit_column(_grouped_dataset(), "hr_min", "select")
+
+
+def test_a3_entry_without_an_a2_model_gives_sibling_gap_rows_the_fallback():
+    ds = _grouped_dataset(n=100, seed=3, gap_rate=0.25)
+    entry = replace(fit_column(ds, "hr_min", "a3", boost=FAST_BOOST, min_rows=10), predictor_grouped=None)
+    rows = np.flatnonzero(ds.missing["hr_min"])
+    sibling_gap = ds.missing["hr_max"][rows]
+    assert sibling_gap.any() and (~sibling_gap).any()
+    want = np.where(sibling_gap, entry.fallback, entry.predictor.predict(ds, rows))
+    assert np.array_equal(entry.predict(ds, rows), want)
+
+
+def test_a2_entry_routes_every_row_to_its_model():
+    ds = _grouped_dataset(n=100, seed=3, gap_rate=0.25)
+    entry = fit_column(ds, "hr_min", "a2", boost=FAST_BOOST, min_rows=10)
+    rows = np.flatnonzero(ds.missing["hr_min"])
+    sibling_gap = ds.missing["hr_max"][rows]
+    assert sibling_gap.any() and (~sibling_gap).any()  # rows a3 would send either way
+    assert np.array_equal(entry.predict(ds, rows), entry.predictor_grouped.predict(ds, rows))
+
+
 def test_predictor_gaps_filled_with_a0_at_apply_time():
     rng = np.random.default_rng(4)
     n = 60
@@ -196,7 +237,7 @@ def test_predictor_gaps_filled_with_a0_at_apply_time():
     p_miss = np.zeros(n, dtype=bool)
     p_miss[:2] = True  # rows where target AND predictor are missing
     ds = build_dataset(numeric={"t": t, "p": p}, missing={"t": t_miss, "p": p_miss})
-    entry = fit_algorithm1(ds, "t", boost=FAST_BOOST, min_rows=10)
+    entry = fit_column(ds, "t", "a1", boost=FAST_BOOST, min_rows=10)
     pred = entry.predictor.predict(ds, np.array([0]))
     med_p = np.sort(p[~p_miss])[(np.count_nonzero(~p_miss) - 1) // 2]
     expect = predict_margin(entry.predictor.regressor, np.array([[med_p]]))

@@ -14,10 +14,12 @@ from functools import partial
 import numpy as np
 import pytest
 
+from conftest import build_dataset
 from icui import split
-from icui.boost import _newton_gains
+from icui.boost import BoostParams, _newton_gains, fit_boosted_matrix, predict_margin
 from icui.data import CATEGORICAL, NUMERIC
-from icui.forest import _gini_gains, gini
+from icui.forest import ForestParams, _gini_gains, fit_forest, gini, predict_proba_forest
+from icui.rng import make_rng
 from boost_oracle import scan_categorical, scan_numeric
 from split_oracle import best_split, boost_scan_numeric, forest_scan_numeric, node_block
 
@@ -218,3 +220,72 @@ def test_spans_are_greedy_and_give_an_entry_over_the_cap_its_own_span():
     assert split.spans([3], 1) == [(0, 1)]
     assert split.spans([4, 6, 1, 12, 2, 2], 10) == [(0, 2), (2, 3), (3, 4), (4, 6)]
     assert split.spans([5, 5, 5], 100) == [(0, 3)]
+
+
+# ------------------------------------ thresholds between adjacent or huge values
+
+_LO = np.nextafter(1.0, 2.0)
+BOUNDARIES = {
+    "adjacent": (_LO, np.nextafter(_LO, 2.0)),  # the midpoint rounds onto hi
+    "overflow": (1.7e308, 1.75e308),  # lo + hi overflows to +inf
+    "negative-overflow": (-1.75e308, -1.7e308),  # ... and to -inf
+}
+
+
+def _two_values(lo, hi):
+    """10 rows at lo labelled 0, then 10 at hi labelled 1: one perfect split."""
+    return np.repeat([lo, hi], 10)[:, None], np.repeat([0.0, 1.0], 10)
+
+
+@pytest.mark.parametrize("lo, hi", BOUNDARIES.values(), ids=BOUNDARIES)
+def test_threshold_falls_back_to_lo_when_the_midpoint_leaves_the_boundary(lo, hi):
+    with np.errstate(over="ignore"):
+        assert not lo <= (lo + hi) / 2.0 < hi  # the table exercises the fallback
+    assert split.midpoints(np.array([lo]), np.array([hi])).tolist() == [lo]
+    assert split.midpoints(np.array([1.0, -3.0]), np.array([2.0, 5.0])).tolist() == [1.5, 1.0]
+    x, y = _two_values(lo, hi)
+    w, wy = np.ones(20), y
+    want = forest_scan_numeric(x[:, 0], w, wy, 20.0, 10.0, 0.5, 1.0)
+    assert want[1] == lo
+    gains, thr = split.scan(
+        x, node_block(x, np.arange(20), np.array([0])), np.zeros(1, dtype=np.int64), np.array([0]),
+        np.zeros(0, dtype=np.int64), w, wy, np.array([0.5]), partial(_gini_gains, msl=1.0),
+    )
+    assert (gains[0, 0], thr[0, 0]) == want
+    g, h = 0.5 - y, np.full(20, 0.25)
+    assert boost_scan_numeric(x[:, 0], g, h, 1.0, 0.0, 1.0, 0.0)[1] == lo
+    newton = partial(_newton_gains, s_parent=0.0, lam=1.0, gamma=0.0, mcw=1.0)
+    assert scan_numeric(x, np.arange(20), np.array([0]), g, h, newton)[1].tolist() == [lo]
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.0])
+@pytest.mark.parametrize("lo, hi", BOUNDARIES.values(), ids=BOUNDARIES)
+def test_boosted_root_splits_rows_as_it_scored_them(lo, hi, lam):
+    import boost_oracle
+
+    x, y = _two_values(lo, hi)
+    params = BoostParams(n_rounds=1, max_depth=1, reg_lambda=lam)
+    for fit in (fit_boosted_matrix, boost_oracle.fit_boosted_matrix):
+        root = fit(x, y, [NUMERIC], ["v"], params).trees[0]
+        assert root.threshold[0] == lo
+        assert root.n_samples.tolist() == [20.0, 10.0, 10.0]
+        # g = +-0.5 and h = 0.25 per row at the starting margin 0
+        assert root.gain[0] == boost_oracle.split_gain(5.0, 2.5, -5.0, 2.5, lam)
+    margin = predict_margin(fit_boosted_matrix(x, y, [NUMERIC], ["v"], params), x)
+    assert (margin[:10] < 0.0).all() and (margin[10:] > 0.0).all()
+
+
+@pytest.mark.parametrize("lo, hi", BOUNDARIES.values(), ids=BOUNDARIES)
+def test_forest_keeps_the_perfect_split_and_its_scanned_gain(lo, hi):
+    from forest_oracle import _fit_tree_matrix
+
+    x, y = _two_values(lo, hi)
+    ds = build_dataset(numeric={"v": x[:, 0]}, labels=y.astype(int))
+    params = ForestParams(n_trees=1, bootstrap=False, min_samples_leaf=1)
+    model = fit_forest(ds, params)
+    want = _fit_tree_matrix(x, y, [NUMERIC], params, make_rng(0, "tree", 0), np.ones(20))
+    for tree in (model.trees[0], want):
+        assert tree.threshold.tolist() == [lo, 0.0, 0.0]
+        assert tree.n_samples.tolist() == [20.0, 10.0, 10.0]
+        assert tree.gain.tolist() == [0.5, 0.0, 0.0]  # Gini 0.5 to two pure children
+    assert predict_proba_forest(model, x).tolist() == [0.0] * 10 + [1.0] * 10
