@@ -1,16 +1,16 @@
 """Command-line front end for the full pipeline.
 
-Subcommands: synth, prep, impute, report, run-all.  One JSON
-config file drives everything; any flag overrides its config key, unknown
-keys are rejected.  Exit codes: 0 success, 1 bad input or usage, 2 runtime
-failure.  The single wall-clock timestamp lives in run_meta.json so every
-other artifact is byte-reproducible from the config seed.
+Subcommands: synth writes a seeded synthetic table, impute writes the
+imputed table, and run-all goes from one CSV to one output directory.  One
+JSON config file drives everything; any flag overrides its config key,
+unknown keys are rejected.  Exit codes: 0 success, 1 bad input or usage, 2
+runtime failure.  The single wall-clock timestamp lives in run_meta.json so
+every other artifact is byte-reproducible from the config seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .attribution import attribution_to_csv
 from .boost import BoostParams
-from .cluster import HeatmapTable, build_heatmap, fold_mean_order
+from .cluster import build_heatmap, fold_mean_order
 from .data import (
     PreprocessPlan,
     apply_preprocess,
@@ -33,13 +33,12 @@ from .data import (
     exclude_and_rename,
     load_csv,
     preset_plan,
-    summarize,
     write_csv,
     write_json,
     write_table,
 )
 from .errors import IcuiError, ParseError, ValidationError
-from .evaluate import MODEL_BOOSTED, MODEL_RF, CvResult, CvSummary, FoldMetrics, ModelSpec, run_cv
+from .evaluate import MODEL_BOOSTED, MODEL_RF, CvResult, ModelSpec, run_cv
 from .forest import ForestParams
 from .impute import ImputeParams, fit_imputation, impute
 from .plots import emit_plots
@@ -83,11 +82,11 @@ class RunConfig:
         return list(MODELS) if self.model == "both" else [self.model]
 
 
-def _typed(cls, values: dict, where: str, error=ValidationError) -> dict:
+def _typed(cls, values: dict, where: str) -> dict:
     """`values`, each checked against the annotated type of `cls`'s field of that name.
 
     An int passes for a float; of a generic such as `list[str]`, only the
-    container is checked.  A mismatch raises `error` naming `where` and the key.
+    container is checked.  A mismatch is a ValidationError naming `where` and the key.
     """
     fields = {f.name: f for f in dataclasses.fields(cls)}
     hints = typing.get_type_hints(cls)
@@ -97,7 +96,7 @@ def _typed(cls, values: dict, where: str, error=ValidationError) -> dict:
         allowed = tuple(typing.get_origin(t) or t for t in options)
         allowed += (int,) if float in allowed else ()
         if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
-            raise error(f"{where}: {key} must be {fields[key].type}, got {value!r}")
+            raise ValidationError(f"{where}: {key} must be {fields[key].type}, got {value!r}")
     return values
 
 
@@ -197,45 +196,6 @@ def _write_meta(cfg: RunConfig, results: dict[str, CvResult]) -> None:
 
 # ------------------------------------------------------------- artifact files
 
-# summary.json's schema, written by `_summary_payload` and read back by
-# `report`: the CvSummary fields common to all models at the top level; per
-# model its own fields, one object per metric holding the fields
-# f"{metric}_{stat}", and "folds", one object of FoldMetrics fields per fold
-_RUN_KEYS = ("k", "seed", "baseline")
-_MODEL_KEYS = ("n_valid_folds",)
-_METRIC_STATS = [(m, stat) for m in ("auroc", "auprc") for stat in ("mean", "std", "formatted")]
-_FOLD_KEYS = ("fold", "n_test", "n_pos", "auroc", "auprc", "error")
-# per fold: (file name prefix, FoldMetrics field, header) of each curve table
-_CURVES = (("roc", "roc_points", ["fpr", "tpr"]), ("pr", "pr_points", ["recall", "precision"]))
-
-
-def _read_float_table(path: str, lead: list[str], keyed: bool = False):
-    """(float column labels, row names, cells) of a CSV table as run-all writes it.
-
-    The header is `lead`, or with `keyed` `lead` and at least one label, each
-    row then starting with a name.  At least one row follows, each as wide as
-    the header, every other cell a finite float.  Anything else is a
-    ParseError naming `path`.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    head, body = (rows[0], rows[1:]) if rows else ([], [])
-    if head[: len(lead)] != lead or (len(head) > len(lead)) != keyed:
-        raise ParseError(f"{path}: header must be {','.join(lead)}{',...' if keyed else ''}")
-    if not body:
-        raise ParseError(f"{path}: no rows after the header")
-    for i, row in enumerate(body, start=1):
-        if len(row) != len(head):
-            raise ParseError(f"{path}: row {i}: expected {len(head)} fields, got {len(row)}")
-    try:
-        cells = np.array([[float(v) for v in row[keyed:]] for row in body], dtype=np.float64)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    if not np.isfinite(cells).all():
-        raise ParseError(f"{path}: non-finite cell")
-    return head[keyed:], [row[0] for row in body], cells
-
-
 def _importance_rows(profiles: list) -> tuple[list[str], list]:
     """Header and rows of per-fold normalized scores plus their mean, descending on the mean."""
     valid = [p for p in profiles if p is not None]
@@ -248,16 +208,27 @@ def _importance_rows(profiles: list) -> tuple[list[str], list]:
 
 
 def _summary_payload(cfg: RunConfig, ds, results: dict[str, CvResult]) -> dict:
+    """summary.json's payload.
+
+    The run's CvSummary fields sit at the top level; per model, its valid-fold
+    count, one object per metric holding the f"{metric}_{stat}" fields, and
+    one object of FoldMetrics fields per fold.
+    """
     models = {}
     for name, res in results.items():
         s = res.summary
-        entry = models[name] = {key: getattr(s, key) for key in _MODEL_KEYS}
-        for metric, stat in _METRIC_STATS:
-            entry.setdefault(metric, {})[stat] = getattr(s, f"{metric}_{stat}")
-        entry["folds"] = [{key: getattr(m, key) for key in _FOLD_KEYS} for m in s.folds]
-    any_summary = next(iter(results.values())).summary
+        models[name] = {
+            "n_valid_folds": s.n_valid_folds,
+            **{m: {stat: getattr(s, f"{m}_{stat}") for stat in ("mean", "std", "formatted")}
+               for m in ("auroc", "auprc")},
+            "folds": [{key: getattr(f, key) for key in ("fold", "n_test", "n_pos", "auroc", "auprc", "error")}
+                      for f in s.folds],
+        }
+    s = next(iter(results.values())).summary
     return {
-        **{key: getattr(any_summary, key) for key in _RUN_KEYS},
+        "k": s.k,
+        "seed": s.seed,
+        "baseline": s.baseline,
         "clusters_k": cfg.clusters_k,
         "n_rows": ds.n_rows,
         "n_features": len(ds.columns),
@@ -268,9 +239,10 @@ def _summary_payload(cfg: RunConfig, ds, results: dict[str, CvResult]) -> dict:
 def _emit_model_artifacts(cfg: RunConfig, model: str, result: CvResult) -> None:
     mdir = os.path.join(cfg.out, model)
     os.makedirs(mdir, exist_ok=True)
+    curves = (("roc", ["fpr", "tpr"]), ("pr", ["recall", "precision"]))
     for m in result.summary.folds:
-        for curve, points, header in _CURVES:
-            rows = ([repr(float(a)), repr(float(b))] for a, b in getattr(m, points))
+        for (curve, header), points in zip(curves, (m.roc_points, m.pr_points)):
+            rows = ([repr(float(a)), repr(float(b))] for a, b in points)
             write_table(os.path.join(mdir, f"{curve}_fold{m.fold + 1}.csv"), header, rows)
     if any(p is not None for p in result.importances):
         header, rows = _importance_rows(result.importances)
@@ -305,6 +277,11 @@ def _run_models(cfg: RunConfig, ds) -> tuple[dict[str, CvResult], object]:
     results = run_cv(
         work, specs, k=cfg.k, seed=cfg.seed, impute_cfg=impute_cfg, clusters_k=cfg.clusters_k
     )
+    for model, result in results.items():
+        if result.summary.n_valid_folds == 0:  # nothing to plot: fail before the first write
+            first = result.summary.folds[0]
+            raise ValidationError(f"label {work.label_name!r}: no {model} fold can be scored; "
+                                  f"fold {first.fold + 1}: {first.error}")
     return results, work
 
 
@@ -323,20 +300,6 @@ def _cmd_synth(args) -> int:
     csv_path, truth_path = write_synth(spec, args.out)
     print(f"wrote {csv_path}")
     print(f"wrote {truth_path}")
-    return 0
-
-
-def _cmd_prep(args) -> int:
-    cfg = _config_from_args(args)
-    _require(cfg, "out")
-    ds, plan = _load_input(cfg)
-    out_ds = apply_preprocess(ds, plan)
-    os.makedirs(cfg.out, exist_ok=True)
-    path = os.path.join(cfg.out, "prepped.csv")
-    write_csv(out_ds, path)
-    info = summarize(out_ds)
-    print(f"wrote {path} ({info.n_rows} rows, {info.n_features} features, "
-          f"prevalence {info.prevalence:.4f})")
     return 0
 
 
@@ -364,7 +327,7 @@ def _cmd_impute(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    """run-all: prep, impute or drop, cross-validate, explain and plot in one pass."""
+    """run-all: preprocess, impute or drop, cross-validate, explain and plot in one pass."""
     cfg = _config_from_args(args)
     _require(cfg, "out")
     ds, plan = _load_input(cfg)
@@ -380,51 +343,6 @@ def _cmd_pipeline(args) -> int:
         print(f"{model}: AUROC {s.auroc_formatted} AUPRC {s.auprc_formatted} "
               f"({s.n_valid_folds}/{cfg.k} folds)")
     print(f"wrote {cfg.out}")
-    return 0
-
-
-def _cmd_report(args) -> int:
-    """Re-render the SVG panels from an output directory's CSV/JSON tables.
-
-    Every table is read before the first panel is written.
-    """
-    cfg = _config_from_args(args)
-    _require(cfg, "out")
-    spath = os.path.join(cfg.out, "summary.json")
-    payload = _read_json_object(spath, "summary")
-    panels = []
-    try:
-        for model, entry in sorted(payload["models"].items()):
-            if model not in MODELS:
-                raise ParseError(f"{spath}: unknown model {model!r}")
-            mdir = os.path.join(cfg.out, model)
-            folds = [
-                FoldMetrics(**_typed(FoldMetrics, {key: row[key] for key in _FOLD_KEYS}, spath, ParseError))
-                for row in entry["folds"]
-            ]
-            for m in folds:
-                if m.error is None:
-                    for curve, points, header in _CURVES:
-                        path = os.path.join(mdir, f"{curve}_fold{m.fold + 1}.csv")
-                        cells = _read_float_table(path, header)[2]
-                        setattr(m, points, list(map(tuple, cells.tolist())))
-            fields = {
-                **{key: payload[key] for key in _RUN_KEYS},
-                **{key: entry[key] for key in _MODEL_KEYS},
-                **{f"{metric}_{stat}": entry[metric][stat] for metric, stat in _METRIC_STATS},
-            }
-            summary = CvSummary(model=model, folds=folds, **_typed(CvSummary, fields, spath, ParseError))
-            heatmap = None
-            hpath = os.path.join(mdir, f"heatmap_{model}.csv")
-            if os.path.exists(hpath):
-                labels, names, cells = _read_float_table(hpath, ["feature"], keyed=True)
-                heatmap = HeatmapTable(feature_names=names, column_labels=labels, cells=cells)
-            panels.append((summary, heatmap, mdir))
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ParseError(f"{spath}: missing or malformed entry: {exc!r}") from None
-    for summary, heatmap, mdir in panels:
-        for path in emit_plots(summary, heatmap, mdir):
-            print(f"wrote {path}")
     return 0
 
 
@@ -468,10 +386,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_synth)
 
     for name, func, blurb in (
-        ("prep", _cmd_prep, "apply a preprocess plan and write prepped.csv"),
         ("impute", _cmd_impute, "fit imputers on the whole table and write imputed.csv"),
-        ("report", _cmd_report, "re-render SVG panels from an output directory"),
-        ("run-all", _cmd_pipeline, "prep, impute, train, explain, report in one pass"),
+        ("run-all", _cmd_pipeline, "preprocess, impute, train, explain and plot in one pass"),
     ):
         p = sub.add_parser(name, help=blurb)
         _add_common(p)

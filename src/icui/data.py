@@ -193,6 +193,8 @@ def load_csv(path: str, label_column: str | None = None) -> Dataset:
                 raise ParseError(f"{path}: row {i}: expected {len(header)} fields, got {len(rec)}")
             rows.append(rec)
 
+    if "" in header:
+        raise ValidationError(f"{path}: column {header.index('') + 1} of the header has an empty name")
     if len(set(header)) != len(header):
         raise ValidationError(f"{path}: duplicate column names in header")
     n = len(rows)

@@ -275,7 +275,10 @@ def run_cv(
         train_ds = take_rows(ds, train_idx)
         test_ds = take_rows(ds, test_idx)
         if impute_cfg is not None:
-            imodel = impute_mod.fit_imputation(train_ds, impute_cfg)
+            try:
+                imodel = impute_mod.fit_imputation(train_ds, impute_cfg)
+            except ValidationError as exc:
+                raise ValidationError(f"fold {fold + 1} of {k}: {exc}") from None
             train_ds = impute_mod.impute(train_ds, imodel)
             test_ds = impute_mod.impute(test_ds, imodel)
         x_test, _, _ = design_matrix(test_ds)

@@ -179,15 +179,21 @@ def derive_groups(names) -> dict[str, str]:
 
 
 class _Stats(dict):
-    """Column name -> a0 statistic; a column without observed values has none."""
+    """Column name -> a0 statistic over `n_rows` rows; a column without observed values there has none."""
+
+    def __init__(self, n_rows: int):
+        super().__init__()
+        self.n_rows = n_rows
 
     def __missing__(self, name):
-        raise ValidationError(f"column {name!r} has no observed values; cannot impute")
+        raise ValidationError(
+            f"column {name!r} has no observed values; cannot impute (imputer fitted on {self.n_rows} rows)"
+        )
 
 
 def _a0_stats(ds: Dataset, rows: np.ndarray) -> _Stats:
     """Each column's a0 statistic over `rows`; reading a column with none raises."""
-    stats = _Stats()
+    stats = _Stats(rows.size)
     for spec in ds.columns:
         observed = ds.values[spec.name][rows][~ds.missing[spec.name][rows]]
         if observed.size == 0:

@@ -1,14 +1,13 @@
 import csv
 import json
 import os
-import shutil
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from icui.cli import cli_main, load_run_config
-from icui.data import LEAKAGE_COLUMNS, load_csv
+from icui.data import LEAKAGE_COLUMNS, load_csv, split_folds
 from icui.errors import ValidationError
 
 
@@ -140,6 +139,48 @@ def test_drop_with_fewer_complete_rows_than_folds_is_a_validation_error(tmp_path
     assert not out.exists()
 
 
+def _rewrite_column(src, dst, name, cell):
+    """Copy the CSV `src` to `dst` with column `name`'s cell in row i (0-based) replaced by `cell(i)`."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        head, *rows = list(csv.reader(fh))
+    j = head.index(name)
+    for i, row in enumerate(rows):
+        row[j] = cell(i)
+    with open(dst, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([head, *rows])
+    return str(dst)
+
+
+def test_unscorable_label_exits_1_before_writing(tmp_path, capsys, complete_csv):
+    # every test fold holds one class only, so no fold has an AUROC to plot
+    data = _rewrite_column(complete_csv, tmp_path / "zeros.csv", "icu_death", lambda i: "0")
+    cfg = _write_cfg(tmp_path, strategy="drop")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert cli_main(["run-all", "--config", cfg, "--input", data, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: label 'icu_death': no rf fold can be scored; ")
+    assert "fold 1: AUROC undefined: labels contain a single class" in err
+    assert list(out.iterdir()) == []
+
+
+def test_imputer_without_observed_training_cells_names_the_fold(tmp_path, capsys, complete_csv):
+    # s01 is observed in one row only: the fold that tests that row trains on none
+    kept = 17
+    data = _rewrite_column(
+        complete_csv, tmp_path / "sparse.csv", "s01", lambda i: "0.5" if i == kept else ""
+    )
+    cfg = _write_cfg(tmp_path, strategy="impute")
+    out = tmp_path / "out"
+    assert cli_main(["run-all", "--config", cfg, "--input", data, "--out", str(out)]) == 1
+    fold = int(split_folds(120, 5, 0).fold_of_row[kept]) + 1
+    assert capsys.readouterr().err == (
+        f"error: fold {fold} of 5: column 's01' has no observed values; cannot impute "
+        "(imputer fitted on 96 rows)\n"
+    )
+    assert not out.exists()
+
+
 def test_every_output_table_reparses(tmp_path, synth_csv):
     cfg = _write_cfg(tmp_path, model="rf")
     out = tmp_path / "out"
@@ -179,98 +220,6 @@ def test_drop_equals_impute_on_complete_data(tmp_path, complete_csv):
         assert outs["impute"][rel] == outs["drop"][rel], f"{rel} differs between strategies"
 
 
-def test_report_rebuilds_identical_svgs(tmp_path, synth_csv):
-    for model, n_models in (("boosted", 1), ("both", 2)):
-        cfg = _write_cfg(tmp_path, model=model)
-        out = tmp_path / model
-        assert cli_main(["run-all", "--config", cfg, "--input", synth_csv, "--out", str(out)]) == 0
-        svgs = sorted(out.glob("*/*.svg"))
-        assert len(svgs) == 3 * n_models
-        originals = {p: p.read_bytes() for p in svgs}
-        for p in svgs:
-            p.unlink()
-        assert cli_main(["report", "--out", str(out)]) == 0
-        for p in svgs:
-            assert p.read_bytes() == originals[p], f"{p.name} changed after report"
-
-
-@pytest.fixture(scope="module")
-def report_dir(tmp_path_factory, complete_csv):
-    """A run-all output directory of both models, without its SVG panels."""
-    root = tmp_path_factory.mktemp("report")
-    cfg = _write_cfg(root, k=3)
-    assert cli_main(["run-all", "--config", cfg, "--input", complete_csv, "--out", str(root / "out")]) == 0
-    for svg in (root / "out").glob("*/*.svg"):
-        svg.unlink()
-    return root / "out"
-
-
-def _break_summary_json(out):
-    (out / "summary.json").write_text("{not json")
-
-
-def _drop_summary_models(out):
-    payload = json.loads((out / "summary.json").read_text())
-    del payload["models"]
-    (out / "summary.json").write_text(json.dumps(payload))
-
-
-def _break_roc_cell(out):
-    path = out / "rf" / "roc_fold2.csv"
-    path.write_text(path.read_text().replace("\n0.0,", "\nzero,", 1))
-
-
-def _shorten_heatmap_rows(out):
-    # every row one cell shorter than the header
-    path = out / "rf" / "heatmap_rf.csv"
-    head, *rows = path.read_text().splitlines()
-    path.write_text("\n".join([head] + [r.rsplit(",", 1)[0] for r in rows]) + "\n")
-
-
-def _nan_pr_cell(out):
-    path = out / "rf" / "pr_fold3.csv"
-    path.write_text(path.read_text().replace("\n0.0,", "\nnan,", 1))
-
-
-def _empty_roc_table(out):
-    (out / "boosted" / "roc_fold1.csv").write_text("")
-
-
-def _model_outside_out(out):
-    payload = json.loads((out / "summary.json").read_text())
-    payload["models"]["../evil"] = payload["models"]["rf"]
-    (out / "summary.json").write_text(json.dumps(payload))
-
-
-def _string_baseline(out):
-    payload = json.loads((out / "summary.json").read_text())
-    payload["baseline"] = "x"
-    (out / "summary.json").write_text(json.dumps(payload))
-
-
-@pytest.mark.parametrize(
-    "corrupt, named",
-    [
-        (_break_summary_json, "summary.json"),
-        (_drop_summary_models, "summary.json"),
-        (_break_roc_cell, "roc_fold2.csv"),
-        (_shorten_heatmap_rows, "heatmap_rf.csv"),
-        (_nan_pr_cell, "pr_fold3.csv"),
-        (_empty_roc_table, "roc_fold1.csv"),
-        (_model_outside_out, "summary.json"),
-        (_string_baseline, "summary.json: baseline must be float"),
-    ],
-)
-def test_report_on_bad_input_exits_1_before_writing(tmp_path, capsys, report_dir, corrupt, named):
-    out = tmp_path / "out"
-    shutil.copytree(report_dir, out)
-    corrupt(out)
-    assert cli_main(["report", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and named in err
-    assert not list(out.glob("*/*.svg"))  # boosted, read first, got no panels either
-
-
 def test_flag_overrides_config(tmp_path, complete_csv):
     cfg = _write_cfg(tmp_path, model="rf", seed=3)
     out = tmp_path / "out"
@@ -282,15 +231,16 @@ def test_flag_overrides_config(tmp_path, complete_csv):
     assert json.loads((out / "run_meta.json").read_text())["command"] == "run-all"
 
 
-def test_prep_applies_plan_file(tmp_path, complete_csv):
+def test_impute_applies_plan_file(tmp_path, complete_csv):
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps({"exclude": ["n01"], "label": "icu_death"}))
-    out = tmp_path / "prepped"
-    rc = cli_main(["prep", "--input", complete_csv, "--plan", str(plan_path), "--out", str(out)])
+    cfg = _write_cfg(tmp_path, impute={"algorithm": "a0"})
+    out = tmp_path / "imp"
+    rc = cli_main(["impute", "--config", cfg, "--input", complete_csv, "--plan", str(plan_path), "--out", str(out)])
     assert rc == 0
-    ds = load_csv(str(out / "prepped.csv"))
+    ds = load_csv(str(out / "imputed.csv"))
     assert "n01" not in ds.feature_names()
-    assert ds.labels is not None
+    assert ds.label_name == "icu_death" and ds.labels is not None
 
 
 @pytest.mark.parametrize(
@@ -299,7 +249,7 @@ def test_prep_applies_plan_file(tmp_path, complete_csv):
 def test_malformed_plan_exits_1_naming_the_key(tmp_path, capsys, complete_csv, plan, key):
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(plan))
-    rc = cli_main(["prep", "--input", complete_csv, "--plan", str(plan_path), "--out", str(tmp_path / "o")])
+    rc = cli_main(["impute", "--input", complete_csv, "--plan", str(plan_path), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert f"plan: {key} must be" in capsys.readouterr().err
 
@@ -385,6 +335,12 @@ def test_unknown_flag_usage_exit_1(capsys):
 def test_bad_strategy_value_exit_1(capsys):
     rc = cli_main(["run-all", "--strategy", "zap", "--input", "x", "--out", "y"])
     assert rc == 1
+
+
+def test_removed_subcommands_are_usage_errors(tmp_path, capsys):
+    for command in ("prep", "report"):
+        assert cli_main([command, "--out", str(tmp_path)]) == 1
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_no_subcommand_exit_1(capsys):

@@ -39,6 +39,12 @@ def test_load_csv_ragged_row_names_offender(tmp_csv):
         load_csv(path)
 
 
+def test_load_csv_empty_header_name_names_its_position(tmp_csv):
+    path = tmp_csv("a,,icu_death\n1,2,0\n")
+    with pytest.raises(ValidationError, match="column 2 of the header has an empty name"):
+        load_csv(path)
+
+
 def test_load_csv_bad_label_value(tmp_csv):
     path = tmp_csv("a,icu_death\n1,2\n")
     with pytest.raises(ValidationError, match="label"):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -70,10 +72,14 @@ def test_deep_forest(table, deep_forest):
 @pytest.mark.parametrize("mtry", [1, 2])
 def test_forest_small_mtry(table, mtry):
     # with few candidate features per node, paths often split a feature twice;
-    # seed 1 gives both kinds of double split at mtry 1 and 2 (seed 3 has no
-    # categorical one at mtry 2)
+    # one hand-built tree on the table's columns makes sure the forest holds
+    # both kinds of double split, whatever the fitted trees grow
     ds, x = table
-    model = fit_forest(ds, ForestParams(n_trees=4, min_samples_leaf=1, mtry=mtry), seed=1)
+    fitted = fit_forest(ds, ForestParams(n_trees=4, min_samples_leaf=1, mtry=mtry), seed=1)
+    cat, num = fitted.feature_kinds.index(CATEGORICAL), fitted.feature_kinds.index(NUMERIC)
+    codes = np.unique(x[:, cat])[:2]
+    cuts = np.quantile(x[:, num], [1 / 3, 2 / 3])
+    model = dataclasses.replace(fitted, trees=[*fitted.trees, _hand_tree(cat, num, codes, cuts)])
     paths = _path_splits(model)
     assert any(s[0][1] and _split_twice(s) for s in paths)
     assert any(not s[0][1] and _both_ways(s) for s in paths)
@@ -87,26 +93,31 @@ def test_subsampled_boosted_model(table):
     _assert_matches_oracle(model, x[:80])
 
 
-def _hand_model():
-    """One tree over a categorical f0 and a numeric f1, each split twice on a path.
+def _hand_tree(cat, num, codes, cuts):
+    """One tree over a categorical column `cat` and a numeric `num`, each split twice on a path.
 
-    root: f0 == 1 ? A : (f0 == 2 ? B : (f1 <= 0 ? C : (f1 <= 3 ? D : E)))
+    root: cat == codes[0] ? A : (cat == codes[1] ? B : (num <= cuts[0] ? C : (num <= cuts[1] ? D : E)))
     """
     bld = TreeBuilder(track_class_counts=True)
     sizes = {"root": 40.0, "A": 6.0, "r1": 34.0, "B": 9.0, "r2": 25.0,
              "C": 7.0, "r3": 18.0, "D": 11.0, "E": 7.0}
     values = {"A": 0.9, "B": -0.4, "C": 0.3, "D": -1.2, "E": 2.5}
     node = {name: bld.add_node(n, values.get(name, 0.0), (0.0, 0.0)) for name, n in sizes.items()}
-    for parent, feature, thr, cat, lo, hi in (
-        ("root", 0, 1.0, True, "A", "r1"),
-        ("r1", 0, 2.0, True, "B", "r2"),
-        ("r2", 1, 0.0, False, "C", "r3"),
-        ("r3", 1, 3.0, False, "D", "E"),
+    for parent, feature, thr, is_cat, lo, hi in (
+        ("root", cat, codes[0], True, "A", "r1"),
+        ("r1", cat, codes[1], True, "B", "r2"),
+        ("r2", num, cuts[0], False, "C", "r3"),
+        ("r3", num, cuts[1], False, "D", "E"),
     ):
-        bld.set_split(node[parent], feature, thr, cat, 1.0)
+        bld.set_split(node[parent], feature, thr, is_cat, 1.0)
         bld.link(node[parent], node[lo], node[hi])
+    return bld.build()
+
+
+def _hand_model():
+    """`_hand_tree` over a categorical f0 (codes 1, 2) and a numeric f1 (cuts 0, 3)."""
     return ForestModel(
-        trees=[bld.build()],
+        trees=[_hand_tree(0, 1, (1.0, 2.0), (0.0, 3.0))],
         params=ForestParams(n_trees=1),
         feature_names=["f0", "f1", "f2"],
         feature_kinds=[CATEGORICAL, NUMERIC, NUMERIC],
