@@ -27,7 +27,6 @@ from .cluster import (
 from .data import (
     CATEGORICAL,
     NUMERIC,
-    ColumnSpec,
     Dataset,
     FoldAssignment,
     PreprocessPlan,

@@ -231,7 +231,7 @@ def _summary_payload(cfg: RunConfig, ds, results: dict[str, CvResult]) -> dict:
         "baseline": s.baseline,
         "clusters_k": cfg.clusters_k,
         "n_rows": ds.n_rows,
-        "n_features": len(ds.columns),
+        "n_features": len(ds.names),
         "models": models,
     }
 

@@ -1,20 +1,27 @@
-"""Columnar dataset model for tabular binary-outcome CSV files.
+"""One table format for tabular binary-outcome CSV files.
 
 Conventions, fixed across the toolkit:
   * CSV dialect: UTF-8, comma separated, LF line ends, header row required,
     empty field = missing value.  Every table is written by `write_table`,
     every JSON artifact by `write_json`.
-  * Numeric columns are float64; a column is numeric iff every non-missing
-    cell parses as a finite float.
-  * Categorical columns store dense integer codes (0..n_codes-1) assigned by
-    sorted string order, with the code->string table kept alongside.
-  * Labels are a {0,1} vector held outside the feature columns.
+  * A `Dataset` is one (n_rows, n_features) float64 matrix `x`, with the
+    column names and kinds alongside.  NaN marks a missing cell and nothing
+    else is NaN; no cell is infinite.
+  * A column is numeric iff every non-empty cell parses as a finite float.
+    A column of finite floats whose other non-empty cells are non-finite
+    floats (`nan`, `inf`, `1e999`, ...) or missing markers (`MISSING_MARKERS`)
+    is rejected, naming the column, row and cell: a missing cell is empty.
+  * Categorical columns hold dense integer codes (0..n_codes-1), stored as
+    exact floats and assigned by sorted string order, with the code->string
+    table kept alongside.
+  * Labels are a {0,1} vector held outside the feature matrix.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,58 +38,54 @@ DEFAULT_LABEL_COLUMN = "icu_death"
 # outcome recorded alongside the target.
 LEAKAGE_COLUMNS = ("patientunitstayid", "encounter_id", "hospital_death", "partition")
 
-
-@dataclass(frozen=True)
-class ColumnSpec:
-    name: str
-    kind: str  # NUMERIC or CATEGORICAL
+# Cells that spell a missing value.  In a numeric column they are an error,
+# not a category: a missing cell is an empty field.
+MISSING_MARKERS = ("NA", "N/A", "NULL", "null", ".")
 
 
 @dataclass
 class Dataset:
-    """Feature columns plus an optional label vector.
+    """Feature matrix plus an optional label vector.
 
-    `values[name]` is float64 for numeric columns and int64 codes for
-    categorical ones; `missing[name]` is the authoritative per-cell mask
-    (value entries under a True mask are placeholders: NaN / -1).
+    `x[:, j]` is feature `names[j]` of kind `kinds[j]`: float64 values for a
+    numeric column, integer codes stored as exact floats for a categorical
+    one.  NaN marks a missing cell and nothing else.
     """
 
-    columns: list[ColumnSpec]
-    values: dict[str, np.ndarray]
-    missing: dict[str, np.ndarray]
-    n_rows: int
+    names: list[str]
+    kinds: list[str]
+    x: np.ndarray  # (n_rows, n_features) float64
     labels: np.ndarray | None = None
     label_name: str | None = None
     code_maps: dict[str, list[str]] = field(default_factory=dict)
 
-    def feature_names(self) -> list[str]:
-        return [c.name for c in self.columns]
+    @property
+    def n_rows(self) -> int:
+        return self.x.shape[0]
 
-    def column(self, name: str) -> ColumnSpec:
-        for c in self.columns:
-            if c.name == name:
-                return c
-        raise ValidationError(f"no such column: {name!r}")
+    @property
+    def missing(self) -> dict[str, np.ndarray]:
+        """Read-only missing mask per column name."""
+        nan = np.isnan(self.x)
+        nan.flags.writeable = False
+        return dict(zip(self.names, nan.T))
 
     def check(self) -> None:
-        names = self.feature_names()
-        if len(set(names)) != len(names):
+        if len(set(self.names)) != len(self.names):
             raise ValidationError("duplicate column names")
-        for c in self.columns:
-            v, m = self.values[c.name], self.missing[c.name]
-            if len(v) != self.n_rows or len(m) != self.n_rows:
-                raise ValidationError(f"column {c.name!r}: length != n_rows")
-            if c.kind == NUMERIC:
-                ok = np.isfinite(v) | m
-                if not ok.all():
-                    raise ValidationError(f"column {c.name!r}: non-finite value")
-            elif c.kind == CATEGORICAL:
-                codes = v[~m]
-                n_codes = len(self.code_maps.get(c.name, []))
-                if codes.size and (codes.min() < 0 or codes.max() >= n_codes):
-                    raise ValidationError(f"column {c.name!r}: code out of range")
-            else:
-                raise ValidationError(f"column {c.name!r}: unknown kind {c.kind!r}")
+        if self.x.dtype != np.float64 or self.x.shape[1:] != (len(self.names),) or len(self.kinds) != len(self.names):
+            raise ValidationError("x must be a float64 matrix with one column per name and kind")
+        bad = np.isinf(self.x).any(axis=0)
+        if bad.any():
+            raise ValidationError(f"column {self.names[int(np.argmax(bad))]!r}: non-finite value")
+        for name, kind, col in zip(self.names, self.kinds, self.x.T):
+            if kind == CATEGORICAL:
+                codes = col[~np.isnan(col)]
+                n_codes = len(self.code_maps.get(name, []))
+                if not ((codes >= 0) & (codes < n_codes) & (codes == np.floor(codes))).all():
+                    raise ValidationError(f"column {name!r}: code out of range")
+            elif kind != NUMERIC:
+                raise ValidationError(f"column {name!r}: unknown kind {kind!r}")
         if self.labels is not None:
             if len(self.labels) != self.n_rows:
                 raise ValidationError("labels length != n_rows")
@@ -158,26 +161,47 @@ def _parse_label_cell(cell: str, row: int, name: str) -> int:
     return int(val)
 
 
-def _float_cells(cells, missing: np.ndarray) -> np.ndarray | None:
-    """`cells` as float64, NaN where missing; None unless every other cell is a finite float.
+def _float_cells(cells, where: str) -> np.ndarray | None:
+    """`cells` as float64, NaN where empty; None unless every other cell is a finite float.
 
     np.array parses each str with float(), so '1_0' and ' 1.5 ' are numbers
-    here as they are to float().
+    here as they are to float().  A column with a finite float whose other
+    non-empty cells are floats or missing markers is numeric, so a
+    non-finite float or a marker in it raises, naming its row.
     """
     try:
         col = np.array([c or "nan" for c in cells], dtype=np.float64)
+        if np.isfinite(col[np.array([c != "" for c in cells], dtype=bool)]).all():
+            return col
     except ValueError:
-        return None
-    return col if np.isfinite(col[~missing]).all() else None
+        pass
+    finite, bad = False, None
+    for row, cell in enumerate(cells, start=1):
+        if cell == "":
+            continue
+        try:
+            value = float(cell)
+        except ValueError:
+            if cell not in MISSING_MARKERS:
+                return None
+            value = math.nan
+        if math.isfinite(value):
+            finite = True
+        elif bad is None:
+            bad = f"{where}, row {row}: cell {cell!r} in a numeric column; leave a missing cell empty"
+    if finite and bad:
+        raise ValidationError(bad)
+    return None
 
 
 def load_csv(path: str, label_column: str | None = None) -> Dataset:
     """Load a CSV file into a Dataset.
 
-    Column kinds are inferred: numeric iff every non-missing cell parses as a
-    finite float (all-missing columns default to numeric), categorical
-    otherwise.  A column named `label_column` (default 'icu_death'), when
-    present, is pulled out as the label vector.
+    Column kinds are inferred: numeric iff every non-empty cell parses as a
+    finite float (all-empty columns default to numeric), categorical
+    otherwise, and a numeric column with a non-finite float or a missing
+    marker in it is an error.  A column named `label_column` (default
+    'icu_death'), when present, is pulled out as the label vector.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -197,47 +221,33 @@ def load_csv(path: str, label_column: str | None = None) -> Dataset:
         raise ValidationError(f"{path}: column {header.index('') + 1} of the header has an empty name")
     if len(set(header)) != len(header):
         raise ValidationError(f"{path}: duplicate column names in header")
-    n = len(rows)
     raw = dict(zip(header, list(zip(*rows)) or [()] * len(header)))
 
     wanted = DEFAULT_LABEL_COLUMN if label_column is None else label_column
     label_name = wanted if wanted in raw else None
-
-    columns: list[ColumnSpec] = []
-    values: dict[str, np.ndarray] = {}
-    missing: dict[str, np.ndarray] = {}
+    names = [name for name in header if name != label_name]
+    kinds = []
+    x = np.empty((len(rows), len(names)), dtype=np.float64)
     code_maps: dict[str, list[str]] = {}
     labels = None
+    if label_name is not None:
+        cells = raw[label_name]
+        labels = np.array([_parse_label_cell(c, i + 1, label_name) for i, c in enumerate(cells)], dtype=np.uint8)
 
-    for name in header:
+    for j, name in enumerate(names):
         cells = raw[name]
-        if name == label_name:
-            labels = np.array(
-                [_parse_label_cell(c, i + 1, name) for i, c in enumerate(cells)], dtype=np.uint8
-            )
-            continue
-        mask = np.array([c == "" for c in cells], dtype=bool)
-        col = _float_cells(cells, mask)
+        col = _float_cells(cells, f"{path}: column {name!r}")
         kind = NUMERIC
         if col is None:
             kind = CATEGORICAL
             levels = sorted({c for c in cells if c != ""})
-            code_of = {s: j for j, s in enumerate(levels)}
-            col = np.array([code_of.get(c, -1) for c in cells], dtype=np.int64)
+            code_of = {s: float(k) for k, s in enumerate(levels)}
+            col = [code_of.get(c, math.nan) for c in cells]
             code_maps[name] = levels
-        columns.append(ColumnSpec(name, kind))
-        values[name] = col
-        missing[name] = mask
+        kinds.append(kind)
+        x[:, j] = col
 
-    ds = Dataset(
-        columns=columns,
-        values=values,
-        missing=missing,
-        n_rows=n,
-        labels=labels,
-        label_name=label_name,
-        code_maps=code_maps,
-    )
+    ds = Dataset(names=names, kinds=kinds, x=x, labels=labels, label_name=label_name, code_maps=code_maps)
     ds.check()
     return ds
 
@@ -263,20 +273,14 @@ def write_csv(ds: Dataset, path: str) -> None:
     Numeric cells use shortest round-trip formatting, so load -> write -> load
     reproduces values and missingness bit-exactly.
     """
-    header = ds.feature_names()
+    header = list(ds.names)
     if ds.labels is not None:
-        header = header + [ds.label_name or DEFAULT_LABEL_COLUMN]
+        header.append(ds.label_name or DEFAULT_LABEL_COLUMN)
+    levels = [ds.code_maps[name] if kind == CATEGORICAL else None for name, kind in zip(ds.names, ds.kinds)]
 
     def rows():
-        for i in range(ds.n_rows):
-            rec = []
-            for c in ds.columns:
-                if ds.missing[c.name][i]:
-                    rec.append("")
-                elif c.kind == NUMERIC:
-                    rec.append(repr(float(ds.values[c.name][i])))
-                else:
-                    rec.append(ds.code_maps[c.name][int(ds.values[c.name][i])])
+        for i, row in enumerate(ds.x.tolist()):
+            rec = ["" if math.isnan(v) else repr(v) if lv is None else lv[int(v)] for lv, v in zip(levels, row)]
             if ds.labels is not None:
                 rec.append(str(int(ds.labels[i])))
             yield rec
@@ -288,14 +292,13 @@ def apply_preprocess(ds: Dataset, plan: PreprocessPlan) -> Dataset:
     """Extract the label, then drop excluded columns and apply renames (`exclude_and_rename`)."""
     labels = ds.labels
     label_source = ds.label_name
-    if plan.label in ds.feature_names():
-        spec = ds.column(plan.label)
-        mask = ds.missing[plan.label]
-        if mask.any():
+    if plan.label in ds.names:
+        j = ds.names.index(plan.label)
+        vals = ds.x[:, j]
+        if np.isnan(vals).any():
             raise ValidationError(f"label column {plan.label!r} has missing values")
-        if spec.kind == CATEGORICAL:
+        if ds.kinds[j] == CATEGORICAL:
             raise ValidationError(f"label column {plan.label!r} is not numeric 0/1")
-        vals = ds.values[plan.label]
         if ds.n_rows and not np.isin(vals, (0.0, 1.0)).all():
             raise ValidationError(f"label column {plan.label!r} has values outside {{0,1}}")
         labels = vals.astype(np.uint8)
@@ -307,37 +310,27 @@ def apply_preprocess(ds: Dataset, plan: PreprocessPlan) -> Dataset:
 
 def exclude_and_rename(ds: Dataset, plan: PreprocessPlan) -> Dataset:
     """`ds` without the plan's excluded columns and its label column, then renamed; labels pass through."""
-    present = set(ds.feature_names())
-    absent = [n for n in plan.exclude if n not in present]
+    absent = [n for n in plan.exclude if n not in ds.names]
     if absent:
         raise ValidationError(f"plan excludes columns absent from dataset: {absent}")
 
     drop = set(plan.exclude) | {plan.label}
-    kept = [c for c in ds.columns if c.name not in drop]
+    keep = [j for j, name in enumerate(ds.names) if name not in drop]
+    kept = [ds.names[j] for j in keep]
 
-    missing_renames = [old for old in plan.rename if old not in {c.name for c in kept}]
+    missing_renames = [old for old in plan.rename if old not in kept]
     if missing_renames:
         raise ValidationError(f"plan renames columns absent from dataset: {missing_renames}")
-    new_names = {}
-    for c in kept:
-        new = plan.rename.get(c.name, c.name)
-        new_names[c.name] = new
-    if len(set(new_names.values())) != len(new_names):
+    names = [plan.rename.get(name, name) for name in kept]
+    if len(set(names)) != len(names):
         raise ValidationError("rename map collides with existing column names")
 
-    columns = [replace(c, name=new_names[c.name]) for c in kept]
-    values = {new_names[c.name]: ds.values[c.name] for c in kept}
-    missing = {new_names[c.name]: ds.missing[c.name] for c in kept}
-    code_maps = {new_names[c.name]: ds.code_maps[c.name] for c in kept if c.name in ds.code_maps}
-
-    out = Dataset(
-        columns=columns,
-        values=values,
-        missing=missing,
-        n_rows=ds.n_rows,
-        labels=ds.labels,
-        label_name=ds.label_name,
-        code_maps=code_maps,
+    out = replace(
+        ds,
+        names=names,
+        kinds=[ds.kinds[j] for j in keep],
+        x=ds.x.take(keep, axis=1),
+        code_maps={new: ds.code_maps[old] for old, new in zip(kept, names) if old in ds.code_maps},
     )
     out.check()
     return out
@@ -346,22 +339,12 @@ def exclude_and_rename(ds: Dataset, plan: PreprocessPlan) -> Dataset:
 def take_rows(ds: Dataset, indices: np.ndarray) -> Dataset:
     """Row subset (copy), labels included."""
     idx = np.asarray(indices, dtype=np.int64)
-    return Dataset(
-        columns=list(ds.columns),
-        values={n: v[idx].copy() for n, v in ds.values.items()},
-        missing={n: m[idx].copy() for n, m in ds.missing.items()},
-        n_rows=int(idx.size),
-        labels=None if ds.labels is None else ds.labels[idx].copy(),
-        label_name=ds.label_name,
-        code_maps={n: list(v) for n, v in ds.code_maps.items()},
-    )
+    return replace(ds, x=ds.x[idx], labels=None if ds.labels is None else ds.labels[idx])
 
 
 def drop_incomplete_rows(ds: Dataset) -> Dataset:
     """Keep only rows with no missing feature cells."""
-    keep = np.ones(ds.n_rows, dtype=bool)
-    for c in ds.columns:
-        keep &= ~ds.missing[c.name]
+    keep = ~np.isnan(ds.x).any(axis=1)
     if not keep.any():
         raise ValidationError("no complete rows remain after dropping")
     return take_rows(ds, np.flatnonzero(keep))
@@ -371,13 +354,9 @@ def summarize(ds: Dataset) -> DatasetSummary:
     if ds.labels is None:
         raise ValidationError("dataset has no labels; prevalence undefined")
     prevalence = float(ds.labels.sum() / ds.n_rows) if ds.n_rows else float("nan")
-    rate = {
-        c.name: float(ds.missing[c.name].sum() / ds.n_rows) if ds.n_rows else 0.0
-        for c in ds.columns
-    }
-    return DatasetSummary(
-        n_rows=ds.n_rows, n_features=len(ds.columns), prevalence=prevalence, missing_rate=rate
-    )
+    counts = np.isnan(ds.x).sum(axis=0)
+    rate = {name: float(c / ds.n_rows) if ds.n_rows else 0.0 for name, c in zip(ds.names, counts)}
+    return DatasetSummary(n_rows=ds.n_rows, n_features=len(ds.names), prevalence=prevalence, missing_rate=rate)
 
 
 def split_folds(
@@ -421,17 +400,14 @@ def split_folds(
 
 
 def design_matrix(ds: Dataset) -> tuple[np.ndarray, list[str], list[str]]:
-    """Dense float64 matrix over feature columns.
+    """`ds.x`, `ds.kinds` and `ds.names` themselves, not copies.
 
-    Categorical codes are embedded as exact floats.  Errors out on missing
-    cells: model fitting requires a complete table (impute or drop first).
+    Errors out on missing cells: model fitting requires a complete table
+    (impute or drop first).
     """
-    bad = [c.name for c in ds.columns if ds.missing[c.name].any()]
+    bad = [name for name, gap in zip(ds.names, np.isnan(ds.x).any(axis=0)) if gap]
     if bad:
         raise ValidationError(
             f"columns with missing values: {bad}; impute or drop incomplete rows first"
         )
-    X = np.empty((ds.n_rows, len(ds.columns)), dtype=np.float64)
-    for j, c in enumerate(ds.columns):
-        X[:, j] = ds.values[c.name].astype(np.float64)
-    return X, [c.kind for c in ds.columns], [c.name for c in ds.columns]
+    return ds.x, ds.kinds, ds.names

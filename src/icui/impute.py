@@ -34,7 +34,7 @@ of every entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -145,8 +145,8 @@ class ColumnImputer:
         shared = {} if shared is None else shared
         grouped = np.full(rows.size, self.algorithm == "a2")
         if self.algorithm == "a3":
-            for sib in self.siblings:
-                grouped |= ds.missing[sib][rows]
+            for j in _columns(ds, self.siblings):
+                grouped |= np.isnan(ds.x[rows, j])
         out = np.empty(rows.size, dtype=np.float64)
         for mask, predictor in ((grouped, self.predictor_grouped), (~grouped, self.predictor)):
             if predictor is None:
@@ -194,14 +194,14 @@ class _Stats(dict):
 def _a0_stats(ds: Dataset, rows: np.ndarray) -> _Stats:
     """Each column's a0 statistic over `rows`; reading a column with none raises."""
     stats = _Stats(rows.size)
-    for spec in ds.columns:
-        observed = ds.values[spec.name][rows][~ds.missing[spec.name][rows]]
+    for name, kind, col in zip(ds.names, ds.kinds, ds.x[rows].T):
+        observed = col[~np.isnan(col)]
         if observed.size == 0:
             continue
-        if spec.kind == NUMERIC:
-            stats[spec.name] = float(np.sort(observed)[(observed.size - 1) // 2])
+        if kind == NUMERIC:
+            stats[name] = float(np.sort(observed)[(observed.size - 1) // 2])
         else:
-            stats[spec.name] = float(np.argmax(np.bincount(observed.astype(np.int64))))
+            stats[name] = float(np.argmax(np.bincount(observed.astype(np.int64))))
     return stats
 
 
@@ -219,24 +219,35 @@ def _table(ds: Dataset, rows: np.ndarray | None = None) -> _Table:
     return _Table(ds, rows, _a0_stats(ds, rows))
 
 
+def _columns(ds: Dataset, names) -> list[int]:
+    """The positions of `names` among `ds`'s columns."""
+    at = {name: j for j, name in enumerate(ds.names)}
+    return [at[name] for name in names]
+
+
+def _column(ds: Dataset, name: str) -> int:
+    """The position of column `name`, which must exist."""
+    if name not in ds.names:
+        raise ValidationError(f"no such column: {name!r}")
+    return ds.names.index(name)
+
+
 def _filled(ds: Dataset, rows: np.ndarray, names: list[str], fallbacks: dict) -> np.ndarray:
-    """The `names` columns over `rows` as floats, each gap filled with its column's fallback."""
-    x = np.empty((rows.size, len(names)), dtype=np.float64)
-    for j, name in enumerate(names):
-        x[:, j] = ds.values[name][rows]
-        x[ds.missing[name][rows], j] = fallbacks[name]
+    """The `names` columns over `rows`, each gap filled with its column's fallback."""
+    x = ds.x[rows[:, None], _columns(ds, names)]
+    np.copyto(x, [fallbacks[name] for name in names], where=np.isnan(x))
     return x
 
 
 def _new_predictor(table: _Table, target: str, feature_names: list[str], seed: int) -> _Predictor:
     """An unfitted predictor of `target` from `feature_names`, on the table's target-observed rows."""
-    ds = table.ds
-    rows = table.rows[~ds.missing[target][table.rows]]
+    ds, t = table.ds, _column(table.ds, target)
+    rows = table.rows[~np.isnan(ds.x[table.rows, t])]
     fallbacks = {name: table.stats[name] for name in feature_names}
-    kinds = [ds.column(name).kind for name in feature_names]
-    y = ds.values[target][rows].astype(np.float64)
+    kinds = [ds.kinds[j] for j in _columns(ds, feature_names)]
+    y = ds.x[rows, t]
     source = (ds, rows)
-    if ds.column(target).kind == NUMERIC:
+    if ds.kinds[t] == NUMERIC:
         return _Predictor(feature_names, fallbacks, NUMERIC, kinds, OBJECTIVE_SQUARED, source, [(y, seed)])
 
     classifiers: list[tuple[int, BoostedModel | float | None]] = []
@@ -289,7 +300,7 @@ def _fit(entries, boost: BoostParams | None, batch: bool) -> None:
 
 
 def _fallback_entry(table: _Table, target: str, note: str | None = None) -> ColumnImputer:
-    kind, fallback = table.ds.column(target).kind, table.stats[target]
+    kind, fallback = table.ds.kinds[_column(table.ds, target)], table.stats[target]
     return ColumnImputer(column=target, kind=kind, algorithm="a0", fallback=fallback, note=note)
 
 
@@ -299,10 +310,10 @@ def _model_predictor(table: _Table, target, algorithm, siblings, min_rows, seed,
     The predictor is `predictor` or a new one over every other column but
     `siblings` (a1 passes none).
     """
-    n_obs = int((~table.ds.missing[target][table.rows]).sum())
+    n_obs = int((~np.isnan(table.ds.x[table.rows, _column(table.ds, target)])).sum())
     if n_obs < min_rows:
         return None, f"{algorithm} -> a0: {n_obs} complete cases < min_rows={min_rows}"
-    features = [c.name for c in table.ds.columns if c.name != target and c.name not in siblings]
+    features = [name for name in table.ds.names if name != target and name not in siblings]
     if not features:
         reason = "no predictor columns" if algorithm == "a1" else "no out-of-group predictors"
         return None, f"{algorithm} -> a0: {reason}"
@@ -311,7 +322,7 @@ def _model_predictor(table: _Table, target, algorithm, siblings, min_rows, seed,
 
 def _siblings(ds: Dataset, target: str) -> list[str]:
     """The other columns of `target`'s variable group, in column order."""
-    groups = derive_groups(ds.feature_names())
+    groups = derive_groups(ds.names)
     return [name for name in groups if name != target and groups[name] == groups[target]]
 
 
@@ -335,7 +346,7 @@ def _entries(
             return _fallback_entry(table, target, note)
         return ColumnImputer(
             column=target,
-            kind=table.ds.column(target).kind,
+            kind=table.ds.kinds[_column(table.ds, target)],
             algorithm=algorithm,
             fallback=table.stats[target],
             predictor=predictor,
@@ -400,9 +411,9 @@ def select_imputer(
     cell predicts its held-out rows once per distinct model.
     """
     params = params or ImputeParams()
-    spec = ds.column(target)
-    observed = np.flatnonzero(~ds.missing[target])
-    metric = "mse" if spec.kind == NUMERIC else "accuracy"
+    t = _column(ds, target)
+    observed = np.flatnonzero(~np.isnan(ds.x[:, t]))
+    metric = "mse" if ds.kinds[t] == NUMERIC else "accuracy"
     if observed.size < params.outer_k * params.inner_k:
         return "a0", []
 
@@ -428,7 +439,7 @@ def select_imputer(
 
     scores: dict[str, list[float]] = {a: [] for a in ALGORITHMS}
     for entries, val_rows in cells:
-        truth = ds.values[target][val_rows].astype(np.float64)
+        truth = ds.x[val_rows, t]
         shared: dict = {}
         for alg, entry in entries.items():
             pred = entry.predict(ds, val_rows, shared)
@@ -459,9 +470,8 @@ def fit_imputation(ds: Dataset, params: ImputeParams | None = None) -> Imputatio
     params = params or ImputeParams()
     model = ImputationModel(columns={})
     table = _table(ds)
-    for spec in ds.columns:
-        name = spec.name
-        chosen = params.algorithm if ds.missing[name].any() else "a0"
+    for name, gaps in zip(ds.names, np.isnan(ds.x).any(axis=0)):
+        chosen = params.algorithm if gaps else "a0"
         if chosen == SELECT:
             chosen, rows = select_imputer(ds, name, params)
             model.score_rows.extend(rows)
@@ -479,36 +489,20 @@ def fit_imputation(ds: Dataset, params: ImputeParams | None = None) -> Imputatio
 
 def impute(ds: Dataset, model: ImputationModel) -> Dataset:
     """Fill every missing cell; observed cells pass through bit-identically."""
-    values = {}
-    missing = {}
-    for spec in ds.columns:
-        name = spec.name
-        col = ds.values[name].copy()
-        mask = ds.missing[name]
-        if mask.any():
-            entry = model.columns.get(name)
-            if entry is None:
-                raise ValidationError(f"imputation model does not cover column {name!r}")
-            rows = np.flatnonzero(mask)
-            pred = entry.predict(ds, rows)
-            if not np.isfinite(pred).all():
-                raise ValidationError(f"non-finite imputed values for column {name!r}")
-            if spec.kind == CATEGORICAL:
-                codes = np.rint(pred).astype(np.int64)
-                n_codes = len(ds.code_maps.get(name, []))
-                if codes.size and (codes.min() < 0 or codes.max() >= n_codes):
-                    raise ValidationError(f"imputed code out of range for column {name!r}")
-                col[rows] = codes
-            else:
-                col[rows] = pred
-        values[name] = col
-        missing[name] = np.zeros(ds.n_rows, dtype=bool)
-    return Dataset(
-        columns=list(ds.columns),
-        values=values,
-        missing=missing,
-        n_rows=ds.n_rows,
-        labels=None if ds.labels is None else ds.labels.copy(),
-        label_name=ds.label_name,
-        code_maps={n: list(v) for n, v in ds.code_maps.items()},
-    )
+    x = ds.x.copy()
+    for j, (name, kind) in enumerate(zip(ds.names, ds.kinds)):
+        rows = np.flatnonzero(np.isnan(ds.x[:, j]))
+        if rows.size == 0:
+            continue
+        entry = model.columns.get(name)
+        if entry is None:
+            raise ValidationError(f"imputation model does not cover column {name!r}")
+        pred = entry.predict(ds, rows)
+        if not np.isfinite(pred).all():
+            raise ValidationError(f"non-finite imputed values for column {name!r}")
+        if kind == CATEGORICAL:
+            pred = np.rint(pred).astype(np.int64)
+            if pred.min() < 0 or pred.max() >= len(ds.code_maps.get(name, [])):
+                raise ValidationError(f"imputed code out of range for column {name!r}")
+        x[rows, j] = pred
+    return replace(ds, x=x)

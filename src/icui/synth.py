@@ -22,7 +22,6 @@ from .data import (
     CATEGORICAL,
     DEFAULT_LABEL_COLUMN,
     NUMERIC,
-    ColumnSpec,
     Dataset,
     write_csv,
     write_json,
@@ -125,62 +124,46 @@ def generate(spec: SynthSpec) -> tuple[Dataset, dict]:
     betas = signal_betas(spec.n_signal)
     rng = make_rng(spec.seed, "synth")
 
-    columns: list[ColumnSpec] = []
-    values: dict[str, np.ndarray] = {}
-    signal_names = [name for name, role in layout if role == "signal"]
-    for name, role in layout:
+    names = [name for name, _ in layout]
+    signal_names = names[: spec.n_signal]
+    kinds = [CATEGORICAL if role == "categorical" else NUMERIC for _, role in layout]
+    x = np.empty((n, len(layout)), dtype=np.float64)
+    for j, (_, role) in enumerate(layout):
         if role == "categorical":
-            columns.append(ColumnSpec(name, CATEGORICAL))
-            values[name] = rng.integers(0, len(CAT_LEVELS), n)
-        elif role == "pair_min":
-            columns.append(ColumnSpec(name, NUMERIC))
-            values[name] = rng.standard_normal(n)  # base; spread applied below
-        elif role == "pair_max":
-            base = values[columns[-1].name]
-            spread = np.abs(rng.standard_normal(n))
-            columns.append(ColumnSpec(name, NUMERIC))
-            values[columns[-2].name] = base - 0.5 * spread
-            values[name] = base + 0.5 * spread
+            x[:, j] = rng.integers(0, len(CAT_LEVELS), n)
+        elif role == "pair_max":  # the pair_min column holds the base; spread it both ways
+            half = 0.5 * np.abs(rng.standard_normal(n))
+            x[:, j] = x[:, j - 1] + half
+            x[:, j - 1] -= half
         else:
-            columns.append(ColumnSpec(name, NUMERIC))
-            values[name] = rng.standard_normal(n)
+            x[:, j] = rng.standard_normal(n)
 
     z = np.zeros(n, dtype=np.float64)
-    for beta, name in zip(betas, signal_names):
-        z += beta * values[name]
+    for j, beta in enumerate(betas):  # the signal block leads the layout
+        z += beta * x[:, j]
     b0 = _solve_intercept(z, spec.prevalence)
     labels = _systematic_labels(sigmoid(b0 + z), rng)
 
-    missing = {}
-    for c in columns:
-        mask = (
-            rng.random(n) < spec.missing_rate
-            if spec.missing_rate > 0
-            else np.zeros(n, dtype=bool)
-        )
-        missing[c.name] = mask
-        if c.kind == NUMERIC:
-            values[c.name] = np.where(mask, np.nan, values[c.name])
-        else:
-            values[c.name] = np.where(mask, -1, values[c.name]).astype(np.int64)
+    if spec.missing_rate > 0:
+        for j in range(len(layout)):
+            x[rng.random(n) < spec.missing_rate, j] = np.nan
 
     ds = Dataset(
-        columns=columns,
-        values=values,
-        missing=missing,
-        n_rows=n,
+        names=names,
+        kinds=kinds,
+        x=x,
         labels=labels,
         label_name=DEFAULT_LABEL_COLUMN,
-        code_maps={c.name: list(CAT_LEVELS) for c in columns if c.kind == CATEGORICAL},
+        code_maps={name: list(CAT_LEVELS) for name, kind in zip(names, kinds) if kind == CATEGORICAL},
     )
     ds.check()
 
     effect_sizes = {}
-    for name, role in layout:
-        if role == "categorical":
-            continue
-        obs = ~missing[name]
-        effect_sizes[name] = _cohens_d(values[name][obs], labels[obs])
+    for j, (name, role) in enumerate(layout):
+        if role != "categorical":
+            col = x[:, j]
+            obs = ~np.isnan(col)
+            effect_sizes[name] = _cohens_d(col[obs], labels[obs])
     truth = {
         "seed": spec.seed,
         "n_rows": n,

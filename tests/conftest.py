@@ -5,7 +5,7 @@ from dataclasses import asdict, fields, is_dataclass
 import numpy as np
 import pytest
 
-from icui.data import CATEGORICAL, NUMERIC, ColumnSpec, Dataset
+from icui.data import CATEGORICAL, NUMERIC, Dataset
 from icui.errors import ValidationError
 from icui.trees import LEAF, Tree
 
@@ -24,44 +24,34 @@ def build_dataset(
     """Assemble a Dataset from plain arrays.
 
     `categorical` maps name -> (codes, levels); `missing` maps name -> bool
-    mask (defaults to all observed).
+    mask (defaults to all observed), whose cells become NaN.
     """
     numeric = numeric or {}
     categorical = categorical or {}
     missing = missing or {}
-    columns = []
-    values = {}
-    masks = {}
-    code_maps = {}
-    n_rows = None
     names = column_order or (list(numeric) + list(categorical))
-    for name in names:
-        if name in numeric:
-            arr = np.asarray(numeric[name], dtype=np.float64)
-            columns.append(ColumnSpec(name, NUMERIC))
-        else:
-            codes, levels = categorical[name]
-            arr = np.asarray(codes, dtype=np.int64)
-            code_maps[name] = list(levels)
-            columns.append(ColumnSpec(name, CATEGORICAL))
-        values[name] = arr
-        n_rows = len(arr) if n_rows is None else n_rows
-        mask = missing.get(name)
-        masks[name] = (
-            np.zeros(n_rows, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-        )
+    kinds = [NUMERIC if name in numeric else CATEGORICAL for name in names]
+    cols = [numeric[name] if name in numeric else categorical[name][0] for name in names]
+    n_rows = len(cols[0]) if cols else 0
+    x = np.empty((n_rows, len(names)), dtype=np.float64)
+    for j, (name, col) in enumerate(zip(names, cols)):
+        x[:, j] = col
+        x[np.asarray(missing.get(name, np.zeros(n_rows)), dtype=bool), j] = np.nan
     ds = Dataset(
-        columns=columns,
-        values=values,
-        missing=masks,
-        n_rows=n_rows or 0,
+        names=names,
+        kinds=kinds,
+        x=x,
         labels=None if labels is None else np.asarray(labels, dtype=np.uint8),
         label_name=label_name if labels is not None else None,
-        code_maps=code_maps,
+        code_maps={name: list(levels) for name, (_, levels) in categorical.items()},
     )
     ds.check()
     return ds
 
+
+def column(ds: Dataset, name: str) -> np.ndarray:
+    """Column `name` of `ds.x`, a view."""
+    return ds.x[:, ds.names.index(name)]
 
 
 def validate_tree(tree: Tree) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from conftest import column
 from icui.data import NUMERIC, split_folds, take_rows
 from icui.impute import (
     ALGORITHMS,
@@ -23,8 +24,8 @@ from icui.rng import stable_seed
 
 def _a0_entry(ds, target, note=None) -> ColumnImputer:
     """The a0 entry: median (lower of two middles) or most frequent code (lowest on ties)."""
-    kind = ds.column(target).kind
-    observed = ds.values[target][~ds.missing[target]]
+    kind = ds.kinds[ds.names.index(target)]
+    observed = column(ds, target)[~np.isnan(column(ds, target))]
     if kind == NUMERIC:
         fallback = float(np.sort(observed)[(observed.size - 1) // 2])
     else:
@@ -59,9 +60,8 @@ def _fit_by_id(ds, target, algorithm, boost, min_rows, seed) -> ColumnImputer:
 
 def select_imputer_reference(ds, target, params=None) -> tuple[str, list[ScoreRow]]:
     params = params or ImputeParams()
-    spec = ds.column(target)
-    observed = np.flatnonzero(~ds.missing[target])
-    metric = "mse" if spec.kind == NUMERIC else "accuracy"
+    observed = np.flatnonzero(~np.isnan(column(ds, target)))
+    metric = "mse" if ds.kinds[ds.names.index(target)] == NUMERIC else "accuracy"
     if observed.size < params.outer_k * params.inner_k:
         return "a0", []
 
@@ -82,7 +82,7 @@ def select_imputer_reference(ds, target, params=None) -> tuple[str, list[ScoreRo
             if fit_rows.size == 0 or val_rows.size == 0:
                 continue
             fit_ds = take_rows(ds, fit_rows)
-            truth = ds.values[target][val_rows].astype(np.float64)
+            truth = column(ds, target)[val_rows].astype(np.float64)
             for alg in ALGORITHMS:
                 entry = _fit_by_id(
                     fit_ds,

@@ -13,14 +13,13 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import TreeBuilder
+from conftest import TreeBuilder, build_dataset
 from icui.attribution import tree_shap
 from icui.boost import BoostParams, fit_boosted
 from icui.cli import cli_main
 from icui.cluster import kmeans_1d
 from icui.data import (
     NUMERIC,
-    ColumnSpec,
     Dataset,
     apply_preprocess,
     drop_incomplete_rows,
@@ -59,17 +58,10 @@ def _verdict(num: int, name: str):
 
 
 def _numeric_dataset(rng, n, n_feat):
-    cols = [ColumnSpec(f"f{j}", NUMERIC) for j in range(n_feat)]
-    values = {c.name: rng.integers(-3, 4, n).astype(np.float64) for c in cols}
+    x = np.column_stack([rng.integers(-3, 4, n) for _ in range(n_feat)]).astype(np.float64)
     y = (rng.random(n) < 0.45).astype(np.int64)
     y[0], y[1] = 0, 1  # both classes guaranteed
-    return Dataset(
-        columns=cols,
-        values=values,
-        missing={c.name: np.zeros(n, dtype=bool) for c in cols},
-        n_rows=n,
-        labels=y,
-    )
+    return Dataset(names=[f"f{j}" for j in range(n_feat)], kinds=[NUMERIC] * n_feat, x=x, labels=y)
 
 
 def test_criterion_1_shapley_oracle_equivalence():
@@ -90,7 +82,7 @@ def test_criterion_1_shapley_oracle_equivalence():
                     BoostParams(n_rounds=int(rng.integers(2, 6)), max_depth=int(rng.integers(2, 5)), eta=0.4),
                     seed=i,
                 )
-            x = rng.integers(-3, 4, (50, len(ds.columns))).astype(np.float64)
+            x = rng.integers(-3, 4, (50, len(ds.names))).astype(np.float64)
             attr = tree_shap(model, x)
             out = model_output(model, x)
             gap = np.abs(attr.phi.sum(axis=1) + attr.base_value - out)
@@ -189,37 +181,18 @@ def test_criterion_4_kmeans_objective_and_fixtures():
         assert np.bincount(m1.assignment, minlength=20).min() >= 1
 
 
-def _build(numeric, missing=None, categorical=None):
-    n = len(next(iter(numeric.values()))) if numeric else len(next(iter(categorical.values()))[0])
-    cols, values, miss, codes = [], {}, {}, {}
-    for name, vals in (numeric or {}).items():
-        cols.append(ColumnSpec(name, NUMERIC))
-        values[name] = np.asarray(vals, dtype=np.float64)
-        miss[name] = np.asarray((missing or {}).get(name, np.zeros(n, dtype=bool)), dtype=bool)
-        values[name] = np.where(miss[name], np.nan, values[name])
-    for name, (vals, levels) in (categorical or {}).items():
-        from icui.data import CATEGORICAL
-        cols.append(ColumnSpec(name, CATEGORICAL))
-        miss[name] = np.asarray((missing or {}).get(name, np.zeros(n, dtype=bool)), dtype=bool)
-        values[name] = np.where(miss[name], -1, np.asarray(vals)).astype(np.int64)
-        codes[name] = list(levels)
-    ds = Dataset(columns=cols, values=values, missing=miss, n_rows=n, code_maps=codes)
-    ds.check()
-    return ds
-
-
 def test_criterion_5_imputation_guarantees():
     with _verdict(5, "imputation guarantees"):
         a0 = ImputeParams(algorithm="a0")
-        ds = _build({"x": [3.0, 1.0, 2.0, 4.0]})
+        ds = build_dataset({"x": [3.0, 1.0, 2.0, 4.0]})
         assert fit_imputation(ds, a0).columns["x"].fallback == 2.0  # lower middle
-        ds = _build({}, categorical={"c": ([0, 1, 0, 1, 2], ["u", "v", "w"])})
+        ds = build_dataset({}, categorical={"c": ([0, 1, 0, 1, 2], ["u", "v", "w"])})
         assert fit_imputation(ds, a0).columns["c"].fallback == 0.0  # tie to lowest code
 
         rng = np.random.default_rng(5)
         n = 80
         base = rng.standard_normal(n)
-        grouped = _build(
+        grouped = build_dataset(
             {
                 "hr_min": base - 0.2,
                 "hr_max": base + 0.2,
@@ -230,19 +203,19 @@ def test_criterion_5_imputation_guarantees():
         )
         small_boost = BoostParams(n_rounds=15, max_depth=2, eta=0.3)
         from icui.impute import derive_groups
-        groups = derive_groups(grouped.feature_names())
-        for target in grouped.feature_names():
+        groups = derive_groups(grouped.names)
+        for target in grouped.names:
             entry = fit_column(grouped, target, "a2", boost=small_boost, min_rows=10)
             if entry.algorithm != "a2":
                 continue
-            same = {m for m in grouped.feature_names() if groups[m] == groups[target]}
+            same = {m for m in grouped.names if groups[m] == groups[target]}
             assert set(entry.predictor_grouped.feature_names).isdisjoint(same)
 
         dup_rng = np.random.default_rng(11)
         col = dup_rng.standard_normal(90)
         mask = np.zeros(90, dtype=bool)
         mask[dup_rng.choice(90, 15, replace=False)] = True
-        dup_ds = _build({"base": col, "dup": col.copy()}, missing={"dup": mask})
+        dup_ds = build_dataset({"base": col, "dup": col.copy()}, missing={"dup": mask})
         for seed in range(10):
             chosen, _ = select_imputer(
                 dup_ds, "dup",
@@ -253,9 +226,9 @@ def test_criterion_5_imputation_guarantees():
         for alg in ("a0", "a1", "a2", "a3"):
             model = fit_imputation(grouped, ImputeParams(algorithm=alg, min_rows=10, boost=small_boost))
             out = impute(grouped, model)
-            for name in grouped.feature_names():
-                keep = ~grouped.missing[name]
-                assert out.values[name][keep].tobytes() == grouped.values[name][keep].tobytes()
+            for j in range(len(grouped.names)):
+                keep = ~np.isnan(grouped.x[:, j])
+                assert out.x[keep, j].tobytes() == grouped.x[keep, j].tobytes()
 
 
 def test_criterion_6_synthetic_qualitative_reproduction():

@@ -239,7 +239,7 @@ def test_impute_applies_plan_file(tmp_path, complete_csv):
     rc = cli_main(["impute", "--config", cfg, "--input", complete_csv, "--plan", str(plan_path), "--out", str(out)])
     assert rc == 0
     ds = load_csv(str(out / "imputed.csv"))
-    assert "n01" not in ds.feature_names()
+    assert "n01" not in ds.names
     assert ds.label_name == "icu_death" and ds.labels is not None
 
 
@@ -260,9 +260,9 @@ def test_impute_subcommand_fills_and_reports(tmp_path, synth_csv):
     rc = cli_main(["impute", "--config", cfg, "--input", synth_csv, "--out", str(out)])
     assert rc == 0
     ds = load_csv(str(out / "imputed.csv"))
-    assert not any(m.any() for m in ds.missing.values())
+    assert not np.isnan(ds.x).any()
     report = json.loads((out / "impute_report.json").read_text())
-    assert set(report["columns"]) == set(ds.feature_names())
+    assert set(report["columns"]) == set(ds.names)
     assert all(e["algorithm"] == "a0" for e in report["columns"].values())
 
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
-from conftest import build_dataset
+from conftest import build_dataset, column
 from icui.data import (
     CATEGORICAL,
     NUMERIC,
@@ -24,11 +26,10 @@ from icui.errors import ParseError, ValidationError
 def test_load_csv_type_inference_and_labels(tmp_csv):
     path = tmp_csv("a,b,icu_death\n1.5,x,0\n,y,1\n")
     ds = load_csv(path)
-    assert [c.name for c in ds.columns] == ["a", "b"]
-    assert ds.column("a").kind == NUMERIC
-    assert ds.column("b").kind == CATEGORICAL
-    assert ds.missing["a"].tolist() == [False, True]
-    assert ds.values["a"][0] == 1.5
+    assert ds.names == ["a", "b"]
+    assert ds.kinds == [NUMERIC, CATEGORICAL]
+    assert np.isnan(column(ds, "a")).tolist() == [False, True]
+    assert column(ds, "a")[0] == 1.5
     assert ds.labels.tolist() == [0, 1]
     assert ds.label_name == "icu_death"
 
@@ -55,25 +56,30 @@ def test_load_csv_categorical_codes_dense_sorted(tmp_csv):
     path = tmp_csv("col,extra\nbeta,1\nalpha,2\n,3\nbeta,4\n")
     ds = load_csv(path)
     assert ds.code_maps["col"] == ["alpha", "beta"]
-    assert ds.values["col"].tolist() == [1, 0, -1, 1]
-    assert ds.missing["col"].tolist() == [False, False, True, False]
+    assert np.array_equal(column(ds, "col"), [1, 0, np.nan, 1], equal_nan=True)
+    assert np.isnan(column(ds, "col")).tolist() == [False, False, True, False]
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity", "1e999"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity", "1e999", "NA", "N/A", "NULL", "null", "."])
 def test_load_csv_non_finite_cells(tmp_csv, cell):
-    # a non-finite cell makes the column categorical
+    # a non-finite float or a missing marker in a column of finite floats is an error, not a category
     path = tmp_csv(f"a,b\n1.5,2\n{cell},3\n")
+    with pytest.raises(ValidationError, match=re.escape(f"column 'a', row 2: cell {cell!r} in a numeric column")):
+        load_csv(path)
+
+
+def test_load_csv_markers_without_a_finite_float_stay_categorical(tmp_csv):
+    path = tmp_csv("a,b,c\nNA,nan,x\nnull,inf,NA\n")
     ds = load_csv(path)
-    assert ds.column("a").kind == CATEGORICAL
-    assert ds.code_maps["a"] == sorted(["1.5", cell])
-    assert ds.column("b").kind == NUMERIC
+    assert ds.kinds == [CATEGORICAL, CATEGORICAL, CATEGORICAL]
+    assert ds.code_maps == {"a": ["NA", "null"], "b": ["inf", "nan"], "c": ["NA", "x"]}
 
 
 def test_load_csv_skips_blank_lines(tmp_csv):
     path = tmp_csv("a,b\n1,2\n\n3,4\n")
     ds = load_csv(path)
     assert ds.n_rows == 2
-    assert ds.values["a"].tolist() == [1.0, 3.0]
+    assert column(ds, "a").tolist() == [1.0, 3.0]
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -92,11 +98,11 @@ def test_round_trip_bit_exact(tmp_path):
     p = tmp_path / "rt.csv"
     write_csv(ds, str(p))
     back = load_csv(str(p))
-    assert back.missing["x"].tolist() == mask.tolist()
-    assert np.array_equal(back.values["x"][~mask], vals[~mask])
-    assert back.values["x"][~mask].tobytes() == vals[~mask].tobytes()
-    assert back.missing["c"].tolist() == cmask.tolist()
-    assert np.array_equal(back.values["c"][~cmask], codes[~cmask])
+    assert np.isnan(column(back, "x")).tolist() == mask.tolist()
+    assert np.array_equal(column(back, "x")[~mask], vals[~mask])
+    assert column(back, "x")[~mask].tobytes() == vals[~mask].tobytes()
+    assert np.isnan(column(back, "c")).tolist() == cmask.tolist()
+    assert np.array_equal(column(back, "c")[~cmask], codes[~cmask])
     assert back.labels.tolist() == ds.labels.tolist()
     # second round trip is byte-identical at the file level
     p2 = tmp_path / "rt2.csv"
@@ -119,8 +125,8 @@ def test_apply_preprocess_excludes_leakage_columns():
     )
     out = apply_preprocess(ds, preset_plan("dataset2"))
     banned = {"patientunitstayid", "encounter_id", "hospital_death", "partition"}
-    assert banned.isdisjoint(out.feature_names())
-    assert out.feature_names() == ["age"]
+    assert banned.isdisjoint(out.names)
+    assert out.names == ["age"]
     assert out.labels.tolist() == [0, 1] * 4
 
 
@@ -139,8 +145,8 @@ def test_apply_preprocess_renames():
         label_name="none",
     )
     out = apply_preprocess(ds, preset_plan("dataset1"))
-    assert out.feature_names() == ["ventilated_apache", "apache_2_diagnosis", "apache_3j_diagnosis"]
-    assert out.values["ventilated_apache"].tolist() == [0.0, 1.0]
+    assert out.names == ["ventilated_apache", "apache_2_diagnosis", "apache_3j_diagnosis"]
+    assert column(out, "ventilated_apache").tolist() == [0.0, 1.0]
 
 
 def test_apply_preprocess_absent_names_error():
@@ -165,7 +171,7 @@ def test_drop_incomplete_rows():
     )
     out = drop_incomplete_rows(ds)
     assert out.n_rows == 2
-    assert out.values["a"].tolist() == [1.0, 3.0]
+    assert column(out, "a").tolist() == [1.0, 3.0]
     assert out.labels.tolist() == [0, 1]
 
 
@@ -241,9 +247,16 @@ def test_split_folds_validation():
 def test_take_rows_copies():
     ds = build_dataset(numeric={"a": [1.0, 2.0, 3.0]}, labels=[0, 1, 0])
     sub = take_rows(ds, np.array([2, 0]))
-    assert sub.values["a"].tolist() == [3.0, 1.0]
-    sub.values["a"][0] = 99.0
-    assert ds.values["a"][2] == 3.0
+    assert column(sub, "a").tolist() == [3.0, 1.0]
+    sub.x[0, 0] = 99.0
+    assert column(ds, "a")[2] == 3.0
+
+
+def test_missing_maps_each_name_to_its_read_only_nan_mask():
+    ds = build_dataset(numeric={"a": [1.0, 2.0]}, categorical={"c": ([0, 1], ["u", "v"])}, missing={"c": [True, False]})
+    assert {name: m.tolist() for name, m in ds.missing.items()} == {"a": [False, False], "c": [True, False]}
+    with pytest.raises(ValueError):
+        ds.missing["a"][0] = True
 
 
 def test_design_matrix_requires_complete():
@@ -261,6 +274,7 @@ def test_design_matrix_embeds_codes():
         labels=[0, 1],
     )
     x, kinds, names = design_matrix(ds)
+    assert x is ds.x and kinds is ds.kinds and names is ds.names  # no copy
     assert x.tolist() == [[1.0, 1.0], [2.0, 0.0]]
     assert kinds == [NUMERIC, CATEGORICAL]
     assert names == ["a", "c"]

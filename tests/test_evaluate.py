@@ -5,6 +5,7 @@ import pytest
 
 from conftest import build_dataset
 from icui.boost import BoostParams
+from icui.data import drop_incomplete_rows
 from icui.errors import MetricError, ValidationError
 from icui.evaluate import (
     MODEL_BOOSTED,
@@ -18,6 +19,7 @@ from icui.evaluate import (
 )
 from icui.forest import ForestParams
 from icui.impute import ImputeParams
+from icui.synth import SynthSpec, generate
 
 
 # ----------------------------------------------------------------------- auroc
@@ -292,8 +294,7 @@ def test_run_cv_with_imputation():
     ds = _cv_dataset(n=60)
     rng = np.random.default_rng(0)
     mask = rng.random(60) < 0.2
-    ds.values["x2"][mask] = np.nan
-    ds.missing["x2"] = mask
+    ds.x[mask, ds.names.index("x2")] = np.nan
     spec = ModelSpec(MODEL_RF, ForestParams(n_trees=4, max_depth=3))
     res = run_cv(
         ds, [spec], k=3, seed=0, impute_cfg=ImputeParams(algorithm="a0"), clusters_k=2
@@ -306,3 +307,23 @@ def test_run_cv_requires_labels():
     ds = build_dataset(numeric={"a": [1.0, 2.0]})
     with pytest.raises(ValidationError):
         run_cv(ds, [ModelSpec(MODEL_RF)], k=2)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("strategy", ["drop", "impute", "impute-fit-on-all"])
+def test_run_cv_leaves_its_input_matrix_unchanged(strategy):
+    # design_matrix hands every model ds.x itself, so no fit, predict or imputer may write to it
+    ds, _ = generate(SynthSpec(n_rows=120, n_features=8, n_signal=3, missing_rate=0.05, seed=3))
+    impute_cfg = None
+    if strategy == "drop":
+        ds = drop_incomplete_rows(ds)
+    else:
+        boost = BoostParams(n_rounds=3, max_depth=2)
+        impute_cfg = ImputeParams(algorithm="select", min_rows=10, boost=boost, fit_on_all=strategy != "impute")
+    before = (ds.x.tobytes(), list(ds.names), list(ds.kinds), ds.labels.tobytes())
+    specs = [
+        ModelSpec(MODEL_RF, ForestParams(n_trees=4, max_depth=4)),
+        ModelSpec(MODEL_BOOSTED, BoostParams(n_rounds=4, max_depth=2)),
+    ]
+    run_cv(ds, specs, k=3, seed=0, impute_cfg=impute_cfg, clusters_k=2)
+    assert (ds.x.tobytes(), ds.names, ds.kinds, ds.labels.tobytes()) == before

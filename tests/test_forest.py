@@ -49,7 +49,7 @@ def root_split(rows, ds, min_samples_leaf=1):
     Fits a depth-1 tree with every feature a candidate (no mtry draw), so its
     root split is the node's best split, or None when the root stays a leaf.
     """
-    params = ForestParams(max_depth=1, min_samples_leaf=min_samples_leaf, mtry=len(ds.columns), bootstrap=False)
+    params = ForestParams(max_depth=1, min_samples_leaf=min_samples_leaf, mtry=len(ds.names), bootstrap=False)
     tree = fit_tree(rows, ds, params, rng=None)
     if tree.feature[0] == LEAF:
         return None

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import build_dataset
+from conftest import build_dataset, column
 from icui.boost import BoostParams, predict_margin
 from icui.errors import ValidationError
 from icui.impute import (
@@ -98,7 +98,7 @@ def test_a0_fallback_reads_only_the_target_statistic():
     entry = fit_column(ds, "t", "a1", boost=FAST_BOOST, min_rows=10)
     assert entry.algorithm == "a0" and entry.predictor is None
     assert entry.note == "a1 -> a0: 5 complete cases < min_rows=10"
-    observed = ds.values["t"][:5]
+    observed = column(ds, "t")[:5]
     assert entry.fallback == np.sort(observed)[2]
 
 
@@ -114,11 +114,11 @@ def test_a0_impute_fills_and_leaves_observed_bits_alone():
         missing={"x": mask, "c": cmask},
     )
     out = impute(ds, fit_imputation(ds, ImputeParams(algorithm="a0")))
-    assert not out.missing["x"].any() and not out.missing["c"].any()
-    assert out.values["x"][~mask].tobytes() == vals[~mask].tobytes()
-    assert out.values["c"][~cmask].tobytes() == codes[~cmask].astype(np.int64).tobytes()
+    assert not np.isnan(column(out, "x")).any() and not np.isnan(column(out, "c")).any()
+    assert column(out, "x")[~mask].tobytes() == vals[~mask].tobytes()
+    assert column(out, "c")[~cmask].tobytes() == codes[~cmask].astype(np.float64).tobytes()
     med = np.sort(vals[~mask])[(np.count_nonzero(~mask) - 1) // 2]
-    assert (out.values["x"][mask] == med).all()
+    assert (column(out, "x")[mask] == med).all()
 
 
 # --------------------------------------------------------------- model entries
@@ -164,13 +164,13 @@ def test_a2_excludes_same_group_columns():
 
 def test_a2_exclusion_holds_for_every_grouped_target():
     ds = _grouped_dataset()
-    groups = derive_groups(ds.feature_names())
-    for target in ds.feature_names():
+    groups = derive_groups(ds.names)
+    for target in ds.names:
         entry = fit_column(ds, target, "a2", boost=FAST_BOOST, min_rows=10)
         if entry.algorithm != "a2":
             continue
         used = set(entry.predictor_grouped.feature_names)
-        same_group = {n for n in ds.feature_names() if groups[n] == groups[target]}
+        same_group = {n for n in ds.names if groups[n] == groups[target]}
         assert used.isdisjoint(same_group)
 
 
@@ -179,8 +179,8 @@ def test_a3_routes_rows_by_sibling_missingness():
     model = fit_imputation(ds, ImputeParams(algorithm="a3", min_rows=10, boost=FAST_BOOST))
     entry = model.columns["hr_min"]
     assert entry.algorithm == "a3"
-    rows = np.flatnonzero(ds.missing["hr_min"])
-    sibling_gap = ds.missing["hr_max"][rows]
+    rows = np.flatnonzero(np.isnan(column(ds, "hr_min")))
+    sibling_gap = np.isnan(column(ds, "hr_max"))[rows]
     assert sibling_gap.any() and (~sibling_gap).any()  # both routes exercised
     got = entry.predict(ds, rows)
     a1_pred = entry.predictor.predict(ds, rows)
@@ -198,7 +198,7 @@ def test_fit_column_fits_each_algorithm_as_fit_imputation_does(algorithm):
     assert (entry.predictor is not None, entry.predictor_grouped is not None) == models[algorithm]
     assert entry.siblings == (["hr_max"] if algorithm in ("a2", "a3") else [])
     model = fit_imputation(ds, ImputeParams(algorithm=algorithm, min_rows=10, boost=FAST_BOOST))
-    rows = np.flatnonzero(ds.missing["hr_min"])
+    rows = np.flatnonzero(np.isnan(column(ds, "hr_min")))
     assert entry.fallback == model.columns["hr_min"].fallback
     assert entry.predict(ds, rows).tobytes() == model.columns["hr_min"].predict(ds, rows).tobytes()
 
@@ -211,8 +211,8 @@ def test_fit_column_rejects_an_unknown_algorithm():
 def test_a3_entry_without_an_a2_model_gives_sibling_gap_rows_the_fallback():
     ds = _grouped_dataset(n=100, seed=3, gap_rate=0.25)
     entry = replace(fit_column(ds, "hr_min", "a3", boost=FAST_BOOST, min_rows=10), predictor_grouped=None)
-    rows = np.flatnonzero(ds.missing["hr_min"])
-    sibling_gap = ds.missing["hr_max"][rows]
+    rows = np.flatnonzero(np.isnan(column(ds, "hr_min")))
+    sibling_gap = np.isnan(column(ds, "hr_max"))[rows]
     assert sibling_gap.any() and (~sibling_gap).any()
     want = np.where(sibling_gap, entry.fallback, entry.predictor.predict(ds, rows))
     assert np.array_equal(entry.predict(ds, rows), want)
@@ -221,8 +221,8 @@ def test_a3_entry_without_an_a2_model_gives_sibling_gap_rows_the_fallback():
 def test_a2_entry_routes_every_row_to_its_model():
     ds = _grouped_dataset(n=100, seed=3, gap_rate=0.25)
     entry = fit_column(ds, "hr_min", "a2", boost=FAST_BOOST, min_rows=10)
-    rows = np.flatnonzero(ds.missing["hr_min"])
-    sibling_gap = ds.missing["hr_max"][rows]
+    rows = np.flatnonzero(np.isnan(column(ds, "hr_min")))
+    sibling_gap = np.isnan(column(ds, "hr_max"))[rows]
     assert sibling_gap.any() and (~sibling_gap).any()  # rows a3 would send either way
     assert np.array_equal(entry.predict(ds, rows), entry.predictor_grouped.predict(ds, rows))
 
@@ -257,7 +257,7 @@ def test_categorical_imputation_returns_valid_codes():
     )
     model = fit_imputation(ds, ImputeParams(algorithm="a1", min_rows=10, boost=FAST_BOOST))
     out = impute(ds, model)
-    filled = out.values["c"][cmask]
+    filled = column(out, "c")[cmask]
     assert filled.min() >= 0 and filled.max() <= 2
     # the signal is sharp; most filled codes should match the generating rule
     assert (filled == codes[cmask]).mean() > 0.7
@@ -349,7 +349,7 @@ def test_tie_breaks_toward_lower_algorithm_id():
 def test_fit_imputation_covers_complete_columns():
     ds = _grouped_dataset()
     model = fit_imputation(ds, ImputeParams(algorithm="a1", min_rows=10, boost=FAST_BOOST))
-    assert set(model.columns) == set(ds.feature_names())
+    assert set(model.columns) == set(ds.names)
     assert model.columns["age"].algorithm == "a0"  # complete at fit time
     assert model.columns["hr_min"].algorithm == "a1"
 
@@ -358,10 +358,10 @@ def test_fit_imputation_handles_apply_time_gaps_in_complete_columns():
     ds = _grouped_dataset()
     model = fit_imputation(ds, ImputeParams(algorithm="a0"))
     fresh = _grouped_dataset(seed=9)
-    fresh.missing["age"][:4] = True
+    column(fresh, "age")[:4] = np.nan
     out = impute(fresh, model)
-    assert not out.missing["age"].any()
-    assert (out.values["age"][:4] == model.columns["age"].fallback).all()
+    assert not np.isnan(column(out, "age")).any()
+    assert (column(out, "age")[:4] == model.columns["age"].fallback).all()
 
 
 def test_impute_observed_cells_bitwise_identical_all_algorithms():
@@ -369,10 +369,25 @@ def test_impute_observed_cells_bitwise_identical_all_algorithms():
     for alg in ("a0", "a1", "a2", "a3"):
         model = fit_imputation(ds, ImputeParams(algorithm=alg, min_rows=10, boost=FAST_BOOST))
         out = impute(ds, model)
-        for name in ds.feature_names():
-            keep = ~ds.missing[name]
-            assert out.values[name][keep].tobytes() == ds.values[name][keep].tobytes()
-            assert not out.missing[name].any()
+        for name in ds.names:
+            keep = ~np.isnan(column(ds, name))
+            assert column(out, name)[keep].tobytes() == column(ds, name)[keep].tobytes()
+            assert not np.isnan(column(out, name)).any()
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_impute_leaves_its_input_matrix_unchanged(algorithm):
+    rng = np.random.default_rng(6)
+    n = 90
+    ds = build_dataset(
+        numeric={"hr_min": rng.standard_normal(n), "hr_max": rng.standard_normal(n)},
+        categorical={"c": (rng.integers(0, 3, n), ["lo", "mid", "hi"])},
+        missing={"hr_min": rng.random(n) < 0.2, "hr_max": rng.random(n) < 0.2, "c": rng.random(n) < 0.2},
+    )
+    before = ds.x.tobytes()
+    out = impute(ds, fit_imputation(ds, ImputeParams(algorithm=algorithm, min_rows=10, boost=FAST_BOOST)))
+    assert ds.x.tobytes() == before
+    assert not np.isnan(out.x).any() and not np.shares_memory(out.x, ds.x)
 
 
 def test_impute_deterministic_per_seed():
@@ -380,8 +395,8 @@ def test_impute_deterministic_per_seed():
     p = ImputeParams(algorithm="a1", min_rows=10, seed=4, boost=FAST_BOOST)
     out1 = impute(ds, fit_imputation(ds, p))
     out2 = impute(ds, fit_imputation(ds, p))
-    for name in ds.feature_names():
-        assert out1.values[name].tobytes() == out2.values[name].tobytes()
+    for name in ds.names:
+        assert column(out1, name).tobytes() == column(out2, name).tobytes()
 
 
 def test_impute_rejects_uncovered_column():

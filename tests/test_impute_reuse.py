@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import build_dataset
+from conftest import build_dataset, column
 from impute_oracle import select_imputer_reference
 from icui.boost import BoostParams
 from icui.cli import cli_main
@@ -197,7 +197,7 @@ def test_select_predicts_each_distinct_predictor_once_per_cell(monkeypatch, targ
 
 def test_run_cv_rejects_repeated_model_kind():
     ds = _grouped_dataset(n=30)
-    ds.labels = (ds.values["age"] > 55).astype(np.uint8)
+    ds.labels = (column(ds, "age") > 55).astype(np.uint8)
     spec = ModelSpec(MODEL_RF, ForestParams(n_trees=3, max_depth=2))
     with pytest.raises(ValidationError, match="one spec per distinct model kind"):
         run_cv(ds, [spec, spec], k=3)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import column
 from icui.boost import sigmoid
 from icui.data import CATEGORICAL, NUMERIC, load_csv, summarize
 from icui.errors import ValidationError
@@ -60,7 +61,7 @@ def test_intercept_hits_target_mean_probability():
     ds, truth = generate(spec)
     z = np.zeros(ds.n_rows)
     for name in truth["signal_features"]:
-        z += truth["betas"][name] * ds.values[name]
+        z += truth["betas"][name] * column(ds, name)
     assert float(sigmoid(truth["intercept"] + z).mean()) == pytest.approx(0.2365, abs=1e-9)
 
 
@@ -68,7 +69,7 @@ def test_class_conditional_shift_matches_beta_sign():
     ds, truth = generate(SynthSpec(n_rows=4000, n_features=20, n_signal=6, seed=2))
     y = ds.labels
     for name in truth["signal_features"]:
-        shift = ds.values[name][y == 1].mean() - ds.values[name][y == 0].mean()
+        shift = column(ds, name)[y == 1].mean() - column(ds, name)[y == 0].mean()
         assert math.copysign(1, shift) == math.copysign(1, truth["betas"][name])
         assert abs(truth["effect_sizes"][name]) > 0.25
     for name, d in truth["effect_sizes"].items():
@@ -78,26 +79,27 @@ def test_class_conditional_shift_matches_beta_sign():
 
 def test_pair_columns_are_ordered_and_correlated():
     ds, _ = generate(SynthSpec(n_rows=500, seed=3))
-    lo, hi = ds.values["v02_min"], ds.values["v02_max"]
+    lo, hi = column(ds, "v02_min"), column(ds, "v02_max")
     assert (lo <= hi).all()
     assert np.corrcoef(lo, hi)[0, 1] > 0.5
 
 
 def test_missing_rate_zero_is_complete():
     ds, _ = generate(SynthSpec(n_rows=200, seed=0))
-    assert not any(m.any() for m in ds.missing.values())
+    assert not np.isnan(ds.x).any()
 
 
 def test_missing_rate_holds_and_is_mcar_flagged():
     spec = SynthSpec(n_rows=2000, missing_rate=0.3, seed=5)
     ds, truth = generate(spec)
-    total = sum(int(m.sum()) for m in ds.missing.values())
+    total = int(np.isnan(ds.x).sum())
     rate = total / (spec.n_rows * spec.n_features)
     assert abs(rate - 0.3) < 0.02
     assert truth["missing_rate"] == 0.3
-    # masked numeric cells hold NaN, masked categorical cells hold -1
-    assert np.isnan(ds.values["s01"][ds.missing["s01"]]).all()
-    assert (ds.values["c01"][ds.missing["c01"]] == -1).all()
+    # NaN marks a missing cell in numeric and categorical columns alike; observed codes stay codes
+    assert np.isnan(column(ds, "s01")).any() and np.isnan(column(ds, "c01")).any()
+    codes = column(ds, "c01")[~np.isnan(column(ds, "c01"))]
+    assert set(codes.tolist()) == {0.0, 1.0, 2.0}
 
 
 def test_write_synth_deterministic(tmp_path):
@@ -119,15 +121,15 @@ def test_round_trip_through_loader(tmp_path):
     csv_path, truth_path = write_synth(spec, str(tmp_path))
     ds = load_csv(csv_path)
     truth = json.loads(open(truth_path).read())
-    assert ds.n_rows == 250 and len(ds.columns) == 66
+    assert ds.n_rows == 250 and len(ds.names) == 66
     assert summarize(ds).prevalence == truth["realized_prevalence"]
-    kinds = {c.name: c.kind for c in ds.columns}
+    kinds = dict(zip(ds.names, ds.kinds))
     assert kinds["s01"] == NUMERIC and kinds["c01"] == CATEGORICAL
     src, _ = generate(spec)
-    for name in src.feature_names():
-        assert np.array_equal(ds.missing[name], src.missing[name])
-        keep = ~src.missing[name]
-        assert ds.values[name][keep].tobytes() == src.values[name][keep].tobytes()
+    for name in src.names:
+        assert np.array_equal(np.isnan(column(ds, name)), np.isnan(column(src, name)))
+        keep = ~np.isnan(column(src, name))
+        assert column(ds, name)[keep].tobytes() == column(src, name)[keep].tobytes()
 
 
 def test_spec_validation():
