@@ -44,8 +44,7 @@ from .cli import RunConfig, cli_main, load_run_config
 from .errors import IcuiError, MetricError, ParseError, ValidationError
 from .evaluate import (
     CvResult,
-    CvSummary,
-    FoldMetrics,
+    FoldResult,
     ModelSpec,
     aggregate,
     auprc,

@@ -187,7 +187,7 @@ def _write_meta(cfg: RunConfig, results: dict[str, CvResult]) -> None:
         # per model and fold, the k the importance clustering ran with: at most
         # clusters_k, fewer when a fold's profile has fewer distinct scores
         "cluster_k": {
-            model: [None if r is None else r.k for r in result.cluster_reports]
+            model: [None if f.cluster_report is None else f.cluster_report.k for f in result.folds]
             for model, result in results.items()
         },
     }
@@ -210,25 +210,24 @@ def _importance_rows(profiles: list) -> tuple[list[str], list]:
 def _summary_payload(cfg: RunConfig, ds, results: dict[str, CvResult]) -> dict:
     """summary.json's payload.
 
-    The run's CvSummary fields sit at the top level; per model, its valid-fold
-    count, one object per metric holding the f"{metric}_{stat}" fields, and
-    one object of FoldMetrics fields per fold.
+    The run's k, seed and baseline sit at the top level; per model, its
+    valid-fold count, one object per metric holding its mean, std and
+    formatted string, and one object of metrics per fold.
     """
-    models = {}
-    for name, res in results.items():
-        s = res.summary
-        models[name] = {
-            "n_valid_folds": s.n_valid_folds,
-            **{m: {stat: getattr(s, f"{m}_{stat}") for stat in ("mean", "std", "formatted")}
-               for m in ("auroc", "auprc")},
+    models = {
+        name: {
+            "n_valid_folds": len(res.valid_folds()),
+            **{m: dict(zip(("mean", "std", "formatted"), res.stats(m))) for m in ("auroc", "auprc")},
             "folds": [{key: getattr(f, key) for key in ("fold", "n_test", "n_pos", "auroc", "auprc", "error")}
-                      for f in s.folds],
+                      for f in res.folds],
         }
-    s = next(iter(results.values())).summary
+        for name, res in results.items()
+    }
+    first = next(iter(results.values()))
     return {
-        "k": s.k,
-        "seed": s.seed,
-        "baseline": s.baseline,
+        "k": first.k,
+        "seed": first.seed,
+        "baseline": first.baseline,
         "clusters_k": cfg.clusters_k,
         "n_rows": ds.n_rows,
         "n_features": len(ds.names),
@@ -240,27 +239,25 @@ def _emit_model_artifacts(cfg: RunConfig, model: str, result: CvResult) -> None:
     mdir = os.path.join(cfg.out, model)
     os.makedirs(mdir, exist_ok=True)
     curves = (("roc", ["fpr", "tpr"]), ("pr", ["recall", "precision"]))
-    for m in result.summary.folds:
-        for (curve, header), points in zip(curves, (m.roc_points, m.pr_points)):
+    for f in result.folds:
+        for (curve, header), points in zip(curves, (f.roc_points, f.pr_points)):
             rows = ([repr(float(a)), repr(float(b))] for a, b in points)
-            write_table(os.path.join(mdir, f"{curve}_fold{m.fold + 1}.csv"), header, rows)
-    if any(p is not None for p in result.importances):
-        header, rows = _importance_rows(result.importances)
+            write_table(os.path.join(mdir, f"{curve}_fold{f.fold + 1}.csv"), header, rows)
+    profiles = [f.importance for f in result.folds]
+    if any(p is not None for p in profiles):
+        header, rows = _importance_rows(profiles)
         write_table(os.path.join(mdir, f"importance_{model}.csv"), header, rows)
-    pairs = [
-        (p, r) for p, r in zip(result.importances, result.cluster_reports)
-        if p is not None and r is not None
-    ]
     heatmap = None
-    if pairs:
-        heatmap = build_heatmap([p for p, _ in pairs], [r for _, r in pairs])
+    reports = [f.cluster_report for f in result.folds]
+    if any(r is not None for r in reports):
+        heatmap = build_heatmap(profiles, reports)
         header = ["feature", *heatmap.column_labels]
         rows = ([n, *map(repr, r.tolist())] for n, r in zip(heatmap.feature_names, heatmap.cells))
         write_table(os.path.join(mdir, f"heatmap_{model}.csv"), header, rows)
-    for m, attr in zip(result.summary.folds, result.attributions):
-        if attr is not None:
-            attribution_to_csv(attr, os.path.join(mdir, f"shap_fold{m.fold + 1}.csv"))
-    emit_plots(result.summary, heatmap, mdir)
+    for f in result.folds:
+        if f.attribution is not None:
+            attribution_to_csv(f.attribution, os.path.join(mdir, f"shap_fold{f.fold + 1}.csv"))
+    emit_plots(result, heatmap, mdir)
 
 
 def _run_models(cfg: RunConfig, ds) -> tuple[dict[str, CvResult], object]:
@@ -278,8 +275,8 @@ def _run_models(cfg: RunConfig, ds) -> tuple[dict[str, CvResult], object]:
         work, specs, k=cfg.k, seed=cfg.seed, impute_cfg=impute_cfg, clusters_k=cfg.clusters_k
     )
     for model, result in results.items():
-        if result.summary.n_valid_folds == 0:  # nothing to plot: fail before the first write
-            first = result.summary.folds[0]
+        if not result.valid_folds():  # nothing to plot: fail before the first write
+            first = result.folds[0]
             raise ValidationError(f"label {work.label_name!r}: no {model} fold can be scored; "
                                   f"fold {first.fold + 1}: {first.error}")
     return results, work
@@ -339,9 +336,8 @@ def _cmd_pipeline(args) -> int:
         _emit_model_artifacts(cfg, model, result)
     _write_meta(cfg, results)
     for model, result in results.items():
-        s = result.summary
-        print(f"{model}: AUROC {s.auroc_formatted} AUPRC {s.auprc_formatted} "
-              f"({s.n_valid_folds}/{cfg.k} folds)")
+        print(f"{model}: AUROC {result.stats('auroc')[2]} AUPRC {result.stats('auprc')[2]} "
+              f"({len(result.valid_folds())}/{cfg.k} folds)")
     print(f"wrote {cfg.out}")
     return 0
 

@@ -181,29 +181,34 @@ def fold_mean_order(profiles: list[ImportanceProfile]) -> tuple[np.ndarray, np.n
     return mean, np.lexsort((np.arange(mean.size), -mean))
 
 
-def build_heatmap(profiles: list[ImportanceProfile], reports: list[ClusterReport]) -> HeatmapTable:
+def build_heatmap(
+    profiles: list[ImportanceProfile | None], reports: list[ClusterReport | None]
+) -> HeatmapTable:
     """Fold-major membership-weighted importance table.
 
-    Row order: features by descending mean importance across folds.  Cell
-    (feature, fold f rank r) holds the feature's fold-f importance if it
-    belongs to the rank-r cluster of fold f, else 0; each feature lights
-    exactly one column per fold.
+    `profiles` and `reports` hold one entry per fold, in fold order; a fold
+    without a cluster report is left out, and every column is labelled with
+    its fold's own 1-based number.  Row order: features by descending mean
+    importance across the clustered folds.  Cell (feature, fold f rank r)
+    holds the feature's fold-f importance if it belongs to the rank-r cluster
+    of fold f, else 0; each feature lights exactly one column per fold.
     """
-    if not profiles or len(profiles) != len(reports):
-        raise ValidationError("need one importance profile per cluster report")
-    names = list(profiles[0].names)
+    folds = [(f, p, r) for f, (p, r) in enumerate(zip(profiles, reports), start=1) if r is not None]
+    if not folds or len(profiles) != len(reports):
+        raise ValidationError("need one importance profile per fold and at least one cluster report")
+    clustered = [p for _, p, _ in folds]
+    names = list(clustered[0].names)
     n_features = len(names)
-    for p in profiles:
+    for p in clustered:
         if list(p.names) != names:
             raise ValidationError("importance profiles disagree on feature names")
-    ks = [r.k for r in reports]
-    width = sum(ks)
-    _, row_order = fold_mean_order(profiles)
+    width = sum(r.k for _, _, r in folds)
+    _, row_order = fold_mean_order(clustered)
 
     cells = np.zeros((n_features, width), dtype=np.float64)
     labels: list[str] = []
     col = 0
-    for f, (profile, report) in enumerate(zip(profiles, reports), start=1):
+    for f, profile, report in folds:
         for rank_entry in report.ranks:
             labels.append(f"fold{f}_rank{rank_entry.rank}")
             for member in rank_entry.members:

@@ -132,7 +132,14 @@ class ModelSpec:
 
 
 @dataclass
-class FoldMetrics:
+class FoldResult:
+    """One model on one held-out fold: its size, metrics, curves and explanations.
+
+    A fold whose model fit failed has `error` set and nothing else; one whose
+    metrics are undefined (a single-class test fold) has `error` set but
+    keeps its importance, attribution and cluster report.
+    """
+
     fold: int
     n_test: int
     n_pos: int
@@ -141,30 +148,29 @@ class FoldMetrics:
     roc_points: list = field(default_factory=list)
     pr_points: list = field(default_factory=list)
     error: str | None = None
-
-
-@dataclass
-class CvSummary:
-    model: str
-    k: int
-    seed: int
-    baseline: float  # full-dataset prevalence; chance level for PR curves
-    folds: list[FoldMetrics]
-    n_valid_folds: int
-    auroc_mean: float | None
-    auroc_std: float | None
-    auroc_formatted: str | None
-    auprc_mean: float | None
-    auprc_std: float | None
-    auprc_formatted: str | None
+    importance: ImportanceProfile | None = None
+    attribution: AttributionMatrix | None = None  # boosted only: Shapley values of the test rows
+    cluster_report: ClusterReport | None = None
 
 
 @dataclass
 class CvResult:
-    summary: CvSummary
-    importances: list[ImportanceProfile | None]
-    attributions: list[AttributionMatrix | None]
-    cluster_reports: list[ClusterReport | None]
+    model: str
+    k: int
+    seed: int
+    baseline: float  # full-dataset prevalence; chance level for PR curves
+    folds: list[FoldResult]
+
+    def valid_folds(self) -> list[FoldResult]:
+        """The folds that were scored."""
+        return [f for f in self.folds if f.error is None]
+
+    def stats(self, metric: str) -> tuple[float | None, float | None, str | None]:
+        """`aggregate` of `metric` ("auroc" or "auprc") over the valid folds; Nones below two."""
+        valid = self.valid_folds()
+        if len(valid) < 2:
+            return None, None, None
+        return aggregate([getattr(f, metric) for f in valid])
 
 
 def _fit_one_fold(
@@ -175,9 +181,9 @@ def _fit_one_fold(
     fold: int,
     seed: int,
     clusters_k: int,
-) -> tuple[FoldMetrics, ImportanceProfile | None, AttributionMatrix | None, ClusterReport | None]:
+) -> FoldResult:
     """One model on one fold: metrics, importance, attribution, cluster report."""
-    metrics = FoldMetrics(fold=fold, n_test=test_ds.n_rows, n_pos=int(test_ds.labels.sum()))
+    result = FoldResult(fold=fold, n_test=test_ds.n_rows, n_pos=int(test_ds.labels.sum()))
     model_seed = stable_seed(seed, spec.kind, fold)
     try:
         if spec.kind == MODEL_RF:
@@ -187,54 +193,27 @@ def _fit_one_fold(
             model = fit_boosted(train_ds, spec.params, seed=model_seed)
             scores = predict_proba_boosted(model, x_test)
     except ValidationError as exc:
-        metrics.error = f"model fit failed: {exc}"
-        return metrics, None, None, None
+        result.error = f"model fit failed: {exc}"
+        return result
 
     try:
-        metrics.auroc, metrics.roc_points = auroc(scores, test_ds.labels)
-        metrics.auprc, metrics.pr_points = auprc(scores, test_ds.labels)
+        result.auroc, result.roc_points = auroc(scores, test_ds.labels)
+        result.auprc, result.pr_points = auprc(scores, test_ds.labels)
     except MetricError as exc:
-        metrics.error = str(exc)
+        result.error = str(exc)
 
     if spec.kind == MODEL_RF:
-        profile = forest_importance(model)
-        attr = None
+        result.importance = forest_importance(model)
     else:
-        attr = tree_shap(model, x_test)
-        profile = global_shap_importance(attr)
+        result.attribution = tree_shap(model, x_test)
+        result.importance = global_shap_importance(result.attribution)
     try:
-        _, report = cluster_importance(
-            profile, k=clusters_k, seed=stable_seed(seed, "cluster", spec.kind, fold)
+        _, result.cluster_report = cluster_importance(
+            result.importance, k=clusters_k, seed=stable_seed(seed, "cluster", spec.kind, fold)
         )
-    except ValidationError:
-        report = None
-    return metrics, profile, attr, report
-
-
-def _summarize(
-    kind: str, k: int, seed: int, baseline: float, fold_metrics: list[FoldMetrics]
-) -> CvSummary:
-    valid = [m for m in fold_metrics if m.error is None]
-    if len(valid) >= 2:
-        auroc_mean, auroc_std, auroc_fmt = aggregate([m.auroc for m in valid])
-        auprc_mean, auprc_std, auprc_fmt = aggregate([m.auprc for m in valid])
-    else:
-        auroc_mean = auroc_std = auprc_mean = auprc_std = None
-        auroc_fmt = auprc_fmt = None
-    return CvSummary(
-        model=kind,
-        k=k,
-        seed=seed,
-        baseline=baseline,
-        folds=fold_metrics,
-        n_valid_folds=len(valid),
-        auroc_mean=auroc_mean,
-        auroc_std=auroc_std,
-        auroc_formatted=auroc_fmt,
-        auprc_mean=auprc_mean,
-        auprc_std=auprc_std,
-        auprc_formatted=auprc_fmt,
-    )
+    except ValidationError:  # e.g. no positive score to cluster: the fold has no report
+        pass
+    return result
 
 
 def run_cv(
@@ -267,8 +246,7 @@ def run_cv(
     folds = split_folds(ds.n_rows, k, seed)
     baseline = float(ds.labels.sum() / ds.n_rows)
 
-    # per kind: fold metrics, importances, attributions, cluster reports
-    collected = {kind: ([], [], [], []) for kind in kinds}
+    results = {kind: CvResult(kind, k, seed, baseline, folds=[]) for kind in kinds}
     for fold in range(k):
         test_idx = folds.fold_indices(fold)
         train_idx = np.flatnonzero(folds.fold_of_row != fold)
@@ -283,16 +261,7 @@ def run_cv(
             test_ds = impute_mod.impute(test_ds, imodel)
         x_test, _, _ = design_matrix(test_ds)
         for spec in model_specs:
-            outcome = _fit_one_fold(spec, train_ds, test_ds, x_test, fold, seed, clusters_k)
-            for bucket, value in zip(collected[spec.kind], outcome):
-                bucket.append(value)
-
-    return {
-        kind: CvResult(
-            summary=_summarize(kind, k, seed, baseline, fold_metrics),
-            importances=importances,
-            attributions=attributions,
-            cluster_reports=reports,
-        )
-        for kind, (fold_metrics, importances, attributions, reports) in collected.items()
-    }
+            results[spec.kind].folds.append(
+                _fit_one_fold(spec, train_ds, test_ds, x_test, fold, seed, clusters_k)
+            )
+    return results

@@ -15,7 +15,7 @@ import numpy as np
 
 from .cluster import HeatmapTable
 from .errors import ValidationError
-from .evaluate import CvSummary
+from .evaluate import CvResult
 
 PANEL_W, PANEL_H = 480, 360
 FRAME = (62.0, 40.0, 400.0, 272.0)  # x, y, width, height of the unit box
@@ -103,26 +103,20 @@ def _fold_polylines(folds) -> list[str]:
     return parts
 
 
-def _valid_folds(summary: CvSummary, attr: str):
-    folds = [(m.fold, getattr(m, attr)) for m in summary.folds if m.error is None]
-    folds = [(f, pts) for f, pts in folds if pts]
-    if not folds:
-        raise ValidationError("no valid folds to plot")
-    return folds
-
-
-def _curve_svg(summary: CvSummary, points: str, metric: str, labels, reference: str, y0, y1) -> str:
-    """A curve panel of each valid fold's `points`, subtitled with `metric`'s summary.
+def _curve_svg(result: CvResult, points: str, metric: str, labels, reference: str, y0, y1) -> str:
+    """A curve panel of each valid fold's `points`, subtitled with `metric`'s mean ± std.
 
     `labels` are the x label, y label and title; the dashed reference line
     carries the attributes `reference` and runs from (0, y0) to (1, y1).
     """
-    folds = _valid_folds(summary, points)
-    formatted = getattr(summary, f"{metric}_formatted")
+    folds = [(f.fold, getattr(f, points)) for f in result.valid_folds() if getattr(f, points)]
+    if not folds:
+        raise ValidationError("no valid folds to plot")
+    formatted = result.stats(metric)[2]
     subtitle = f"{metric.upper()} {formatted}" if formatted else None
     xlabel, ylabel, title = labels
     parts = _head(PANEL_W, PANEL_H)
-    parts += _axes(xlabel, ylabel, f"{title}: {summary.model}", subtitle)
+    parts += _axes(xlabel, ylabel, f"{title}: {result.model}", subtitle)
     parts.append(
         f'<line {reference} x1="{_px(_x(0))}" y1="{_px(_y(y0))}" x2="{_px(_x(1))}" '
         f'y2="{_px(_y(y1))}" stroke="#999999" stroke-dasharray="5,4"/>'
@@ -132,16 +126,16 @@ def _curve_svg(summary: CvSummary, points: str, metric: str, labels, reference: 
     return "\n".join(parts) + "\n"
 
 
-def roc_svg(summary: CvSummary) -> str:
+def roc_svg(result: CvResult) -> str:
     labels = ("False positive rate", "True positive rate", "ROC")
-    return _curve_svg(summary, "roc_points", "auroc", labels, 'class="chance"', 0, 1)
+    return _curve_svg(result, "roc_points", "auroc", labels, 'class="chance"', 0, 1)
 
 
-def pr_svg(summary: CvSummary) -> str:
-    b = summary.baseline
+def pr_svg(result: CvResult) -> str:
+    b = result.baseline
     reference = f'class="baseline" data-baseline="{b!r}"'
     labels = ("Recall", "Precision", "Precision-recall")
-    return _curve_svg(summary, "pr_points", "auprc", labels, reference, b, b)
+    return _curve_svg(result, "pr_points", "auprc", labels, reference, b, b)
 
 
 def _fold_spans(labels: list[str]) -> list[tuple[str, int, int]]:
@@ -204,15 +198,11 @@ def heatmap_svg(table: HeatmapTable, title: str = "Cluster importance") -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_plots(
-    summary: CvSummary,
-    heatmap: HeatmapTable | None,
-    out_dir: str,
-) -> list[str]:
+def emit_plots(result: CvResult, heatmap: HeatmapTable | None, out_dir: str) -> list[str]:
     """Write roc/pr (and heatmap, when given) SVGs for one model."""
     os.makedirs(out_dir, exist_ok=True)
-    model = summary.model
-    panels = [(f"roc_{model}.svg", roc_svg(summary)), (f"pr_{model}.svg", pr_svg(summary))]
+    model = result.model
+    panels = [(f"roc_{model}.svg", roc_svg(result)), (f"pr_{model}.svg", pr_svg(result))]
     if heatmap is not None:
         title = f"Cluster importance: {model}"
         panels.append((f"heatmap_{model}.svg", heatmap_svg(heatmap, title=title)))

@@ -242,12 +242,11 @@ def test_criterion_6_synthetic_qualitative_reproduction():
             ("boosted", BoostParams(**BOOST_PARAMS)),
         ):
             result = run_cv(ds, [ModelSpec(kind, params)], k=5, seed=7, clusters_k=20)[kind]
-            s = result.summary
-            assert s.n_valid_folds == 5
-            assert all(m.auroc > 0.85 for m in s.folds), f"{kind} fold AUROC below 0.85"
-            assert s.auroc_std < 0.03, f"{kind} fold spread too wide"
-            mean_imp = np.mean([p.scores for p in result.importances], axis=0)
-            names = result.importances[0].names
+            assert len(result.valid_folds()) == 5
+            assert all(f.auroc > 0.85 for f in result.folds), f"{kind} fold AUROC below 0.85"
+            assert result.stats("auroc")[1] < 0.03, f"{kind} fold spread too wide"
+            mean_imp = np.mean([f.importance.scores for f in result.folds], axis=0)
+            names = result.folds[0].importance.names
             tops[kind] = {names[i] for i in np.argsort(-mean_imp)[:10]}
         assert len(tops["rf"] & tops["boosted"]) >= 6
         assert len(tops["rf"] & set(truth["signal_features"])) >= 8
@@ -311,5 +310,5 @@ def test_criterion_8_restricted_extract_reproduction():
             ("boosted", BoostParams(**BOOST_PARAMS), 0.834),
         ):
             result = run_cv(work, [ModelSpec(kind, params)], k=5, seed=0, clusters_k=20)[kind]
-            assert result.summary.auroc_mean is not None
-            assert abs(result.summary.auroc_mean - target) <= 0.03
+            assert result.stats("auroc")[0] is not None
+            assert abs(result.stats("auroc")[0] - target) <= 0.03

@@ -126,6 +126,28 @@ def test_run_meta_records_reduced_cluster_k(tmp_path, complete_csv):
             assert k == len({float(row[1 + fold]) for row in rows}) < 50
 
 
+def test_heatmap_columns_name_their_own_fold(tmp_path):
+    # single-split stumps on 90 rows: fold 1's forest grows no split, so its
+    # importance is all zero and it has no cluster report; the heatmap's
+    # columns must still be named by fold 2 and fold 3, not by position
+    data = tmp_path / "data"
+    assert cli_main(["synth", "--rows", "90", "--features", "8", "--signal", "2",
+                     "--seed", "17", "--out", str(data)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"strategy": "drop", "model": "rf", "k": 3, "clusters_k": 3,
+                               "rf": {"n_trees": 3, "min_samples_leaf": 30, "max_depth": 1}}))
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="reducing k"):
+        assert cli_main(["run-all", "--config", str(cfg), "--input", str(data / "synth.csv"),
+                         "--seed", "17", "--out", str(out)]) == 0
+    assert json.loads((out / "run_meta.json").read_text())["cluster_k"] == {"rf": [None, 2, 2]}
+    header = (out / "rf" / "heatmap_rf.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert header == "feature,fold2_rank1,fold2_rank2,fold3_rank1,fold3_rank2"
+    svg = (out / "rf" / "heatmap_rf.svg").read_text(encoding="utf-8")
+    texts = [t.text for t in ET.fromstring(svg).iter() if t.tag.endswith("text")]
+    assert [t for t in texts if t.startswith("fold")] == ["fold 2", "fold 3"]
+
+
 def test_drop_with_fewer_complete_rows_than_folds_is_a_validation_error(tmp_path, capsys):
     # 40 rows, all but 3 missing a feature cell: drop keeps 3 rows for 5 folds
     rows = ["a,b,icu_death"] + [f"{i},{'' if i >= 3 else i % 2},{i % 2}" for i in range(40)]

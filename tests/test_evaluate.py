@@ -215,18 +215,18 @@ def test_run_cv_rf_end_to_end():
     ds = _cv_dataset()
     spec = ModelSpec(MODEL_RF, ForestParams(n_trees=10, max_depth=4, min_samples_leaf=2))
     res = run_cv(ds, [spec], k=5, seed=0, clusters_k=2)[spec.kind]
-    s = res.summary
-    assert s.k == 5 and s.model == MODEL_RF
-    assert s.n_valid_folds == 5
-    assert sum(m.n_test for m in s.folds) == 100
-    assert s.baseline == float(ds.labels.sum() / 100)
-    assert s.auroc_mean is not None and 0.5 < s.auroc_mean <= 1.0
-    assert "±" in s.auroc_formatted
-    assert res.attributions == [None] * 5
-    for prof in res.importances:
+    assert res.k == 5 and res.model == MODEL_RF
+    assert len(res.valid_folds()) == 5
+    assert sum(f.n_test for f in res.folds) == 100
+    assert res.baseline == float(ds.labels.sum() / 100)
+    auroc_mean, _, auroc_formatted = res.stats("auroc")
+    assert auroc_mean is not None and 0.5 < auroc_mean <= 1.0
+    assert "±" in auroc_formatted
+    assert [f.attribution for f in res.folds] == [None] * 5
+    for prof in (f.importance for f in res.folds):
         assert prof is not None and prof.normalized
         assert prof.scores.sum() == pytest.approx(1.0, abs=1e-9)
-    for rep in res.cluster_reports:
+    for rep in (f.cluster_report for f in res.folds):
         assert rep is not None and rep.k == 2
         assert rep.ranks[0].total_importance >= rep.ranks[1].total_importance
 
@@ -235,11 +235,11 @@ def test_run_cv_boosted_attributions_on_test_rows():
     ds = _cv_dataset(n=60)
     spec = ModelSpec(MODEL_BOOSTED, BoostParams(n_rounds=8, max_depth=2, eta=0.3))
     res = run_cv(ds, [spec], k=3, seed=1, clusters_k=2)[spec.kind]
-    assert res.summary.n_valid_folds == 3
-    for fold, attr in enumerate(res.attributions):
+    assert len(res.valid_folds()) == 3
+    for f in res.folds:
+        attr = f.attribution
         assert attr is not None
-        n_test = res.summary.folds[fold].n_test
-        assert attr.phi.shape == (n_test, 3)
+        assert attr.phi.shape == (f.n_test, 3)
         assert attr.output_space == "margin"
 
 
@@ -249,11 +249,11 @@ def test_run_cv_deterministic_and_thread_invariant():
     spec = ModelSpec(MODEL_RF, ForestParams(n_trees=6, max_depth=3))
     a = run_cv(ds, [spec], k=4, seed=7, clusters_k=2)[spec.kind]
     b = run_cv(ds, [spec], k=4, seed=7, clusters_k=2)[spec.kind]
-    assert [m.auroc for m in a.summary.folds] == [m.auroc for m in b.summary.folds]
-    assert [m.auprc for m in a.summary.folds] == [m.auprc for m in b.summary.folds]
-    assert a.summary.auroc_formatted == b.summary.auroc_formatted
-    for pa, pb in zip(a.importances, b.importances):
-        assert np.array_equal(pa.scores, pb.scores)
+    assert [f.auroc for f in a.folds] == [f.auroc for f in b.folds]
+    assert [f.auprc for f in a.folds] == [f.auprc for f in b.folds]
+    assert a.stats("auroc")[2] == b.stats("auroc")[2]
+    for fa, fb in zip(a.folds, b.folds):
+        assert np.array_equal(fa.importance.scores, fb.importance.scores)
 
 
 def test_run_cv_seed_changes_folds():
@@ -261,7 +261,7 @@ def test_run_cv_seed_changes_folds():
     spec = ModelSpec(MODEL_RF, ForestParams(n_trees=4, max_depth=3))
     a = run_cv(ds, [spec], k=4, seed=1, clusters_k=2)[spec.kind]
     b = run_cv(ds, [spec], k=4, seed=2, clusters_k=2)[spec.kind]
-    assert [m.auroc for m in a.summary.folds] != [m.auroc for m in b.summary.folds]
+    assert [f.auroc for f in a.folds] != [f.auroc for f in b.folds]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -271,11 +271,11 @@ def test_run_cv_flags_single_class_test_folds():
     ds = build_dataset(numeric={"a": np.arange(15.0)}, labels=labels)
     spec = ModelSpec(MODEL_RF, ForestParams(n_trees=3, max_depth=2))
     res = run_cv(ds, [spec], k=5, seed=0, clusters_k=2)[spec.kind]
-    flagged = [m for m in res.summary.folds if m.error is not None]
+    flagged = [f for f in res.folds if f.error is not None]
     assert len(flagged) == 4  # only the fold holding the lone positive scores
-    assert res.summary.n_valid_folds == 1
-    assert res.summary.auroc_mean is None
-    assert res.summary.auroc_formatted is None
+    assert len(res.valid_folds()) == 1
+    assert res.stats("auroc")[0] is None
+    assert res.stats("auroc")[2] is None
 
 
 def test_run_cv_boosted_flags_degenerate_training():
@@ -284,10 +284,10 @@ def test_run_cv_boosted_flags_degenerate_training():
     ds = build_dataset(numeric={"a": np.arange(15.0)}, labels=labels)
     spec = ModelSpec(MODEL_BOOSTED, BoostParams(n_rounds=2, max_depth=1))
     res = run_cv(ds, [spec], k=5, seed=0, clusters_k=2)[spec.kind]
-    fit_failures = [m for m in res.summary.folds if m.error and "fit failed" in m.error]
+    fit_failures = [f for f in res.folds if f.error and "fit failed" in f.error]
     assert len(fit_failures) == 1  # the fold whose training set lost the lone positive
-    assert res.summary.n_valid_folds == 0
-    assert sum(1 for a in res.attributions if a is not None) == 4
+    assert len(res.valid_folds()) == 0
+    assert sum(1 for f in res.folds if f.attribution is not None) == 4
 
 
 def test_run_cv_with_imputation():
@@ -299,8 +299,8 @@ def test_run_cv_with_imputation():
     res = run_cv(
         ds, [spec], k=3, seed=0, impute_cfg=ImputeParams(algorithm="a0"), clusters_k=2
     )[spec.kind]
-    assert res.summary.n_valid_folds == 3
-    assert res.summary.auroc_mean is not None
+    assert len(res.valid_folds()) == 3
+    assert res.stats("auroc")[0] is not None
 
 
 def test_run_cv_requires_labels():

@@ -5,7 +5,7 @@ import pytest
 
 from icui.cluster import HeatmapTable
 from icui.errors import ValidationError
-from icui.evaluate import CvSummary, FoldMetrics, ModelSpec, run_cv
+from icui.evaluate import CvResult, FoldResult, ModelSpec, run_cv
 from icui.plots import HEAT_HIGH, emit_plots, heatmap_svg, pr_svg, roc_svg
 from icui.forest import ForestParams
 from icui.synth import SynthSpec, generate
@@ -29,41 +29,37 @@ def _invert(frame, px, py):
     return (px - x0) / w, (y0 + h - py) / h
 
 
-def _summary(**over):
-    fold0 = FoldMetrics(
+def _result(**over):
+    fold0 = FoldResult(
         fold=0, n_test=4, n_pos=2, auroc=1.0, auprc=1.0,
         roc_points=[(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)],
         pr_points=[(0.0, 1.0), (1.0, 1.0)],
     )
-    fold1 = FoldMetrics(
+    fold1 = FoldResult(
         fold=1, n_test=4, n_pos=2, auroc=0.5, auprc=0.5,
         roc_points=[(0.0, 0.0), (1.0, 1.0)],
         pr_points=[(0.0, 1.0), (0.5, 0.5), (1.0, 0.5)],
     )
-    base = dict(
-        model="rf", k=2, seed=0, baseline=0.25, folds=[fold0, fold1], n_valid_folds=2,
-        auroc_mean=0.75, auroc_std=0.354, auroc_formatted="0.750 ± 0.354",
-        auprc_mean=0.75, auprc_std=0.354, auprc_formatted="0.750 ± 0.354",
-    )
+    base = dict(model="rf", k=2, seed=0, baseline=0.25, folds=[fold0, fold1])
     base.update(over)
-    return CvSummary(**base)
+    return CvResult(**base)
 
 
 def test_roc_panel_one_polyline_per_fold_plus_chance():
-    svg = roc_svg(_summary())
+    svg = roc_svg(_result())
     assert len(_elements(svg, "polyline")) == 2
     assert len(_elements(svg, "line", "chance")) == 1
 
 
 def test_roc_points_map_into_frame_coordinates():
-    summary = _summary()
-    svg = roc_svg(summary)
+    result = _result()
+    svg = roc_svg(result)
     frame = _frame(svg)
     for poly in _elements(svg, "polyline"):
         fold = int(poly.get("data-fold"))
         pts = [tuple(map(float, p.split(","))) for p in poly.get("points").split()]
         got = [_invert(frame, px, py) for px, py in pts]
-        expect = summary.folds[fold].roc_points
+        expect = result.folds[fold].roc_points
         assert len(got) == len(expect)
         for (gx, gy), (ex, ey) in zip(got, expect):
             assert gx == pytest.approx(ex, abs=2e-3)
@@ -71,7 +67,7 @@ def test_roc_points_map_into_frame_coordinates():
 
 
 def test_roc_chance_line_is_the_unit_diagonal():
-    svg = roc_svg(_summary())
+    svg = roc_svg(_result())
     frame = _frame(svg)
     line = _elements(svg, "line", "chance")[0]
     p1 = _invert(frame, float(line.get("x1")), float(line.get("y1")))
@@ -81,13 +77,13 @@ def test_roc_chance_line_is_the_unit_diagonal():
 
 
 def test_roc_skips_errored_folds():
-    s = _summary()
+    s = _result()
     s.folds[1].error = "model fit failed"
     assert len(_elements(roc_svg(s), "polyline")) == 1
 
 
 def test_roc_requires_a_valid_fold():
-    s = _summary()
+    s = _result()
     for m in s.folds:
         m.error = "boom"
     with pytest.raises(ValidationError, match="no valid folds"):
@@ -95,8 +91,8 @@ def test_roc_requires_a_valid_fold():
 
 
 def test_pr_baseline_attribute_and_height():
-    summary = _summary(baseline=0.2365)
-    svg = pr_svg(summary)
+    result = _result(baseline=0.2365)
+    svg = pr_svg(result)
     line = _elements(svg, "line", "baseline")[0]
     assert line.get("data-baseline") == repr(0.2365)
     frame = _frame(svg)
@@ -107,7 +103,7 @@ def test_pr_baseline_attribute_and_height():
 
 
 def test_pr_polylines_and_titles():
-    svg = pr_svg(_summary())
+    svg = pr_svg(_result())
     assert len(_elements(svg, "polyline")) == 2
     texts = [t.text for t in _elements(svg, "text")]
     assert "Precision-recall: rf" in texts
@@ -115,8 +111,8 @@ def test_pr_polylines_and_titles():
 
 
 def test_svg_output_is_deterministic():
-    assert roc_svg(_summary()) == roc_svg(_summary())
-    assert pr_svg(_summary()) == pr_svg(_summary())
+    assert roc_svg(_result()) == roc_svg(_result())
+    assert pr_svg(_result()) == pr_svg(_result())
 
 
 def _table():
@@ -194,7 +190,7 @@ def test_markup_in_names_and_titles_is_escaped():
     texts = {t.text for t in _elements(svg, "text")}
     assert {"ph<7.2", "a&b", "x>y", "Cluster importance: m<&>"} <= texts
     for panel in (roc_svg, pr_svg):
-        texts = {t.text for t in _elements(panel(_summary(model="m<&>")), "text")}
+        texts = {t.text for t in _elements(panel(_result(model="m<&>")), "text")}
         assert any(t.endswith(": m<&>") for t in texts)
 
 
@@ -204,19 +200,19 @@ def test_heatmap_rejects_empty():
 
 
 def test_emit_plots_writes_files(tmp_path):
-    written = emit_plots(_summary(), _table(), str(tmp_path))
+    written = emit_plots(_result(), _table(), str(tmp_path))
     names = sorted(p.rsplit("/", 1)[-1] for p in written)
     assert names == ["heatmap_rf.svg", "pr_rf.svg", "roc_rf.svg"]
     for p in written:
         ET.fromstring(open(p).read())  # well-formed XML
-    again = emit_plots(_summary(), _table(), str(tmp_path))
+    again = emit_plots(_result(), _table(), str(tmp_path))
     for p in written:
         assert open(p, "rb").read() == open(p, "rb").read()
     assert written == again
 
 
 def test_emit_plots_without_heatmap(tmp_path):
-    written = emit_plots(_summary(), None, str(tmp_path))
+    written = emit_plots(_result(), None, str(tmp_path))
     assert len(written) == 2
 
 
@@ -227,6 +223,6 @@ def test_five_fold_run_produces_five_polylines():
         [ModelSpec("rf", ForestParams(n_trees=10, max_depth=5, min_samples_leaf=5))],
         k=5, seed=0, clusters_k=3,
     )["rf"]
-    svg = roc_svg(result.summary)
+    svg = roc_svg(result)
     assert len(_elements(svg, "polyline")) == 5
-    assert len(_elements(pr_svg(result.summary), "polyline")) == 5
+    assert len(_elements(pr_svg(result), "polyline")) == 5
